@@ -9,12 +9,11 @@ t-deformed Schur family genuinely is not triangular against monomials.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .errors import (
     LengthExceedsVars,
-    NonIntegralEntry,
     NotSymmetric,
     OutOfRange,
     SingularTransition,
@@ -92,10 +91,6 @@ def _render_coeff(c) -> str:
 # -- expansions ----------------------------------------------------------
 
 
-def _distinct_perms(exps: tuple[int, ...]):
-    return set(permutations(exps))
-
-
 def expand_monomial(lam: Partition, n: int, ring: Ring | None = None) -> Poly:
     """The monomial symmetric polynomial m_lam in x1..xn."""
     if lam.length > n:
@@ -104,7 +99,7 @@ def expand_monomial(lam: Partition, n: int, ring: Ring | None = None) -> Poly:
     pad = tuple(lam.parts) + (0,) * (n - lam.length)
     width = len(ring.names)
     terms = {}
-    for e in _distinct_perms(pad):
+    for e in set(permutations(pad)):
         terms[e + (0,) * (width - n)] = 1
     return Poly(ring, terms)
 
@@ -117,8 +112,6 @@ def elementary(k: int, n: int, ring: Ring | None = None, skip: frozenset = froze
         return ring.zero
     width = len(ring.names)
     out = {}
-    from itertools import combinations
-
     for combo in combinations(avail, k):
         e = [0] * width
         for i in combo:
@@ -153,23 +146,26 @@ def vandermonde(n: int, ring: Ring | None = None) -> Poly:
     return _delta(n, ring.names)
 
 
+@lru_cache(maxsize=None)
+def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of 1..n, in lexicographic order, with its sign."""
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        out.append((perm, -1 if inv & 1 else 1))
+    return tuple(out)
+
+
 def _antisym_monomial(exps: tuple[int, ...], n: int, ring: Ring) -> Poly:
     """Sum over the symmetric group of sign * permuted monomial."""
     width = len(ring.names)
     terms: dict = {}
-    for perm in permutations(range(n)):
-        # parity by counting inversions
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
+    for perm, sign in signed_permutations(n):
         e = [0] * width
         for i, p in enumerate(perm):
-            e[p] = exps[i]
+            e[p - 1] = exps[i]
         key = tuple(e)
-        s = terms.get(key, 0) + (-1 if inv & 1 else 1)
+        s = terms.get(key, 0) + sign
         if s:
             terms[key] = s
         elif key in terms:
@@ -239,14 +235,13 @@ def hl_one_row(r: int, n: int) -> Poly:
 def _poly_det(rows: list[list[Poly]], ring: Ring) -> Poly:
     k = len(rows)
     det = ring.zero
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+    for perm, sign in signed_permutations(k):
         prod = ring.one
         for i in range(k):
-            prod = prod * rows[i][perm[i]]
+            prod = prod * rows[i][perm[i] - 1]
             if prod.is_zero:
                 break
-        det = det + (-prod if inv & 1 else prod)
+        det = det + (prod if sign > 0 else -prod)
     return det
 
 
@@ -402,12 +397,12 @@ def change_basis(sym: SymPoly, target: str) -> SymPoly:
         # expansion direction: plain accumulation
         out: dict = {}
         for lam, c in sym.coeffs.items():
-            block = _target_expansion(sym.basis, lam, n)
-            for nu, b in block.coeffs.items():
-                cur = out.get(nu, 0)
-                add = _mul_mixed(b, c)
-                s = _add_mixed(cur, add)
-                if _nonzero(s):
+            # expansion coefficients live in QT
+            if isinstance(c, Poly):
+                c = c.cast(QT)
+            for nu, b in _target_expansion(sym.basis, lam, n).coeffs.items():
+                s = out[nu] + b * c if nu in out else b * c
+                if s:
                     out[nu] = s
                 elif nu in out:
                     del out[nu]
@@ -446,21 +441,3 @@ def change_basis(sym: SymPoly, target: str) -> SymPoly:
             continue
         final[lam] = v.to_poly() if v.is_polynomial() else v
     return SymPoly(target, n, final)
-
-
-def _mul_mixed(a, b):
-    if isinstance(a, Poly) and isinstance(b, Poly) and a.ring is not b.ring:
-        b = b.cast(a.ring)
-    return a * b
-
-
-def _add_mixed(a, b):
-    if isinstance(a, int) and a == 0:
-        return b
-    if isinstance(a, Poly) and isinstance(b, Poly) and a.ring is not b.ring:
-        b = b.cast(a.ring)
-    return a + b
-
-
-def _nonzero(v) -> bool:
-    return bool(v)

@@ -4,7 +4,7 @@ Output is deterministic: canonical coefficient strings, partitions listed
 largest-first in reverse-lexicographic order, and JSON documents whose
 key order never varies.  Exit codes: 0 success, 1 a verification suite
 found a counterexample, 2 invalid input, 3 an internal cross-check or
-integrality guarantee failed.
+integrality guarantee failed, or any other package error.
 """
 
 from __future__ import annotations
@@ -17,16 +17,18 @@ import sys
 from .bases import expand_monomial, to_monomial_basis
 from .errors import (
     LengthExceedsVars,
+    MacopsError,
     NonExactDivision,
-    NonIntegralEntry,
     NotSymmetric,
     OutOfRange,
-    SingularSystem,
     VerificationFailed,
 )
 from .identities import run_suite
 from .jack import jack_check_limits, jack_J, jack_lowering_verify
 from .macdonald import (
+    commute_verify,
+    default_nvars,
+    duality_verify,
     kostka_matrix,
     lowering_verify,
     macdonald_J,
@@ -36,14 +38,11 @@ from .macdonald import (
 from .operators import (
     ALL_KINDS,
     _NEEDS_INDEX,
-    _binom2,
     OperatorSpec,
     apply_operator,
-    build,
-    dualize,
     operator_ring,
 )
-from .partitions import Partition, parse_partition, partitions_of
+from .partitions import parse_partition, partitions_of
 from .rings import Frac, Poly, eval_var
 
 DEFAULT_CAP = 12
@@ -130,7 +129,9 @@ def _emit_poly(args, command: str, params: dict, sym, provenance: str, check, la
 # -- polynomial commands --------------------------------------------------
 
 
-def _cmd_poly(args, which: str) -> int:
+def cmd_poly(args) -> int:
+    """jpoly prints the integral form J, ppoly the monic form P."""
+    which = args.command
     lam = parse_partition(args.shape)
     n = args.nvars if args.nvars is not None else lam.weight
     if n < 0:
@@ -150,14 +151,6 @@ def _cmd_poly(args, which: str) -> int:
         f"{head}[{lam.render()}]",
     )
     return 0
-
-
-def cmd_jpoly(args) -> int:
-    return _cmd_poly(args, "jpoly")
-
-
-def cmd_ppoly(args) -> int:
-    return _cmd_poly(args, "ppoly")
 
 
 def cmd_kostka(args) -> int:
@@ -271,7 +264,7 @@ def _shapes_to(maxw: int, min_weight: int = 0):
 def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     if suite == "raising":
         for lam in _shapes_to(maxw if maxw is not None else 4, 1):
-            nv = n if n is not None else max(lam.length, 2)
+            nv = n if n is not None else default_nvars(lam)
             triple_agreement(lam, nv)
             yield {
                 "check": "raising",
@@ -293,7 +286,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                     yield lowering_verify(lam, mm, nv, kind=kind)
     elif suite == "eigen":
         for lam in _shapes_to(maxw if maxw is not None else 3, 1):
-            nv = n if n is not None else max(lam.length, 2)
+            nv = n if n is not None else default_nvars(lam)
             macdonald_P_eigen(lam, nv, validate=True)
             yield {
                 "check": "eigencheck",
@@ -315,57 +308,17 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         for lam in _shapes_to(maxw if maxw is not None else 3):
             if lam.length > nv:
                 continue
-            ring = operator_ring(nv, "raise_plus")
-            f = expand_monomial(lam, nv, ring=ring)
-            ms = range(0, nv + 1) if m is None else [m]
-            for mm in ms:
-                ln, ld = apply_operator(OperatorSpec("raise_minus", mm), f, nv, raw=True)
-                sc = ring.var("t", mm + _binom2(mm))
-                if mm % 2:
-                    sc = -sc
-                rhs_op = dualize(build(OperatorSpec("raise_plus", mm), nv))
-                rhs_op = rhs_op.with_global_qshift().scaled(sc)
-                rn, rd = rhs_op.apply(f, raw=True)
-                if ln * rd != rn * ld:
-                    raise VerificationFailed(
-                        f"duality m={mm} on m[{lam.render()}] (n={nv})"
-                    )
-                yield {
-                    "check": "duality",
-                    "shape": lam.render(),
-                    "m": mm,
-                    "nvars": nv,
-                    "status": "pass",
-                }
+            for mm in range(0, nv + 1) if m is None else [m]:
+                yield duality_verify(lam, mm, nv)
     elif suite == "commute":
         nv = n if n is not None else 3
         for lam in _shapes_to(maxw if maxw is not None else 3):
             if lam.length > nv:
                 continue
-            ring = operator_ring(nv, "macdonald_r")
-            f = expand_monomial(lam, nv, ring=ring)
-            images = {}
-            for r in range(0, nv + 1):
-                images[r] = apply_operator(OperatorSpec("macdonald_r", r), f, nv)
-            for r in range(0, nv + 1):
-                for s in range(r + 1, nv + 1):
-                    rs = apply_operator(OperatorSpec("macdonald_r", r), images[s], nv)
-                    sr = apply_operator(OperatorSpec("macdonald_r", s), images[r], nv)
-                    if rs != sr:
-                        raise VerificationFailed(
-                            f"commutator [{r},{s}] on m[{lam.render()}] (n={nv})"
-                        )
-                    yield {
-                        "check": "commute",
-                        "shape": lam.render(),
-                        "r": r,
-                        "s": s,
-                        "nvars": nv,
-                        "status": "pass",
-                    }
+            yield from commute_verify(lam, nv)
     elif suite == "jack":
         for lam in _shapes_to(maxw if maxw is not None else 3):
-            nv = n if n is not None else max(lam.length, 2)
+            nv = n if n is not None else default_nvars(lam)
             if lam.length > nv:
                 continue
             yield jack_check_limits(lam, nv)
@@ -444,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     jp = subs.add_parser("jpoly", help="integral form in the monomial basis")
     _add_common(jp, with_via=True)
-    jp.set_defaults(fn=cmd_jpoly)
+    jp.set_defaults(fn=cmd_poly)
 
     pp = subs.add_parser("ppoly", help="monic form in the monomial basis")
     _add_common(pp, with_via=True)
-    pp.set_defaults(fn=cmd_ppoly)
+    pp.set_defaults(fn=cmd_poly)
 
     ko = subs.add_parser("kostka", help="two-parameter Kostka matrix")
     ko.add_argument("--degree", type=int, required=True)
@@ -493,7 +446,7 @@ def main(argv=None) -> int:
     except (OutOfRange, LengthExceedsVars, NotSymmetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonIntegralEntry, SingularSystem, VerificationFailed, NonExactDivision) as exc:
+    except MacopsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bases import elementary, expand_monomial, expand_schur, vandermonde
+from .bases import elementary, expand_schur, vandermonde
 from .errors import IdentityFailed, OutOfRange
 from .operators import (
     OperatorSpec,
+    _binom2,
     _subsets,
+    _xmono,
     apply_factorized_qt,
     apply_operator,
     cross_cleared,
+    cross_named,
 )
-from .partitions import Partition, column_unit_scale, partitions_of
+from .partitions import column_unit_scale, partitions_of
 from .rings import Ring, fold_var, gauss_binomial, pochhammer_t, xring
-
-
-def _binom2(k: int) -> int:
-    return k * (k - 1) // 2
 
 
 def xyring(n: int, m: int, extra: tuple[str, ...] = ("t", "u")) -> Ring:
@@ -34,22 +33,26 @@ def xyring(n: int, m: int, extra: tuple[str, ...] = ("t", "u")) -> Ring:
     return Ring(names + extra)
 
 
-def _cross_named(ring: Ring, vnames, chosen, pattern: str):
-    """Vandermonde-cleared crossing product over an explicit variable list."""
+def _kernel_sum(ring: Ring, first, second, weight):
+    """Signed sum over subsets S of the first alphabet of the kernel terms.
+
+    Each term is weight(|S|) times the crossing product of S, times
+    (1 - a b) for a in S and (1 - t a b) for a outside S, over every a in
+    first and b in second.
+    """
     t = ring.var("t")
-    res = ring.one
-    for ia, a in enumerate(vnames):
-        xa = ring.var(a)
-        for b in vnames[ia + 1 :]:
-            xb = ring.var(b)
-            a_in, b_in = a in chosen, b in chosen
-            if a_in == b_in:
-                res = res * (xa - xb)
-            elif pattern == "plus":
-                res = res * ((t * xa - xb) if a_in else (xa - t * xb))
-            else:
-                res = res * ((xa - t * xb) if a_in else (t * xa - xb))
-    return res
+    acc = ring.zero
+    for k in range(len(first) + 1):
+        for S in combinations(first, k):
+            chosen = frozenset(S)
+            term = weight(k) * cross_named(ring, first, chosen, "plus")
+            for a in first:
+                fa = ring.var(a)
+                for b in second:
+                    fb = ring.var(b)
+                    term = term * ((1 - fa * fb) if a in chosen else (1 - t * fa * fb))
+            acc = acc + (-term if k % 2 else term)
+    return acc
 
 
 def kernel_F(n: int, m: int, swapped: bool = False, u_tpow: int = 0):
@@ -65,26 +68,15 @@ def kernel_F(n: int, m: int, swapped: bool = False, u_tpow: int = 0):
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
     first, second = (ys, xs) if swapped else (xs, ys)
-    t, u = ring.var("t"), ring.var("u")
-    den = _cross_named(ring, first, frozenset(), "plus")
+    t = ring.var("t")
+    den = cross_named(ring, first, frozenset(), "plus")
     for a in first:
         for b in second:
             den = den * (1 - t * ring.var(a) * ring.var(b))
-    num = ring.zero
-    for k in range(len(first) + 1):
-        for S in combinations(first, k):
-            chosen = frozenset(S)
-            term = (
-                ring.var("u", k)
-                * ring.var("t", u_tpow * k + _binom2(k))
-                * _cross_named(ring, first, chosen, "plus")
-            )
-            for a in first:
-                fa = ring.var(a)
-                for b in second:
-                    fb = ring.var(b)
-                    term = term * ((1 - fa * fb) if a in chosen else (1 - t * fa * fb))
-            num = num + (-term if k % 2 else term)
+    num = _kernel_sum(
+        ring, first, second,
+        lambda k: ring.var("u", k) * ring.var("t", u_tpow * k + _binom2(k)),
+    )
     return num, den
 
 
@@ -132,9 +124,7 @@ def suite_elementary_u_product(n: int, m: int | None = None) -> dict:
         # definition-consistent variant, assembled literally
         acc = ring.zero
         for J in _subsets(n, mm):
-            xj = ring.one
-            for j in J:
-                xj = xj * ring.var(f"x{j}")
+            xj = _xmono(ring, J)
             for k in range(mm + 1):
                 for I in combinations(J, k):
                     a = mm - k
@@ -161,9 +151,7 @@ def suite_elementary_u_slice(n: int, m: int | None = None) -> dict:
             for pattern, tpow in (("plus", (n - mm) * r), ("minus", 0)):
                 acc = ring.zero
                 for J in _subsets(n, mm):
-                    xj = ring.one
-                    for j in J:
-                        xj = xj * ring.var(f"x{j}")
+                    xj = _xmono(ring, J)
                     for I in combinations(J, r):
                         acc = acc + xj * cross_cleared(n, I, pattern, ring.names)
                 if acc != ring.var("t", tpow) * gauss * e_m * delta:
@@ -174,8 +162,14 @@ def suite_elementary_u_slice(n: int, m: int | None = None) -> dict:
     return {"suite": "elementary_u_slice", "nvars": n, "status": "pass"}
 
 
+def _need_variables(n: int):
+    if n < 1:
+        raise OutOfRange(f"need at least one variable, got n={n}")
+
+
 def suite_kernel_swap(n: int, m: int | None = None) -> dict:
     """Alphabet exchange for the kernel ratio, with the scaled u argument."""
+    _need_variables(n)
     ms = range(1, n + 1) if m is None else [m]
     for mm in ms:
         lnum, lden = kernel_F(n, mm)
@@ -187,103 +181,64 @@ def suite_kernel_swap(n: int, m: int | None = None) -> dict:
     return {"suite": "kernel_swap", "nvars": n, "status": "pass"}
 
 
-def _kernel_reduction_rhs(ring, xs, ys, t):
-    acc = ring.zero
-    mlen = len(ys)
-    for k in range(mlen + 1):
-        for K in combinations(ys, k):
-            chosen = frozenset(K)
-            term = ring.var("t", _binom2(k)) * _cross_named(ring, ys, chosen, "plus")
-            for b in ys:
-                fb = ring.var(b)
-                for a in xs:
-                    fa = ring.var(a)
-                    term = term * ((1 - fa * fb) if b in chosen else (1 - t * fa * fb))
-            acc = acc + (-term if k % 2 else term)
-    return acc
+def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> dict:
+    """The m-column adder acting on the kernel equals a pure y-side sum.
+
+    The plus adder shifts the chosen x variables and the minus adder their
+    complement, so the kernel factor that carries t swaps sides.
+    """
+    _need_variables(n)
+    ms = range(1, n + 1) if m is None else [m]
+    pattern = "minus" if minus else "plus"
+    for mm in ms:
+        ring = xyring(n, mm, extra=("t",))
+        t = ring.var("t")
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        ys = [f"y{k}" for k in range(1, mm + 1)]
+        lhs = ring.zero
+        for J in _subsets(n, mm):
+            xj = _xmono(ring, J)
+            for k in range(mm + 1):
+                for I in combinations(J, k):
+                    chosen = frozenset(f"x{i}" for i in I)
+                    if minus:
+                        sgn = mm - k
+                        tpow = sgn + _binom2(sgn)
+                    else:
+                        sgn = k
+                        tpow = (mm - n + 1) * k + _binom2(k)
+                    term = ring.var("t", tpow) * cross_named(ring, xs, chosen, pattern)
+                    for a in xs:
+                        fa = ring.var(a)
+                        for b in ys:
+                            fb = ring.var(b)
+                            term = term * (
+                                (1 - t * fa * fb) if (a in chosen) == minus else (1 - fa * fb)
+                            )
+                    lhs = lhs + (-xj * term if sgn % 2 else xj * term)
+        rhs = _kernel_sum(ring, ys, xs, lambda k: ring.var("t", _binom2(k)))
+        yall = ring.one
+        for b in ys:
+            yall = yall * ring.var(b)
+        dy = cross_named(ring, ys, frozenset(), "plus")
+        dx = cross_named(ring, xs, frozenset(), "plus")
+        if lhs * yall * dy != rhs * dx:
+            _fail(name, f"n={n} m={mm}")
+    return {"suite": name, "nvars": n, "status": "pass"}
 
 
 def suite_kernel_reduction_plus(n: int, m: int | None = None) -> dict:
-    """The m-column adder acting on the kernel equals a pure y-side sum.
+    """The plus adder on the kernel.
 
     Neither side involves q; this is the pivot that lets every raising
     statement be checked at q = t only.
     """
-    ms = range(1, n + 1) if m is None else [m]
-    for mm in ms:
-        ring = xyring(n, mm, extra=("t",))
-        t = ring.var("t")
-        xs = [f"x{i}" for i in range(1, n + 1)]
-        ys = [f"y{k}" for k in range(1, mm + 1)]
-        lhs = ring.zero
-        for J in _subsets(n, mm):
-            xj = ring.one
-            for j in J:
-                xj = xj * ring.var(f"x{j}")
-            for k in range(mm + 1):
-                for I in combinations(J, k):
-                    chosen = frozenset(f"x{i}" for i in I)
-                    term = (
-                        ring.var("t", (mm - n + 1) * k + _binom2(k))
-                        * _cross_named(ring, xs, chosen, "plus")
-                    )
-                    for a in xs:
-                        fa = ring.var(a)
-                        for b in ys:
-                            fb = ring.var(b)
-                            term = term * (
-                                (1 - fa * fb) if a in chosen else (1 - t * fa * fb)
-                            )
-                    lhs = lhs + (-xj * term if k % 2 else xj * term)
-        rhs = _kernel_reduction_rhs(ring, xs, ys, t)
-        yall = ring.one
-        for b in ys:
-            yall = yall * ring.var(b)
-        dy = _cross_named(ring, ys, frozenset(), "plus")
-        dx = _cross_named(ring, xs, frozenset(), "plus")
-        if lhs * yall * dy != rhs * dx:
-            _fail("kernel_reduction_plus", f"n={n} m={mm}")
-    return {"suite": "kernel_reduction_plus", "nvars": n, "status": "pass"}
+    return _kernel_reduction("kernel_reduction_plus", n, m, minus=False)
 
 
 def suite_kernel_reduction_minus(n: int, m: int | None = None) -> dict:
     """Minus-adder version; the kernel factors ride on the complement."""
-    ms = range(1, n + 1) if m is None else [m]
-    for mm in ms:
-        ring = xyring(n, mm, extra=("t",))
-        t = ring.var("t")
-        xs = [f"x{i}" for i in range(1, n + 1)]
-        ys = [f"y{k}" for k in range(1, mm + 1)]
-        lhs = ring.zero
-        for J in _subsets(n, mm):
-            xj = ring.one
-            for j in J:
-                xj = xj * ring.var(f"x{j}")
-            for k in range(mm + 1):
-                for I in combinations(J, k):
-                    chosen = frozenset(f"x{i}" for i in I)
-                    a_ = mm - k
-                    term = (
-                        ring.var("t", a_ + _binom2(a_))
-                        * _cross_named(ring, xs, chosen, "minus")
-                    )
-                    for a in xs:
-                        fa = ring.var(a)
-                        for b in ys:
-                            fb = ring.var(b)
-                            term = term * (
-                                (1 - t * fa * fb) if a in chosen else (1 - fa * fb)
-                            )
-                    lhs = lhs + (-xj * term if a_ % 2 else xj * term)
-        rhs = _kernel_reduction_rhs(ring, xs, ys, t)
-        yall = ring.one
-        for b in ys:
-            yall = yall * ring.var(b)
-        dy = _cross_named(ring, ys, frozenset(), "plus")
-        dx = _cross_named(ring, xs, frozenset(), "plus")
-        if lhs * yall * dy != rhs * dx:
-            _fail("kernel_reduction_minus", f"n={n} m={mm}")
-    return {"suite": "kernel_reduction_minus", "nvars": n, "status": "pass"}
+    return _kernel_reduction("kernel_reduction_minus", n, m, minus=True)
 
 
 def _schur_shapes(n: int, maxw: int):
@@ -293,69 +248,32 @@ def _schur_shapes(n: int, maxw: int):
     return out
 
 
-def suite_schur_action_raise(n: int, m: int | None = None) -> dict:
-    """Action of the (u,v) adder on Schur polynomials at q = t."""
-    ring = xring(n, ("t", "u", "v"))
-    u, v = ring.var("u"), ring.var("v")
-    for lam in _schur_shapes(n, 3):
-        f = expand_schur(lam.parts, n, ring)
-        got = apply_factorized_qt("raise_gen_plus", n, f)
-        want = ring.zero
-        for K in _subsets(n):
-            vec = tuple(
-                lam.part(i) + (1 if i in K else 0) for i in range(1, n + 1)
-            )
-            term = v ** len(K) * expand_schur(vec, n, ring)
-            for k in K:
-                term = term * (1 - u * ring.var("t", lam.part(k) + n - k))
-            want = want + term
-        if got != want:
-            _fail("schur_action_raise", f"shape={lam.render()} n={n}")
-    return {"suite": "schur_action_raise", "nvars": n, "status": "pass"}
+def _schur_action(name: str, n: int, kinds) -> dict:
+    """(u,v) generators on Schur polynomials at q = t.
 
-
-def suite_schur_action_raise_comp(n: int, m: int | None = None) -> dict:
-    """Same for the complement-shift adder; the unselected rows pick up
-    a staircase power of t, and each selected column still carries v."""
-    ring = xring(n, ("t", "u", "v"))
-    u, v = ring.var("u"), ring.var("v")
-    for lam in _schur_shapes(n, 3):
-        f = expand_schur(lam.parts, n, ring)
-        got = apply_factorized_qt("raise_gen_minus", n, f)
-        want = ring.zero
-        for K in _subsets(n):
-            vec = tuple(
-                lam.part(i) + (1 if i in K else 0) for i in range(1, n + 1)
-            )
-            term = v ** len(K) * expand_schur(vec, n, ring)
-            for k in K:
-                term = term * (1 - u * ring.var("t", lam.part(k) + n - k))
-            for l in range(1, n + 1):
-                if l not in K:
-                    term = term * ring.var("t", lam.part(l) + n - l)
-            want = want + term
-        if got != want:
-            _fail("schur_action_raise_comp", f"shape={lam.render()} n={n}")
-    return {"suite": "schur_action_raise_comp", "nvars": n, "status": "pass"}
-
-
-def suite_schur_action_lower(n: int, m: int | None = None) -> dict:
-    """Lowering generators on Schur polynomials at q = t.
-
-    Removed columns can push an exponent to -1; the bialternant then
-    lives in the Laurent ring, so both sides are compared against the
-    cleared denominator.
+    Raising kinds add a box to each selected row and lowering kinds remove
+    one.  A removed box can push an exponent to -1, where the bialternant
+    lives in the Laurent ring, so lowering compares against the cleared
+    denominator.  The minus kinds give each unselected row a staircase
+    power of t; each selected row still carries v.
     """
+    _need_variables(n)
     ring = xring(n, ("t", "u", "v"))
     u, v = ring.var("u"), ring.var("v")
-    for kind, comp in (("lower_gen_plus", False), ("lower_gen_minus", True)):
+    for kind in kinds:
+        lower = kind.startswith("lower")
+        step = -1 if lower else 1
+        comp = kind.endswith("minus")
         for lam in _schur_shapes(n, 3):
             f = expand_schur(lam.parts, n, ring)
-            num, den = apply_factorized_qt(kind, n, f, raw=True)
+            if lower:
+                num, den = apply_factorized_qt(kind, n, f, raw=True)
+            else:
+                got = apply_factorized_qt(kind, n, f)
             want = ring.zero
             for K in _subsets(n):
                 vec = tuple(
-                    lam.part(i) - (1 if i in K else 0) for i in range(1, n + 1)
+                    lam.part(i) + (step if i in K else 0) for i in range(1, n + 1)
                 )
                 term = v ** len(K) * expand_schur(vec, n, ring)
                 for k in K:
@@ -365,9 +283,25 @@ def suite_schur_action_lower(n: int, m: int | None = None) -> dict:
                         if l not in K:
                             term = term * ring.var("t", lam.part(l) + n - l)
                 want = want + term
-            if num != want * den:
-                _fail("schur_action_lower", f"kind={kind} shape={lam.render()} n={n}")
-    return {"suite": "schur_action_lower", "nvars": n, "status": "pass"}
+            if (num != want * den) if lower else (got != want):
+                where = f"kind={kind} " if len(kinds) > 1 else ""
+                _fail(name, f"{where}shape={lam.render()} n={n}")
+    return {"suite": name, "nvars": n, "status": "pass"}
+
+
+def suite_schur_action_raise(n: int, m: int | None = None) -> dict:
+    """Action of the (u,v) adder on Schur polynomials at q = t."""
+    return _schur_action("schur_action_raise", n, ("raise_gen_plus",))
+
+
+def suite_schur_action_raise_comp(n: int, m: int | None = None) -> dict:
+    """Same for the complement-shift adder."""
+    return _schur_action("schur_action_raise_comp", n, ("raise_gen_minus",))
+
+
+def suite_schur_action_lower(n: int, m: int | None = None) -> dict:
+    """Both lowering generators on Schur polynomials at q = t."""
+    return _schur_action("schur_action_lower", n, ("lower_gen_plus", "lower_gen_minus"))
 
 
 def suite_generator_on_one(n: int, m: int | None = None) -> dict:

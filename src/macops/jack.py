@@ -10,27 +10,23 @@ against the substitution limit of the two-parameter integral forms.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .bases import SymPoly, sym_to_xpoly, to_monomial_basis, vandermonde
-from .errors import LengthExceedsVars, OutOfRange, VerificationFailed
+from .bases import SymPoly, signed_permutations, sym_to_xpoly, to_monomial_basis, vandermonde
+from .errors import (
+    LengthExceedsVars,
+    NonExactDivision,
+    NotDivisible,
+    OutOfRange,
+    VerificationFailed,
+)
 from .macdonald import conjugate_columns, macdonald_J_raising
-from .partitions import Partition, arm_leg
-from .rings import ALPHA, Poly, Ring, deriv, eval_var, poly_exact_div, substitute, xring
+from .partitions import Partition, c_alpha
+from .rings import ALPHA, QT, Poly, Ring, deriv, eval_var, fold_var, poly_exact_div, xring
 
 
 def axring(n: int) -> Ring:
     return xring(n, ("a",))
-
-
-def c_alpha(lam: Partition) -> Poly:
-    """Leading monomial coefficient: product of a*arm + leg + 1 over cells."""
-    a = ALPHA.var("a")
-    res = ALPHA.one
-    for cell in lam.cells():
-        arm, leg = arm_leg(lam, cell)
-        res = res * (a * arm + leg + 1)
-    return res
 
 
 def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
@@ -91,12 +87,7 @@ def apply_jack(kind: str, m: int, n: int, f: Poly) -> Poly:
         (m - i + 1) if kind == "raise" else (n - i) for i in range(1, n + 1)
     ]
     acc = ring.zero
-    for perm in permutations(range(1, n + 1)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
+    for perm, sign in signed_permutations(n):
         idxs = list(perm)
         g = _apply_elementary(f, idxs, consts, kind, m)
         stair = ring.one
@@ -122,7 +113,8 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
 
     Sets q to t**alpha coefficientwise, divides by (1-t)^weight exactly,
     then evaluates at t = 1.  Integer alpha only; the result has plain
-    integer coefficients.
+    integer coefficients.  Raises NotDivisible when (1-t)^weight does not
+    divide a folded coefficient.
     """
     if alpha < 1:
         raise OutOfRange("need a positive integer parameter")
@@ -130,9 +122,12 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
     d = lam.weight
     out = {}
     for mu, c in J.coeffs.items():
-        folded = substitute(c, "q:=t^k", k=alpha)
-        val = substitute(folded, "divide_then_t:=1", order=d)
-        out[mu] = val.const_value()
+        folded = fold_var(c, "q", "t", alpha)
+        try:
+            g = poly_exact_div(folded, (QT.one - QT.var("t")) ** d)
+        except NonExactDivision as exc:
+            raise NotDivisible(f"(1-t)^{d} does not divide") from exc
+        out[mu] = eval_var(g, "t", 1).const_value()
     return SymPoly("monomial", n, out)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import SymPoly, change_basis, sym_to_xpoly, to_monomial_basis
+from .bases import SymPoly, change_basis, expand_monomial, sym_to_xpoly, to_monomial_basis
 from .errors import (
     LengthExceedsVars,
     NonIntegralEntry,
@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     VerificationFailed,
 )
-from .operators import OperatorSpec, apply_operator
+from .operators import OperatorSpec, _binom2, apply_operator, build, dualize, operator_ring
 from .partitions import (
     Partition,
     c_integral,
@@ -61,8 +61,6 @@ def _d1_action(d: int, n: int):
     spec = OperatorSpec("macdonald_r", 1)
     entries: dict = {}
     for mu in shapes:
-        from .bases import expand_monomial
-
         out = apply_operator(spec, expand_monomial(mu, n, ring=ring), n)
         for nu, c in to_monomial_basis(out, n).coeffs.items():
             entries[(nu, mu)] = c if isinstance(c, Poly) else QT.const(c)
@@ -320,3 +318,54 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict
         "scale": scale_str,
         "status": "pass",
     }
+
+
+def duality_verify(lam: Partition, m: int, n: int) -> dict:
+    """The minus adder against the bar-dual of the plus adder, on m_lam.
+
+    The dual is composed with the global q-shift and scaled by
+    (-1)^m t^(m + m(m-1)/2); both sides are compared cross-multiplied.
+    """
+    ring = operator_ring(n, "raise_plus")
+    f = expand_monomial(lam, n, ring=ring)
+    ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
+    sc = ring.var("t", m + _binom2(m))
+    if m % 2:
+        sc = -sc
+    rhs_op = dualize(build(OperatorSpec("raise_plus", m), n))
+    rhs_op = rhs_op.with_global_qshift().scaled(sc)
+    rn, rd = rhs_op.apply(f, raw=True)
+    if ln * rd != rn * ld:
+        raise VerificationFailed(f"duality m={m} on m[{lam.render()}] (n={n})")
+    return {
+        "check": "duality",
+        "shape": lam.render(),
+        "m": m,
+        "nvars": n,
+        "status": "pass",
+    }
+
+
+def commute_verify(lam: Partition, n: int):
+    """The operators of every order r < s commute on m_lam; one record per pair."""
+    ring = operator_ring(n, "macdonald_r")
+    f = expand_monomial(lam, n, ring=ring)
+    images = {}
+    for r in range(0, n + 1):
+        images[r] = apply_operator(OperatorSpec("macdonald_r", r), f, n)
+    for r in range(0, n + 1):
+        for s in range(r + 1, n + 1):
+            rs = apply_operator(OperatorSpec("macdonald_r", r), images[s], n)
+            sr = apply_operator(OperatorSpec("macdonald_r", s), images[r], n)
+            if rs != sr:
+                raise VerificationFailed(
+                    f"commutator [{r},{s}] on m[{lam.render()}] (n={n})"
+                )
+            yield {
+                "check": "commute",
+                "shape": lam.render(),
+                "r": r,
+                "s": s,
+                "nvars": n,
+                "status": "pass",
+            }

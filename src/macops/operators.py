@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .bases import elementary, vandermonde
+from .bases import elementary, signed_permutations, vandermonde
 from .errors import IndexOutOfRange, OutOfRange, SpecializationRequired
 from .rings import (
     Poly,
@@ -117,23 +117,21 @@ def _tshift_delta(n: int, S: tuple[int, ...], names: tuple[str, ...]) -> Poly:
     return scalar_shift(vandermonde(n, ring), S, "t")
 
 
-@lru_cache(maxsize=None)
-def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ...]) -> Poly:
+def cross_named(ring: Ring, vnames, chosen, pattern: str) -> Poly:
     """Vandermonde times the divided-difference product over crossing pairs.
 
-    pattern "plus" clears prod (t x_i - x_j)/(x_i - x_j), "minus" clears
-    prod (x_i - t x_j)/(x_i - x_j), both over i in I, j outside; the result
-    is an exact polynomial with all orientation signs folded in.
+    The variables are named in vnames, in Vandermonde order.  pattern
+    "plus" clears prod (t x_i - x_j)/(x_i - x_j), "minus" clears
+    prod (x_i - t x_j)/(x_i - x_j), both over i in chosen, j outside; the
+    result is an exact polynomial with all orientation signs folded in.
     """
-    ring = Ring(names)
-    inside = set(I)
     res = ring.one
     t = ring.var("t")
-    for a in range(1, n + 1):
-        xa = ring.var(f"x{a}")
-        for b in range(a + 1, n + 1):
-            xb = ring.var(f"x{b}")
-            a_in, b_in = a in inside, b in inside
+    for ia, a in enumerate(vnames):
+        xa = ring.var(a)
+        for b in vnames[ia + 1 :]:
+            xb = ring.var(b)
+            a_in, b_in = a in chosen, b in chosen
             if a_in == b_in:
                 res = res * (xa - xb)
             elif pattern == "plus":
@@ -143,6 +141,13 @@ def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ..
             else:
                 raise OutOfRange(f"unknown pattern {pattern!r}")
     return res
+
+
+@lru_cache(maxsize=None)
+def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ...]) -> Poly:
+    """:func:`cross_named` over x1..xn with the indices I chosen."""
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    return cross_named(Ring(names), xs, frozenset(f"x{i}" for i in I), pattern)
 
 
 # -- explicit normal form ------------------------------------------------
@@ -394,57 +399,38 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
         for I in _subsets(n):
             c = tsd(I) * ring.var("u", len(I))
             out.append((I, c if len(I) % 2 == 0 else -c))
-    elif kind in ("raise_plus", "raise_minus"):
-        shiftn = max(0, (n - 1 - m) * m)
-        if kind == "raise_minus":
-            shiftn += _binom2(n - m)
+    elif kind in RAISE_KINDS:
+        # plus shifts I, minus its complement; a is the sign count.  The
+        # specialized kinds scale by a power of t (negative powers cleared
+        # into the denominator by t^base), the symbolic kinds by u^a.
+        minus = kind.endswith("minus")
+        symbolic = "_u_" in kind
+        base = max(0, (n - 1 - m) * m)
         for ksz in range(m + 1):
             for I in _subsets(n, ksz):
-                k = len(I)
-                if kind == "raise_plus":
-                    e = (m - n + 1) * k + shiftn
-                    c = ring.var("t", e) * tsd(I) * _xmono(ring, I) * esk(m - k, I)
-                    out.append((I, c if k % 2 == 0 else -c))
+                a = m - ksz if minus else ksz
+                S = _comp(I, n) if minus else I
+                if symbolic:
+                    c = ring.var("u", a)
                 else:
-                    a = m - k
-                    e = (m - n + 1) * a - _binom2(n - m) + shiftn
-                    comp = _comp(I, n)
-                    c = ring.var("t", e) * tsd(comp) * _xmono(ring, I) * esk(m - k, I)
-                    out.append((comp, c if a % 2 == 0 else -c))
-        den = delta * ring.var("t", shiftn)
-    elif kind in ("raise_u_plus", "raise_u_minus"):
+                    c = ring.var("t", (m - n + 1) * a + base)
+                c = c * tsd(S) * _xmono(ring, I) * esk(m - ksz, I)
+                out.append((S, c if a % 2 == 0 else -c))
+        if not symbolic:
+            den = delta * ring.var("t", base + (_binom2(n - m) if minus else 0))
+    elif kind in LOWER_KINDS:
+        minus = kind.endswith("minus")
         for ksz in range(m + 1):
             for I in _subsets(n, ksz):
-                k = len(I)
-                if kind == "raise_u_plus":
-                    c = ring.var("u", k) * tsd(I) * _xmono(ring, I) * esk(m - k, I)
-                    out.append((I, c if k % 2 == 0 else -c))
-                else:
-                    a = m - k
-                    comp = _comp(I, n)
-                    c = ring.var("u", a) * tsd(comp) * _xmono(ring, I) * esk(m - k, I)
-                    out.append((comp, c if a % 2 == 0 else -c))
-    elif kind in ("lower_plus", "lower_u_plus"):
-        for ksz in range(m + 1):
-            for I in _subsets(n, ksz):
-                k = len(I)
-                c = tsd(I) * esk(n - m, I)
-                if kind == "lower_u_plus":
-                    c = c * ring.var("u", k)
-                out.append((I, c if k % 2 == 0 else -c))
-        den = delta * xall
-    elif kind in ("lower_minus", "lower_u_minus"):
-        shiftn = _binom2(n - m) if kind == "lower_minus" else 0
-        for ksz in range(m + 1):
-            for I in _subsets(n, ksz):
-                k = len(I)
-                a = m - k
-                comp = _comp(I, n)
-                c = tsd(comp) * esk(n - m, I)
-                if kind == "lower_u_minus":
+                a = m - ksz if minus else ksz
+                S = _comp(I, n) if minus else I
+                c = tsd(S) * esk(n - m, I)
+                if "_u_" in kind:
                     c = c * ring.var("u", a)
-                out.append((comp, c if a % 2 == 0 else -c))
-        den = delta * xall * ring.var("t", shiftn)
+                out.append((S, c if a % 2 == 0 else -c))
+        den = delta * xall
+        if minus:
+            den = den * ring.var("t", _binom2(n - m) if kind == "lower_minus" else 0)
     elif kind in GEN_KINDS:
         uv = ring.var("u") * ring.var("v")
         for I in _subsets(n):
@@ -545,14 +531,11 @@ def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
         return xj**d * (td * xj * shifted + v * g - u * v * td * shifted)
 
     acc = ring.zero
-    for perm in permutations(range(1, n + 1)):
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
+    for perm, sign in signed_permutations(n):
         g = f
         for j in range(1, n + 1):
             g = entry(perm[j - 1], j, g)
-        acc = acc + (-g if inv & 1 else g)
+        acc = acc + (g if sign > 0 else -g)
     den = vandermonde(n, ring)
     if kind.startswith("lower"):
         den = den * _xmono(ring, range(1, n + 1))
@@ -605,12 +588,9 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
 def antisymmetrize(f: Poly, n: int) -> Poly:
     """Sum of sign * permuted f over the symmetric group on x1..xn."""
     acc = f.ring.zero
-    for perm in permutations(range(1, n + 1)):
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
+    for perm, sign in signed_permutations(n):
         g = permute_x(f, n, perm)
-        acc = acc + (-g if inv & 1 else g)
+        acc = acc + (g if sign > 0 else -g)
     return acc
 
 

@@ -160,26 +160,26 @@ def revlex_key(lam: Partition):
 # -- scalar factors ------------------------------------------------------
 
 
+def _arms_legs(lam: Partition):
+    """(arm, leg) of every cell, row by row; the shape is conjugated once."""
+    conj = lam.conjugate()
+    for i, j in lam.cells():
+        yield lam.parts[i - 1] - j, conj.parts[j - 1] - i
+
+
 def c_integral(lam: Partition) -> Poly:
     """Product over cells of (1 - t^(leg+1) * q^arm); the J = c*P scale."""
-    q, t = QT.var("q"), QT.var("t")
-    conj = lam.conjugate()
     res = QT.one
-    for i, j in lam.cells():
-        arm = lam.parts[i - 1] - j
-        leg = conj.parts[j - 1] - i
+    for arm, leg in _arms_legs(lam):
         res = res * (1 - QT.var("t", leg + 1) * QT.var("q", arm))
     return res
 
 
 def b_coeff(lam: Partition) -> Frac:
     """Cellwise ratio (1 - t^(leg+1) q^arm)/(1 - t^leg q^(arm+1))."""
-    conj = lam.conjugate()
     num = QT.one
     den = QT.one
-    for i, j in lam.cells():
-        arm = lam.parts[i - 1] - j
-        leg = conj.parts[j - 1] - i
+    for arm, leg in _arms_legs(lam):
         num = num * (1 - QT.var("t", leg + 1) * QT.var("q", arm))
         den = den * (1 - QT.var("t", leg) * QT.var("q", arm + 1))
     return Frac(num, den)
@@ -230,27 +230,9 @@ def lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
 
 def c_alpha(lam: Partition) -> Poly:
     """Jack normalization: product over cells of (alpha*arm + leg + 1)."""
-    conj = lam.conjugate()
     res = ALPHA.one
-    for i, j in lam.cells():
-        arm = lam.parts[i - 1] - j
-        leg = conj.parts[j - 1] - i
+    for arm, leg in _arms_legs(lam):
         res = res * (ALPHA.var("a") * arm + (leg + 1))
-    return res
-
-
-def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
-    """Jack-limit analogue of :func:`lowering_coeff`, a polynomial in alpha."""
-    if m < 0 or m > n:
-        raise OutOfRange("column height outside [0, nvars]")
-    if lam.length > n:
-        raise LengthExceedsVars("partition longer than the variable count")
-    a = ALPHA.var("a")
-    res = ALPHA.one
-    for i in range(1, m + 1):
-        if lam.part(i) < 1:
-            raise NegativeExponent(f"part {i} of {lam!r} is zero")
-        res = res * (a * lam.part(i) + (m - i)) * (a * (lam.part(i) - 1) + (n - i + 1))
     return res
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
 
-from .errors import NonExactDivision, NotDivisible, OutOfRange
+from .errors import NonExactDivision, OutOfRange
 
 Coeff = int | Fraction
 Expt = tuple[int, ...]
@@ -206,11 +206,6 @@ class Poly:
         return result
 
     # -- inspection ------------------------------------------------------
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def var_max(self, name: str) -> int:
         v = self.ring.pos(name)
@@ -711,48 +706,6 @@ def negate_var_exponents(f: Poly, names: tuple[str, ...]) -> Poly:
             le[v] = -le[v]
         out[tuple(le)] = c
     return Poly(f.ring, out)
-
-
-def divide_var_power(f: Poly, name: str, k: int) -> Poly:
-    """Exact division by var**k (every exponent must be >= k)."""
-    if k == 0 or f.is_zero:
-        return f
-    v = f.ring.pos(name)
-    out: dict = {}
-    for e, c in f.terms.items():
-        if e[v] < k:
-            raise NonExactDivision(f"term not divisible by {name}^{k}")
-        out[e[:v] + (e[v] - k,) + e[v + 1 :]] = c
-    return Poly(f.ring, out)
-
-
-def substitute(f: Poly, rule: str, *, k: int | None = None, value=None, order: int | None = None) -> Poly:
-    """Apply one of the supported scalar substitutions.
-
-    rules: "q:=t", "q:=t^k" (k a positive integer), "t:=value" (exact
-    rational), "divide_then_t:=1" (divide by (1-t)**order first, raising
-    NotDivisible when the factor does not divide).
-    """
-    if rule == "q:=t":
-        return fold_var(f, "q", "t", 1)
-    if rule == "q:=t^k":
-        if not k or k < 1:
-            raise OutOfRange("need a positive integer power")
-        return fold_var(f, "q", "t", k)
-    if rule == "t:=value":
-        if value is None:
-            raise OutOfRange("need a value")
-        return eval_var(f, "t", value if isinstance(value, int) else Fraction(value))
-    if rule == "divide_then_t:=1":
-        if order is None or order < 0:
-            raise OutOfRange("need a nonnegative order")
-        one_minus_t = f.ring.one - f.ring.var("t")
-        try:
-            g = poly_exact_div(f, one_minus_t**order)
-        except NonExactDivision as exc:
-            raise NotDivisible(f"(1-t)^{order} does not divide") from exc
-        return eval_var(g, "t", 1)
-    raise OutOfRange(f"unknown substitution rule {rule!r}")
 
 
 def scalar_shift(f: Poly, idxs, var: str, mult: int = 1) -> Poly:

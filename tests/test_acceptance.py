@@ -10,6 +10,8 @@ from macops.bases import expand_monomial
 from macops.identities import run_suite
 from macops.jack import jack_J, jack_check_limits, jack_lowering_verify
 from macops.macdonald import (
+    commute_verify,
+    duality_verify,
     full_eigencheck,
     kostka_matrix,
     lowering_verify,
@@ -18,13 +20,10 @@ from macops.macdonald import (
 )
 from macops.operators import (
     _DET_KINDS,
-    _binom2,
     OperatorSpec,
     apply_determinantal,
     apply_factorized_qt,
     apply_operator,
-    build,
-    dualize,
     operator_ring,
 )
 from macops.partitions import Partition, partitions_of
@@ -140,22 +139,16 @@ def test_criterion_07_lowering_theorem():
 
 
 def test_criterion_08_duality_by_application():
+    checks = 0
     for n in range(1, 4):
-        ring = operator_ring(n, "raise_plus")
         for d in range(0, 4):
             for mu in partitions_of(d, max_len=n):
-                f = expand_monomial(mu, n, ring=ring)
                 for m in range(0, n + 1):
-                    ln, ld = apply_operator(
-                        OperatorSpec("raise_minus", m), f, n, raw=True
-                    )
-                    sc = ring.var("t", m + _binom2(m))
-                    if m % 2:
-                        sc = -sc
-                    rhs = dualize(build(OperatorSpec("raise_plus", m), n))
-                    rhs = rhs.with_global_qshift().scaled(sc)
-                    rn, rd = rhs.apply(f, raw=True)
-                    assert ln * rd == rn * ld, (mu.render(), m, n)
+                    rep = duality_verify(mu, m, n)
+                    assert rep["status"] == "pass", (mu.render(), m, n)
+                    checks += 1
+    # (shapes of weight <= 3 fitting n variables) * (n + 1) heights: 4*2 + 6*3 + 7*4
+    assert checks == 54
 
 
 def test_criterion_09_jack_limits():
@@ -173,21 +166,12 @@ def test_criterion_09_jack_limits():
 
 
 def test_criterion_10_operator_commutativity():
+    checks = 0
     for n in range(1, 4):
-        ring = operator_ring(n, "macdonald_r")
         for d in range(0, 4):
             for mu in partitions_of(d, max_len=n):
-                f = expand_monomial(mu, n, ring=ring)
-                images = {
-                    r: apply_operator(OperatorSpec("macdonald_r", r), f, n)
-                    for r in range(0, n + 1)
-                }
-                for r in range(0, n + 1):
-                    for s in range(r + 1, n + 1):
-                        rs = apply_operator(
-                            OperatorSpec("macdonald_r", r), images[s], n
-                        )
-                        sr = apply_operator(
-                            OperatorSpec("macdonald_r", s), images[r], n
-                        )
-                        assert rs == sr, (mu.render(), r, s, n)
+                for rep in commute_verify(mu, n):
+                    assert rep["status"] == "pass", (mu.render(), n)
+                    checks += 1
+    # (shapes of weight <= 3 fitting n variables) * (pairs r < s in 0..n): 4*1 + 6*3 + 7*6
+    assert checks == 64

@@ -205,6 +205,74 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
     assert "routes disagree" in err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        "NotDivisible",
+        "SingularTransition",
+        "NegativeExponent",
+        "CellOutsideDiagram",
+        "SpecializationRequired",
+    ],
+)
+def test_other_package_errors_exit_three(capsys, monkeypatch, error):
+    import macops.cli as cli
+    import macops.errors as errors
+
+    def explode(lam, n):
+        raise getattr(errors, error)("planted")
+
+    monkeypatch.setattr(cli, "triple_agreement", explode)
+    code, out, err = run(capsys, "jpoly", "--lambda", "1", "--check")
+    assert code == 3
+    assert out == ""
+    assert err == "error: planted\n"
+
+
+@pytest.mark.parametrize("suite", ["kernel", "schur-action"])
+def test_identity_groups_refuse_zero_variables(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_duality_mismatch_exits_one(capsys, monkeypatch):
+    import macops.macdonald as mac
+    from macops.errors import VerificationFailed
+    from macops.partitions import Partition
+
+    real = mac.dualize
+    monkeypatch.setattr(mac, "dualize", lambda op: real(op).scaled(2))
+    with pytest.raises(VerificationFailed, match=r"^duality m=0 on m\[0\] \(n=1\)$"):
+        mac.duality_verify(Partition(()), 0, 1)
+    code, out, _ = run(capsys, "verify", "--suite", "duality", "--max-weight", "0")
+    assert code == 1
+    assert out.endswith("FAIL: duality m=0 on m[0] (n=3)\n")
+
+
+def test_commute_mismatch_exits_one(capsys, monkeypatch):
+    import macops.macdonald as mac
+    from macops.errors import VerificationFailed
+    from macops.partitions import Partition
+
+    real = mac.apply_operator
+
+    def crooked(spec, f, n, raw=False):
+        # adds e_1 to every image of the order-0 operator, the identity
+        out = real(spec, f, n, raw)
+        if spec.index == 0:
+            out = out + sum((f.ring.var(f"x{i}") for i in range(1, n + 1)), f.ring.zero)
+        return out
+
+    monkeypatch.setattr(mac, "apply_operator", crooked)
+    with pytest.raises(VerificationFailed, match=r"^commutator \[0,1\] on m\[0\] \(n=1\)$"):
+        list(mac.commute_verify(Partition(()), 1))
+    code, out, _ = run(capsys, "verify", "--suite", "commute", "--max-weight", "0")
+    assert code == 1
+    assert out.endswith("FAIL: commutator [0,1] on m[0] (n=3)\n")
+
+
 def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, "jpoly", "--lambda", "x,y")[0] == 2
     assert run(capsys, "jpoly", "--lambda", "1,2")[0] == 2

@@ -79,3 +79,32 @@ def test_failure_is_loud(monkeypatch):
     monkeypatch.setattr(ids, "pochhammer_t", lambda a, k: a.ring.zero + 7)
     with pytest.raises(IdentityFailed):
         run_suite("kernel_swap", 2)
+
+
+@pytest.mark.parametrize("name", ["kernel_reduction_plus", "kernel_reduction_minus"])
+def test_kernel_reduction_failure_names_the_suite(monkeypatch, name):
+    real = ids._kernel_sum
+    monkeypatch.setattr(ids, "_kernel_sum", lambda *args: real(*args) + 1)
+    with pytest.raises(IdentityFailed, match=f"^{name}: n=2 m=1$"):
+        run_suite(name, 2)
+
+
+@pytest.mark.parametrize("name", SCHUR)
+def test_schur_action_failure_names_the_suite(monkeypatch, name):
+    real = ids.apply_factorized_qt
+
+    def crooked(kind, n, f, raw=False):
+        if raw:
+            num, den = real(kind, n, f, raw=True)
+            return num + den, den
+        return real(kind, n, f) + 1
+
+    monkeypatch.setattr(ids, "apply_factorized_qt", crooked)
+    with pytest.raises(IdentityFailed, match=f"^{name}: .*shape=0 n=2$"):
+        run_suite(name, 2)
+
+
+@pytest.mark.parametrize("name", TWO_ALPHABET + SCHUR)
+def test_empty_alphabet_is_refused(name):
+    with pytest.raises(OutOfRange):
+        run_suite(name, 0)

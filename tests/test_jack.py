@@ -2,7 +2,7 @@
 
 import pytest
 
-from macops.errors import LengthExceedsVars, OutOfRange, VerificationFailed
+from macops.errors import LengthExceedsVars, NotDivisible, OutOfRange, VerificationFailed
 from macops.jack import (
     apply_jack,
     axring,
@@ -123,3 +123,17 @@ def test_limit_mismatch_is_loud(monkeypatch):
     monkeypatch.setattr(jk, "jack_limit_oracle", crooked)
     with pytest.raises(VerificationFailed):
         jk.jack_check_limits(P(2), 2)
+
+
+def test_limit_oracle_refuses_a_nondivisible_coefficient(monkeypatch):
+    import macops.jack as jk
+    from macops.bases import SymPoly
+    from macops.rings import QT
+
+    class Crooked:
+        # 1 - t is not divisible by (1-t)^2, the weight of (2)
+        J = SymPoly("monomial", 2, {P(2): 1 - QT.var("t")})
+
+    monkeypatch.setattr(jk, "macdonald_J_raising", lambda lam, n: Crooked)
+    with pytest.raises(NotDivisible):
+        jk.jack_limit_oracle(P(2), 2, alpha=1)

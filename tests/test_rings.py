@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macops.errors import NonExactDivision, NotDivisible, OutOfRange
+from macops.errors import NonExactDivision, OutOfRange
 from macops.rings import (
     ALPHA,
     QT,
@@ -20,7 +20,6 @@ from macops.rings import (
     poly_gcd,
     scalar_shift,
     split_x,
-    substitute,
     xring,
 )
 
@@ -231,26 +230,27 @@ def test_gauss_binomial_symmetry_and_product():
 def test_substitute_q_to_t():
     q, t = QT.var("q"), QT.var("t")
     f = 1 - q * t
-    assert substitute(f, "q:=t") == 1 - t * t
-    assert substitute(f, "q:=t^k", k=3) == 1 - t**4
+    assert fold_var(f, "q", "t") == 1 - t * t
+    assert fold_var(f, "q", "t", 3) == 1 - t**4
     with pytest.raises(OutOfRange):
-        substitute(f, "q:=t^k", k=0)
+        fold_var(f, "q", "u", 3)
 
 
 def test_substitute_t_value():
     q, t = QT.var("q"), QT.var("t")
     f = (1 - t) * (1 + q)
-    g = substitute(f, "t:=value", value=Fraction(1, 2))
+    g = eval_var(f, "t", Fraction(1, 2))
     assert g == (1 + q).map_coeffs(lambda c: Fraction(c, 2))
-    assert substitute(f, "t:=value", value=1).is_zero
+    assert eval_var(f, "t", 1).is_zero
 
 
 def test_substitute_divide_then_t1():
+    # the Jack limit's last step: exact division by (1-t)^order, then t := 1
     t = QT.var("t")
     f = (1 - t) ** 2 * (1 + t)
-    assert substitute(f, "divide_then_t:=1", order=2) == QT.const(2)
-    with pytest.raises(NotDivisible):
-        substitute(1 - t, "divide_then_t:=1", order=2)
+    assert eval_var(poly_exact_div(f, (1 - t) ** 2), "t", 1) == QT.const(2)
+    with pytest.raises(NonExactDivision):
+        poly_exact_div(1 - t, (1 - t) ** 2)
 
 
 def test_eval_var_zero_negative_power():
