@@ -1,9 +1,10 @@
-"""Symmetric polynomial bases and exact conversions between them.
+"""Symmetric polynomials: expansions, the monomial basis, big-Schur solves.
 
 Expansion targets are honest polynomials in x1..xn over whatever scalar
-variables the chosen ring carries.  Basis changes solve an exact linear
-system over the fraction field; no triangularity is assumed, because the
-t-deformed Schur family genuinely is not triangular against monomials.
+variables the chosen ring carries.  The one basis change, monomial to
+t-deformed Schur, runs a fraction-free elimination over Z[t]; no
+triangularity is assumed, because the t-deformed Schur family genuinely
+is not triangular against monomials.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from math import factorial
 
 from .errors import (
     LengthExceedsVars,
+    NonExactDivision,
+    NonIntegralEntry,
     NotSymmetric,
     OutOfRange,
     SingularTransition,
@@ -24,62 +27,45 @@ from .rings import (
     Frac,
     Poly,
     Ring,
+    permute_x,
     poly_exact_div,
     split_x,
     xring,
 )
 
-BASES = ("monomial", "elementary", "schur", "bigschur")
+
+def label_key(lam: Partition):
+    """Listing order of partition labels: by weight, then largest first."""
+    return (lam.weight, revlex_key(lam))
 
 
 class SymPoly:
-    """A finite coefficient dict over one named basis in n variables."""
+    """A finite monomial-basis coefficient dict in n variables."""
 
-    __slots__ = ("basis", "nvars", "coeffs")
+    __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, basis: str, nvars: int, coeffs: dict):
-        if basis not in BASES:
-            raise OutOfRange(f"unknown basis {basis!r}")
-        self.basis = basis
+    def __init__(self, nvars: int, coeffs: dict):
         self.nvars = nvars
         self.coeffs = {lam: c for lam, c in coeffs.items() if c}
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].weight, revlex_key(kv[0])))
+        return sorted(self.coeffs.items(), key=lambda kv: label_key(kv[0]))
 
     def __eq__(self, other):
         return (
             isinstance(other, SymPoly)
-            and self.basis == other.basis
             and self.nvars == other.nvars
             and self.coeffs == other.coeffs
         )
 
     __hash__ = None
 
-    def scale(self, c) -> "SymPoly":
-        return SymPoly(self.basis, self.nvars, {k: v * c for k, v in self.coeffs.items()})
-
     def map_coeffs(self, fn) -> "SymPoly":
-        return SymPoly(self.basis, self.nvars, {k: fn(v) for k, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        if other.basis != self.basis or other.nvars != self.nvars:
-            raise OutOfRange("mixed bases or variable counts")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return SymPoly(self.basis, self.nvars, out)
+        return SymPoly(self.nvars, {k: fn(v) for k, v in self.coeffs.items()})
 
     def __repr__(self):
         inner = ", ".join(f"({k.render()}): {_render_coeff(v)}" for k, v in self.items())
-        return f"<SymPoly {self.basis}[{self.nvars}] {{{inner}}}>"
+        return f"<SymPoly monomial[{self.nvars}] {{{inner}}}>"
 
 
 def _render_coeff(c) -> str:
@@ -120,17 +106,6 @@ def elementary(k: int, n: int, ring: Ring | None = None, skip: frozenset = froze
     return Poly(ring, out)
 
 
-def expand_elementary(lam: Partition, n: int, ring: Ring | None = None) -> Poly:
-    """Product of e_(lam_i); zero when some part exceeds n."""
-    ring = ring or xring(n)
-    res = ring.one
-    for p in lam.parts:
-        res = res * elementary(p, n, ring)
-        if res.is_zero:
-            break
-    return res
-
-
 @lru_cache(maxsize=None)
 def _delta(n: int, names_key: tuple[str, ...]) -> Poly:
     ring = Ring(names_key)
@@ -156,21 +131,17 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def _antisym_monomial(exps: tuple[int, ...], n: int, ring: Ring) -> Poly:
-    """Sum over the symmetric group of sign * permuted monomial."""
-    width = len(ring.names)
+def antisymmetrize(f: Poly, n: int) -> Poly:
+    """Sum of sign * permuted f over the symmetric group on x1..xn."""
     terms: dict = {}
     for perm, sign in signed_permutations(n):
-        e = [0] * width
-        for i, p in enumerate(perm):
-            e[p - 1] = exps[i]
-        key = tuple(e)
-        s = terms.get(key, 0) + sign
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    return Poly(ring, terms)
+        for e, c in permute_x(f, n, perm).terms.items():
+            s = terms.get(e, 0) + (c if sign > 0 else -c)
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+    return Poly(f.ring, terms)
 
 
 def expand_schur(vec, n: int, ring: Ring | None = None) -> Poly:
@@ -193,7 +164,8 @@ def expand_schur(vec, n: int, ring: Ring | None = None) -> Poly:
     shift = min(exps)
     if shift > 0:
         shift = 0
-    num = _antisym_monomial(tuple(e - shift for e in exps), n, ring)
+    pad = (0,) * (len(ring.names) - n)
+    num = antisymmetrize(ring.monomial(tuple(e - shift for e in exps) + pad), n)
     quo = poly_exact_div(num, vandermonde(n, ring))
     if shift:
         # undo the uniform column shift: divide by (x1...xn)^(-shift)
@@ -298,7 +270,7 @@ def to_monomial_basis(f: Poly, n: int) -> SymPoly:
             out[lam] = coeff.const_value()
         else:
             out[lam] = coeff
-    return SymPoly("monomial", n, out)
+    return SymPoly(n, out)
 
 
 def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
@@ -307,14 +279,7 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
     ring = ring or xring(n)
     total = ring.zero
     for lam, c in sym.coeffs.items():
-        if sym.basis == "monomial":
-            base = expand_monomial(lam, n, ring)
-        elif sym.basis == "elementary":
-            base = expand_elementary(lam, n, ring)
-        elif sym.basis == "schur":
-            base = expand_schur(lam.parts, n, ring)
-        else:
-            base = expand_big_schur(lam, n).cast(ring)
+        base = expand_monomial(lam, n, ring)
         if isinstance(c, Poly):
             base = base * c.cast(ring)
         elif isinstance(c, Frac):
@@ -325,119 +290,74 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
     return total
 
 
-# -- basis change by exact linear solve ---------------------------------
-
-
-def _target_expansion(basis: str, lam: Partition, n: int) -> SymPoly:
-    if basis == "elementary":
-        f = expand_elementary(lam, n)
-    elif basis == "schur":
-        f = expand_schur(lam.parts, n)
-    elif basis == "bigschur":
-        f = expand_big_schur(lam, n)
-    else:
-        raise OutOfRange(f"no expansion for target {basis!r}")
-    return to_monomial_basis(f, n)
-
-
-def _as_qt(c) -> Poly:
-    if isinstance(c, Poly):
-        return c if c.ring is QT else c.cast(QT)
-    return QT.const(c)
+# -- monomial to big-Schur, fraction-free -------------------------------
 
 
 @lru_cache(maxsize=None)
-def _transition_inverse(basis: str, d: int, n: int):
-    """Inverse of the (target basis -> monomial) matrix in weight d.
+def _bigschur_adjugate(d: int, n: int):
+    """Fraction-free Gauss-Jordan elimination of [M | I] over Z[t].
 
-    Needs n >= d so every partition of d labels both sides.  Entries are
-    fractions over the scalar ring; rational linear algebra, no pivots
-    assumed anywhere.
+    Column lam of M holds the monomial coefficients of the t-deformed
+    Schur polynomial S_lam in weight d.  Every step divides exactly by
+    the previous pivot, so all entries stay in Z[t]; at the end the left
+    block is det * I and the right block is det * M^-1, where det is the
+    last pivot (the determinant of M up to the sign of the row swaps).
+    Needs n >= d so every partition of d labels both sides.
+    Returns (labels, right block, det).
     """
     if n < d:
         raise OutOfRange("need at least as many variables as the degree")
-    labels = partitions_of(d)
+    labels = tuple(partitions_of(d))
     k = len(labels)
-    cols = {lam: _target_expansion(basis, lam, n) for lam in labels}
-    mat = [
-        [Frac(_as_qt(cols[mu].coeffs.get(nu, 0))) for mu in labels]
-        for nu in labels
+    cols = [to_monomial_basis(expand_big_schur(lam, n), n).coeffs for lam in labels]
+    rows = [
+        [cols[j].get(nu, QT.zero) for j in range(k)]
+        + [QT.one if i == j else QT.zero for j in range(k)]
+        for i, nu in enumerate(labels)
     ]
-    inv = [[Frac(QT.one) if i == j else Frac(QT.zero) for j in range(k)] for i in range(k)]
+    prev = QT.one
     for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col]), None)
+        piv = next((r for r in range(col, k) if rows[r][col]), None)
         if piv is None:
-            raise SingularTransition(f"{basis} transition singular in weight {d}")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        scale = mat[col][col]
-        for j in range(k):
-            mat[col][j] = mat[col][j] / scale
-            inv[col][j] = inv[col][j] / scale
+            raise SingularTransition(f"big-Schur transition singular in weight {d}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        p = top[col]
         for r in range(k):
-            if r != col and mat[r][col]:
-                factor = mat[r][col]
-                for j in range(k):
-                    mat[r][j] = mat[r][j] - factor * mat[col][j]
-                    inv[r][j] = inv[r][j] - factor * inv[col][j]
-    return labels, inv
+            if r == col:
+                continue
+            row, a = rows[r], rows[r][col]
+            rows[r] = [poly_exact_div(p * x - a * y, prev) for x, y in zip(row, top)]
+        prev = p
+    return labels, tuple(tuple(row[k:]) for row in rows), prev
 
 
-def change_basis(sym: SymPoly, target: str) -> SymPoly:
-    """Convert between the monomial basis and a named target basis."""
-    if target not in BASES:
-        raise OutOfRange(f"unknown basis {target!r}")
-    if target == sym.basis:
-        return sym
-    n = sym.nvars
-    if sym.basis != "monomial":
-        if target != "monomial":
-            return change_basis(change_basis(sym, "monomial"), target)
-        # expansion direction: plain accumulation
-        out: dict = {}
-        for lam, c in sym.coeffs.items():
-            # expansion coefficients live in QT
-            if isinstance(c, Poly):
-                c = c.cast(QT)
-            for nu, b in _target_expansion(sym.basis, lam, n).coeffs.items():
-                s = out[nu] + b * c if nu in out else b * c
-                if s:
-                    out[nu] = s
-                elif nu in out:
-                    del out[nu]
-        return SymPoly("monomial", n, out)
-    # monomial -> target: exact solve, done weight by weight
-    by_weight: dict[int, dict[Partition, Poly]] = {}
-    for lam, c in sym.coeffs.items():
-        by_weight.setdefault(lam.weight, {})[lam] = _as_qt(c)
+def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
+    """Big-Schur coefficients of a weight-homogeneous monomial-basis SymPoly.
+
+    Each coefficient is an exact division of an adjugate combination by
+    the determinant of the transition; a division that leaves a
+    remainder raises NonIntegralEntry with the reduced fraction.
+    """
+    weights = {lam.weight for lam in sym.coeffs}
+    if len(weights) > 1:
+        raise OutOfRange(f"mixed weights {sorted(weights)} in one basis change")
+    if not weights:
+        return {}
+    labels, adj, det = _bigschur_adjugate(weights.pop(), sym.nvars)
+    vec = [sym.coeffs.get(nu) for nu in labels]
     out = {}
-    for d, block in by_weight.items():
-        labels, inv = _transition_inverse(target, d, n)
-        index = {lam: i for i, lam in enumerate(labels)}
-        # decompose the right-hand side by powers of q: the transition is
-        # q-free, so each slice solves over the univariate field in t
-        slices: dict[int, list[Poly]] = {}
-        for lam, c in block.items():
-            if lam not in index:
-                raise OutOfRange(f"label {lam!r} outside weight-{d} block")
-            i = index[lam]
-            for e, coeff in c.terms.items():
-                vec = slices.setdefault(e[0], [QT.zero] * len(labels))
-                vec[i] = vec[i] + QT.monomial((0, e[1]), coeff)
-        for qpow, vec in slices.items():
-            qmono = QT.var("q", qpow) if qpow else QT.one
-            for i, lam in enumerate(labels):
-                acc = Frac(QT.zero)
-                for j in range(len(labels)):
-                    if vec[j]:
-                        acc = acc + inv[i][j] * vec[j]
-                if acc:
-                    prev = out.get(lam, Frac(QT.zero))
-                    out[lam] = prev + acc * qmono
-    final = {}
-    for lam, v in out.items():
-        if not v:
+    for lam, row in zip(labels, adj):
+        num = QT.zero
+        for a, c in zip(row, vec):
+            if a and c:
+                num = num + a * c
+        if not num:
             continue
-        final[lam] = v.to_poly() if v.is_polynomial() else v
-    return SymPoly(target, n, final)
+        try:
+            out[lam] = poly_exact_div(num, det)
+        except NonExactDivision:
+            raise NonIntegralEntry(
+                f"coefficient of S[{lam.render()}] = {Frac(num, det).render()}"
+            ) from None
+    return out

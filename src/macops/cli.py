@@ -262,6 +262,13 @@ def _shapes_to(maxw: int, min_weight: int = 0):
 
 
 def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
+    least = 1 if suite in ("raising", "eigen", "kostka") else 0
+    if maxw is not None and maxw < least:
+        raise OutOfRange(
+            f"suite {suite!r} checks weights from {least}; --max-weight {maxw} selects nothing"
+        )
+    if suite == "commute" and n is not None and n < 1:
+        raise OutOfRange(f"suite 'commute' needs a pair of orders r < s <= n; --n {n} has none")
     if suite == "raising":
         for lam in _shapes_to(maxw if maxw is not None else 4, 1):
             nv = n if n is not None else default_nvars(lam)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bases import SymPoly, signed_permutations, sym_to_xpoly, to_monomial_basis, vandermonde
+from .bases import SymPoly, antisymmetrize, sym_to_xpoly, to_monomial_basis, vandermonde
 from .errors import (
     LengthExceedsVars,
     NonExactDivision,
@@ -75,8 +75,9 @@ def _apply_elementary(f: Poly, idxs, consts, kind: str, m: int) -> Poly:
 def apply_jack(kind: str, m: int, n: int, f: Poly) -> Poly:
     """Column adder (kind "raise") or remover (kind "lower") of height m.
 
-    Antisymmetrization over all n! permutations against the staircase,
-    then one exact division by the Vandermonde determinant.
+    Defined for symmetric f: the elementary operator is applied once, the
+    staircase x^delta times its image is antisymmetrized over all n!
+    permutations, and one exact division by the Vandermonde follows.
     """
     if kind not in ("raise", "lower"):
         raise OutOfRange(f"unknown kind {kind!r}")
@@ -86,15 +87,11 @@ def apply_jack(kind: str, m: int, n: int, f: Poly) -> Poly:
     consts = [
         (m - i + 1) if kind == "raise" else (n - i) for i in range(1, n + 1)
     ]
-    acc = ring.zero
-    for perm, sign in signed_permutations(n):
-        idxs = list(perm)
-        g = _apply_elementary(f, idxs, consts, kind, m)
-        stair = ring.one
-        for i in range(1, n + 1):
-            stair = stair * ring.var(f"x{perm[i - 1]}", n - i)
-        acc = acc + sign * stair * g
-    return poly_exact_div(acc, vandermonde(n, ring))
+    g = _apply_elementary(f, range(1, n + 1), consts, kind, m)
+    stair = ring.monomial(
+        tuple(n - i for i in range(1, n + 1)) + (0,) * (len(ring.names) - n)
+    )
+    return poly_exact_div(antisymmetrize(stair * g, n), vandermonde(n, ring))
 
 
 def jack_J(lam: Partition, n: int) -> SymPoly:
@@ -128,7 +125,7 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
         except NonExactDivision as exc:
             raise NotDivisible(f"(1-t)^{d} does not divide") from exc
         out[mu] = eval_var(g, "t", 1).const_value()
-    return SymPoly("monomial", n, out)
+    return SymPoly(n, out)
 
 
 def jack_check_limits(lam: Partition, n: int, alphas=(1, 2, 3)) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import SymPoly, change_basis, expand_monomial, sym_to_xpoly, to_monomial_basis
+from .bases import SymPoly, change_basis, expand_monomial, label_key, sym_to_xpoly, to_monomial_basis
 from .errors import (
     LengthExceedsVars,
     NonIntegralEntry,
@@ -44,9 +44,14 @@ def default_nvars(lam: Partition) -> int:
 class MacdonaldResult:
     shape: Partition
     nvars: int
-    P: SymPoly  # monomial basis, fraction coefficients, top coefficient 1
     J: SymPoly  # monomial basis, coefficients in ZZ[q,t]
     provenance: str
+
+    @property
+    def P(self) -> SymPoly:
+        """The monic form J / c_integral(shape), fraction coefficients."""
+        c = c_integral(self.shape)
+        return self.J.map_coeffs(lambda p: Frac(p, c))
 
 
 @lru_cache(maxsize=None)
@@ -63,22 +68,22 @@ def _d1_action(d: int, n: int):
     for mu in shapes:
         out = apply_operator(spec, expand_monomial(mu, n, ring=ring), n)
         for nu, c in to_monomial_basis(out, n).coeffs.items():
-            entries[(nu, mu)] = c if isinstance(c, Poly) else QT.const(c)
+            entries[(nu, mu)] = c
     return shapes, entries
 
 
 def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> MacdonaldResult:
-    """The monic Macdonald polynomial as the triangular eigenvector.
+    """The integral form through the monic triangular eigenvector.
 
-    Solves the one-operator eigenproblem from the top coefficient down;
-    the full u-generating eigencheck then certifies the solution unless
-    validate is switched off by a caller doing its own cross-checks.
+    Solves the one-operator eigenproblem for P from the top coefficient
+    down and scales it to J, which must come out integral; the full
+    u-generating eigencheck then certifies J unless validate is switched
+    off by a caller doing its own cross-checks.
     """
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
     if n == 0:
-        one = SymPoly("monomial", 0, {lam: QT.one})
-        return MacdonaldResult(lam, 0, one, one, "eigen_oracle")
+        return MacdonaldResult(lam, 0, SymPoly(0, {lam: QT.one}), "eigen_oracle")
     shapes, entries = _d1_action(lam.weight, n)
     top = eigenvalue_first(lam, n)
     coeffs: dict[Partition, Frac] = {lam: Frac(QT.one)}
@@ -102,11 +107,10 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
                 f"repeated eigenvalue between {lam.render()} and {nu.render()}"
             )
         coeffs[nu] = rhs / gap
-    P = SymPoly("monomial", n, coeffs)
-    J = _integral_form(lam, P)
+    J = _integral_form(lam, SymPoly(n, coeffs))
     if validate:
         full_eigencheck(lam, n, J)
-    return MacdonaldResult(lam, n, P, J, "eigen_oracle")
+    return MacdonaldResult(lam, n, J, "eigen_oracle")
 
 
 def _integral_form(lam: Partition, P: SymPoly) -> SymPoly:
@@ -119,7 +123,7 @@ def _integral_form(lam: Partition, P: SymPoly) -> SymPoly:
                 f"coefficient of m_{mu.render()} in the integral form: {g.render()}"
             )
         out[mu] = g.to_poly()
-    return SymPoly("monomial", P.nvars, out)
+    return SymPoly(P.nvars, out)
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
@@ -184,12 +188,7 @@ def macdonald_J_raising(
     f = ring.one
     for m in cols:
         f = apply_operator(OperatorSpec(opkind, m), f, n)
-    J = to_monomial_basis(f, n).map_coeffs(
-        lambda c: c if isinstance(c, Poly) else QT.const(c)
-    )
-    c = c_integral(lam)
-    P = J.map_coeffs(lambda p: Frac(p, c))
-    return MacdonaldResult(lam, n, P, J, f"raising_{kind}")
+    return MacdonaldResult(lam, n, to_monomial_basis(f, n), f"raising_{kind}")
 
 
 def macdonald_J(
@@ -205,14 +204,21 @@ def macdonald_J(
 
 
 def triple_agreement(lam: Partition, n: int) -> MacdonaldResult:
-    """Both raising routes and the eigen oracle must coincide exactly."""
+    """Both raising routes and the eigen oracle must coincide exactly.
+
+    A disagreement names the first differing m_mu with all three values.
+    """
     plus = macdonald_J_raising(lam, n, "kplus")
-    minus = macdonald_J_raising(lam, n, "kminus")
-    eigen = macdonald_P_eigen(lam, n, validate=False)
-    if plus.J != minus.J or plus.J != eigen.J:
-        raise VerificationFailed(
-            f"construction routes disagree for {lam.render()} in {n} variables"
-        )
+    routes = (plus.J, macdonald_J_raising(lam, n, "kminus").J,
+              macdonald_P_eigen(lam, n, validate=False).J)
+    for mu in sorted({mu for J in routes for mu in J.coeffs}, key=label_key):
+        kp, km, ei = (J.coeffs.get(mu, QT.zero) for J in routes)
+        if kp != km or kp != ei:
+            raise VerificationFailed(
+                f"construction routes disagree for {lam.render()} in {n} variables "
+                f"at m[{mu.render()}]: kplus {kp.render()}, kminus {km.render()}, "
+                f"eigen {ei.render()}"
+            )
     return plus
 
 
@@ -248,8 +254,8 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
     """Transition coefficients from the integral forms to the t-Schur basis.
 
     Columns are the integral forms; each is expanded in the t-deformed
-    Schur family and every entry is certified to be a polynomial in q
-    and t with integer coefficients.
+    Schur family by exact division, which certifies every entry to be a
+    polynomial in q and t with integer coefficients.
     """
     if d < 0:
         raise OutOfRange("negative degree")
@@ -259,19 +265,11 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
     shapes = tuple(partitions_of(d))
     entries: dict = {}
     for mu in shapes:
-        J = macdonald_J_raising(mu, n).J
-        for lam, c in change_basis(J, "bigschur").coeffs.items():
-            if isinstance(c, Frac):
-                raise NonIntegralEntry(
-                    f"entry ({lam.render()}; {mu.render()}) = {c.render()}"
-                )
-            if not isinstance(c, Poly):
-                c = QT.const(c)
-            if any(not isinstance(v, int) for v in c.terms.values()):
-                raise NonIntegralEntry(
-                    f"entry ({lam.render()}; {mu.render()}) = {c.render()}"
-                )
-            entries[(lam, mu)] = c
+        try:
+            column = change_basis(macdonald_J_raising(mu, n).J)
+        except NonIntegralEntry as exc:
+            raise NonIntegralEntry(f"column J[{mu.render()}]: {exc}") from None
+        entries.update(((lam, mu), c) for lam, c in column.items())
     mat = KostkaMatrix(d, n, shapes, entries)
     if check_duality:
         mat.verify_duality()
@@ -320,21 +318,27 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict
     }
 
 
+@lru_cache(maxsize=None)
+def _dual_plus(m: int, n: int):
+    """The bar-dual of the literal plus adder, q-shifted and scaled.
+
+    The dual is composed with the global q-shift and scaled by
+    (-1)^m t^(m + m(m-1)/2); it depends on (m, n) only, so it is built
+    once per pair.
+    """
+    sc = operator_ring(n, "raise_plus").var("t", m + _binom2(m))
+    dual = dualize(build(OperatorSpec("raise_plus", m), n)).with_global_qshift()
+    return dual.scaled(-sc if m % 2 else sc)
+
+
 def duality_verify(lam: Partition, m: int, n: int) -> dict:
     """The minus adder against the bar-dual of the plus adder, on m_lam.
 
-    The dual is composed with the global q-shift and scaled by
-    (-1)^m t^(m + m(m-1)/2); both sides are compared cross-multiplied.
+    Both sides are compared cross-multiplied.
     """
-    ring = operator_ring(n, "raise_plus")
-    f = expand_monomial(lam, n, ring=ring)
+    f = expand_monomial(lam, n, ring=operator_ring(n, "raise_plus"))
     ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
-    sc = ring.var("t", m + _binom2(m))
-    if m % 2:
-        sc = -sc
-    rhs_op = dualize(build(OperatorSpec("raise_plus", m), n))
-    rhs_op = rhs_op.with_global_qshift().scaled(sc)
-    rn, rd = rhs_op.apply(f, raw=True)
+    rn, rd = _dual_plus(m, n).apply(f, raw=True)
     if ln * rd != rn * ld:
         raise VerificationFailed(f"duality m={m} on m[{lam.render()}] (n={n})")
     return {

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import elementary, signed_permutations, vandermonde
+from .bases import antisymmetrize, elementary, signed_permutations, vandermonde
 from .errors import IndexOutOfRange, OutOfRange, SpecializationRequired
 from .rings import (
     Poly,
     Ring,
     _positive_trail,
     negate_var_exponents,
-    permute_x,
     poly_exact_div,
     poly_gcd,
     scalar_shift,
@@ -583,15 +582,6 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
 
 
 # -- antisymmetrized route ----------------------------------------------
-
-
-def antisymmetrize(f: Poly, n: int) -> Poly:
-    """Sum of sign * permuted f over the symmetric group on x1..xn."""
-    acc = f.ring.zero
-    for perm, sign in signed_permutations(n):
-        g = permute_x(f, n, perm)
-        acc = acc + (g if sign > 0 else -g)
-    return acc
 
 
 def apply_antisym_raise(m: int, n: int, f: Poly, minus: bool = False) -> Poly:

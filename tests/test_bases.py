@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+import macops.bases as bases
 from macops.bases import (
     SymPoly,
+    antisymmetrize,
     change_basis,
     elementary,
     expand_big_schur,
-    expand_elementary,
     expand_monomial,
     expand_schur,
     hl_one_row,
@@ -15,7 +16,7 @@ from macops.bases import (
     to_monomial_basis,
     vandermonde,
 )
-from macops.errors import LengthExceedsVars, NotSymmetric, OutOfRange
+from macops.errors import LengthExceedsVars, NonIntegralEntry, NotSymmetric, OutOfRange
 from macops.partitions import Partition, partitions_of
 from macops.rings import QT, eval_var, xring
 
@@ -32,7 +33,7 @@ def test_expand_monomial():
     R = xring(2)
     x1, x2 = R.var("x1"), R.var("x2")
     assert mono((2, 1), 2) == x1 * x1 * x2 + x1 * x2 * x2
-    assert mono((1, 1), 3) == expand_elementary(P(2), 3)
+    assert mono((1, 1), 3) == elementary(2, 3)
     assert mono((), 2) == R.one
     with pytest.raises(LengthExceedsVars):
         mono((1, 1, 1), 2)
@@ -126,11 +127,24 @@ def test_sym_to_xpoly_roundtrip():
             c = rng.randrange(-3, 4)
             if c:
                 coeffs[lam] = QT.const(c)
-        sym = SymPoly("monomial", n, coeffs)
+        sym = SymPoly(n, coeffs)
         back = to_monomial_basis(sym_to_xpoly(sym), n)
         assert {k: v for k, v in back.coeffs.items()} == {
             k: v for k, v in sym.coeffs.items()
         }
+
+
+def test_sympoly_repr_names_the_monomial_basis():
+    sym = to_monomial_basis(mono((1, 1), 2), 2)
+    assert repr(sym) == "<SymPoly monomial[2] {(1,1): 1}>"
+
+
+def test_antisymmetrize():
+    R = xring(2)
+    x1, x2 = R.var("x1"), R.var("x2")
+    assert antisymmetrize(x1 * x1 + 3 * x2, 2) == x1 * x1 - x2 * x2 + 3 * (x2 - x1)
+    # a symmetric input cancels to zero
+    assert antisymmetrize(x1 + x2, 2).is_zero
 
 
 def rand_qt(rng):
@@ -142,39 +156,49 @@ def rand_qt(rng):
     )
 
 
-@pytest.mark.parametrize("target", ["bigschur", "schur", "elementary"])
-def test_change_basis_roundtrip(target):
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_adjugate_times_transition_is_det_identity(d):
+    labels, adj, det = bases._bigschur_adjugate(d, d)
+    cols = [to_monomial_basis(expand_big_schur(lam, d), d).coeffs for lam in labels]
+    k = len(labels)
+    assert not det.is_zero and det.var_max("q") == 0
+    for i in range(k):
+        for j in range(k):
+            got = QT.zero
+            for r, nu in enumerate(labels):
+                got = got + adj[i][r] * cols[j].get(nu, QT.zero)
+            assert got == (det if i == j else QT.zero), (labels[i], labels[j])
+
+
+def test_change_basis_roundtrip():
+    # an integral big-Schur combination, sent to the monomial basis and back
     rng = random.Random(13)
     for d in (2, 3, 4):
         n = d
-        coeffs = {}
+        want = {}
         for lam in partitions_of(d):
             c = rand_qt(rng)
             if c:
-                coeffs[lam] = c
-        sym = SymPoly("monomial", n, coeffs)
-        out = change_basis(sym, target)
-        assert out.basis == target
-        back = change_basis(out, "monomial")
-        for lam in set(coeffs) | set(back.coeffs):
-            want = coeffs.get(lam, QT.zero)
-            got = back.coeffs.get(lam, QT.zero)
-            if hasattr(got, "is_polynomial"):
-                got = got.to_poly()
-            assert got == want
+                want[lam] = c
+        f = xring(n).zero
+        for lam, c in want.items():
+            f = f + c.cast(xring(n)) * expand_big_schur(lam, n)
+        assert change_basis(to_monomial_basis(f, n)) == want
 
 
 def test_change_basis_unit_vector():
     n = 2
     sym = to_monomial_basis(expand_big_schur(P(2), n), n)
-    out = change_basis(sym, "bigschur")
-    assert set(out.coeffs) == {P(2)}
-    assert out.coeffs[P(2)] == QT.one
+    assert change_basis(sym) == {P(2): QT.one}
+    assert change_basis(SymPoly(n, {})) == {}
 
 
 def test_change_basis_errors():
-    sym = SymPoly("monomial", 1, {P(2): QT.one})
+    sym = SymPoly(1, {P(2): QT.one})
     with pytest.raises(OutOfRange):
-        change_basis(sym, "bigschur")  # needs n >= degree
+        change_basis(sym)  # needs n >= degree
     with pytest.raises(OutOfRange):
-        change_basis(sym, "nosuch")
+        change_basis(SymPoly(2, {P(2): QT.one, P(1): QT.one}))  # mixed weights
+    # m_(2) alone is no integral big-Schur combination
+    with pytest.raises(NonIntegralEntry, match=r"^coefficient of S\[2\] = .*/\("):
+        change_basis(SymPoly(2, {P(2): QT.one}))

@@ -237,13 +237,49 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "commute", "--n", "0"),
+        ("--suite", "kostka", "--max-weight", "0"),
+        ("--suite", "raising", "--max-weight", "0"),
+        ("--suite", "eigen", "--max-weight", "0"),
+        ("--suite", "e-identities", "--n", "0"),
+        ("--suite", "duality", "--max-weight", "-1"),
+    ],
+)
+def test_selections_that_check_nothing_are_refused(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_duality_builds_each_reference_operator_once(capsys, monkeypatch):
+    import macops.macdonald as mac
+
+    built = []
+    real = mac.build
+
+    def counting(spec, n):
+        built.append((spec.kind, spec.index, n))
+        return real(spec, n)
+
+    monkeypatch.setattr(mac, "build", counting)
+    mac._dual_plus.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "duality")
+    assert code == 0
+    assert out.endswith("all pass (28 checks)\n")
+    assert sorted(built) == [("raise_plus", m, 3) for m in range(4)]
+
+
 def test_duality_mismatch_exits_one(capsys, monkeypatch):
     import macops.macdonald as mac
     from macops.errors import VerificationFailed
     from macops.partitions import Partition
 
-    real = mac.dualize
-    monkeypatch.setattr(mac, "dualize", lambda op: real(op).scaled(2))
+    real = mac._dual_plus
+    monkeypatch.setattr(mac, "_dual_plus", lambda m, n: real(m, n).scaled(2))
     with pytest.raises(VerificationFailed, match=r"^duality m=0 on m\[0\] \(n=1\)$"):
         mac.duality_verify(Partition(()), 0, 1)
     code, out, _ = run(capsys, "verify", "--suite", "duality", "--max-weight", "0")

@@ -104,7 +104,7 @@ def test_schur_action_failure_names_the_suite(monkeypatch, name):
         run_suite(name, 2)
 
 
-@pytest.mark.parametrize("name", TWO_ALPHABET + SCHUR)
+@pytest.mark.parametrize("name", SINGLE + TWO_ALPHABET + SCHUR)
 def test_empty_alphabet_is_refused(name):
     with pytest.raises(OutOfRange):
         run_suite(name, 0)

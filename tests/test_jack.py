@@ -118,7 +118,7 @@ def test_limit_mismatch_is_loud(monkeypatch):
         bad = {k: v + 1 for k, v in sym.coeffs.items()}
         from macops.bases import SymPoly
 
-        return SymPoly("monomial", n, bad)
+        return SymPoly(n, bad)
 
     monkeypatch.setattr(jk, "jack_limit_oracle", crooked)
     with pytest.raises(VerificationFailed):
@@ -132,7 +132,7 @@ def test_limit_oracle_refuses_a_nondivisible_coefficient(monkeypatch):
 
     class Crooked:
         # 1 - t is not divisible by (1-t)^2, the weight of (2)
-        J = SymPoly("monomial", 2, {P(2): 1 - QT.var("t")})
+        J = SymPoly(2, {P(2): 1 - QT.var("t")})
 
     monkeypatch.setattr(jk, "macdonald_J_raising", lambda lam, n: Crooked)
     with pytest.raises(NotDivisible):

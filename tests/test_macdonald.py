@@ -5,6 +5,8 @@ The small-shape coefficient values asserted here were computed by hand
 from the triangular eigenvalue system and are frozen as strings.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from macops.bases import SymPoly, expand_big_schur, sym_to_xpoly
@@ -48,6 +50,8 @@ def test_default_nvars():
 def test_row_two_eigen_oracle():
     res = macdonald_P_eigen(P(2), 2)
     assert res.provenance == "eigen_oracle"
+    # only the integral form is stored; P is derived from it on access
+    assert [f.name for f in fields(res)] == ["shape", "nvars", "J", "provenance"]
     assert coeff_map(res.P) == {
         (2,): "1",
         (1, 1): "(1 + q - t - q*t)/(1 - q*t)",
@@ -98,10 +102,15 @@ def test_triple_agreement_reports_mismatch(monkeypatch):
         bad = dict(res.J.coeffs)
         first = next(iter(bad))
         bad[first] = bad[first] + QT.one
-        return mac.MacdonaldResult(lam, n, res.P, SymPoly("monomial", n, bad), res.provenance)
+        return mac.MacdonaldResult(lam, n, SymPoly(n, bad), res.provenance)
 
     monkeypatch.setattr(mac, "macdonald_P_eigen", crooked)
-    with pytest.raises(VerificationFailed):
+    want = (
+        r"^construction routes disagree for 2 in 2 variables at m\[2\]: "
+        r"kplus 1 - t - q\*t \+ q\*t\^2, kminus 1 - t - q\*t \+ q\*t\^2, "
+        r"eigen 2 - t - q\*t \+ q\*t\^2$"
+    )
+    with pytest.raises(VerificationFailed, match=want):
         mac.triple_agreement(P(2), 2)
 
 
@@ -153,7 +162,7 @@ def test_eigencheck_passes_and_detects_tampering():
     key = next(iter(bad))
     bad[key] = bad[key] + QT.one
     with pytest.raises(VerificationFailed):
-        full_eigencheck(P(2, 1), 3, SymPoly("monomial", 3, bad))
+        full_eigencheck(P(2, 1), 3, SymPoly(3, bad))
 
 
 def test_kostka_degree_one():
@@ -184,6 +193,26 @@ def test_kostka_degree_three_duality_and_expansion():
         for lam in partitions_of(3):
             got = got + mat.entry(lam, mu).cast(ring) * expand_big_schur(lam, n)
         assert got == want
+
+
+def test_kostka_refuses_a_nonintegral_column(monkeypatch):
+    import macops.macdonald as mac
+
+    real = mac.macdonald_J_raising
+
+    def off_by_one(lam, n, kind="kplus"):
+        res = real(lam, n, kind)
+        if lam != P(1, 1):
+            return res
+        bad = dict(res.J.coeffs)
+        bad[P(2)] = bad.get(P(2), QT.zero) + QT.one
+        return mac.MacdonaldResult(lam, n, SymPoly(n, bad), res.provenance)
+
+    monkeypatch.setattr(mac, "macdonald_J_raising", off_by_one)
+    with pytest.raises(
+        NonIntegralEntry, match=r"^column J\[1,1\]: coefficient of S\[2\] = \(.*\)/\(.*\)$"
+    ):
+        kostka_matrix(2)
 
 
 def test_kostka_stability():
