@@ -131,6 +131,94 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
+def signed_arrangements(vals: tuple[int, ...], fits):
+    """Arrangements u of the strictly decreasing vals with fits(i, u[i]) everywhere.
+
+    Yields (u, sign), the sign of the permutation that arranges vals into
+    u.  Positions are filled left to right and a value that does not fit
+    prunes the branch, so the n! orders are never listed.
+    """
+    n = len(vals)
+    used = [False] * n
+    u = [0] * n
+
+    def rec(i, odd):
+        if i == n:
+            yield tuple(u), -1 if odd else 1
+            return
+        # every unused index left of j holds a larger value that lands later
+        skipped = 0
+        for j in range(n):
+            if used[j]:
+                continue
+            if fits(i, vals[j]):
+                used[j] = True
+                u[i] = vals[j]
+                yield from rec(i + 1, odd ^ (skipped & 1))
+                used[j] = False
+            skipped += 1
+
+    yield from rec(0, 0)
+
+
+def _strip_removals(shape: tuple[int, ...], k: int):
+    """Shapes inner such that shape / inner is a horizontal strip of k cells."""
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(shape):
+            if not left:
+                out.append(tuple(x for x in acc if x))
+            return
+        low = shape[i + 1] if i + 1 < len(shape) else 0
+        for x in range(max(low, shape[i] - left), shape[i] + 1):
+            rec(i + 1, left - (shape[i] - x), acc + [x])
+
+    rec(0, k, [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def kostka_numbers(d: int, n: int) -> dict:
+    """Integer Kostka numbers K[mu, nu] for the partitions of d with at most n parts.
+
+    K[mu, nu] counts the semistandard tableaux of shape mu and content
+    nu: the cells holding the largest entry form a horizontal strip, so
+    the count recurses on removing one.  Returns {mu: ((nu, K), ...)}
+    with the zeros left out; s_mu = sum of K[mu, nu] m_nu.
+    """
+    memo: dict = {}
+
+    def count(shape, content):
+        if not content:
+            return 0 if shape else 1
+        if len(shape) > len(content):
+            return 0
+        key = (shape, content)
+        if key not in memo:
+            memo[key] = sum(
+                count(inner, content[:-1]) for inner in _strip_removals(shape, content[-1])
+            )
+        return memo[key]
+
+    shapes = partitions_of(d, max_len=n)
+    out = {}
+    for mu in shapes:
+        row = ((nu, count(mu.parts, nu.parts)) for nu in shapes)
+        out[mu] = tuple((nu, k) for nu, k in row if k)
+    return out
+
+
+def schur_to_monomial(coeffs: dict, n: int) -> SymPoly:
+    """The monomial-basis form of sum over mu of coeffs[mu] * s_mu in n variables."""
+    out: dict = {}
+    for mu, c in coeffs.items():
+        for nu, k in kostka_numbers(mu.weight, n)[mu]:
+            term = c if k == 1 else c * k
+            out[nu] = out[nu] + term if nu in out else term
+    return SymPoly(n, out)
+
+
 def antisymmetrize(f: Poly, n: int) -> Poly:
     """Sum of sign * permuted f over the symmetric group on x1..xn."""
     terms: dict = {}

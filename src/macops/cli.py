@@ -269,6 +269,10 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         )
     if suite == "commute" and n is not None and n < 1:
         raise OutOfRange(f"suite 'commute' needs a pair of orders r < s <= n; --n {n} has none")
+    if suite in ("duality", "jack", "lowering") and n is not None and n < 1:
+        raise OutOfRange(
+            f"suite {suite!r} needs at least one variable; --n {n} leaves only constants"
+        )
     if suite == "raising":
         for lam in _shapes_to(maxw if maxw is not None else 4, 1):
             nv = n if n is not None else default_nvars(lam)

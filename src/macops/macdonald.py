@@ -13,15 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import SymPoly, change_basis, expand_monomial, label_key, sym_to_xpoly, to_monomial_basis
+from .bases import SymPoly, change_basis, expand_monomial, label_key, schur_to_monomial, signed_arrangements, sym_to_xpoly
 from .errors import (
     LengthExceedsVars,
+    NegativeExponent,
+    NonExactDivision,
     NonIntegralEntry,
     OutOfRange,
     SingularSystem,
     VerificationFailed,
 )
-from .operators import OperatorSpec, _binom2, apply_operator, build, dualize, operator_ring
+from .operators import OperatorSpec, _binom2, apply_column_adder, apply_operator, build, dualize, operator_ring
 from .partitions import (
     Partition,
     c_integral,
@@ -30,7 +32,7 @@ from .partitions import (
     lowering_coeff,
     partitions_of,
 )
-from .rings import QT, Frac, Poly, swap_vars, xring
+from .rings import QT, Frac, Poly, poly_exact_div, swap_vars, xring
 
 PROVENANCE_TAGS = ("eigen_oracle", "raising_kplus", "raising_kminus")
 
@@ -59,26 +61,43 @@ def _d1_action(d: int, n: int):
     """Matrix of the first difference operator on the weight-d monomial basis.
 
     Returns (shapes, entries) with entries[(nu, mu)] the coefficient of
-    m_nu in the image of m_mu; only nonzero entries are stored.
+    m_nu in the image of m_mu; only nonzero entries are stored.  The
+    operator is Delta^-1 sum over w of sgn(w) x^(w delta) sum over i of
+    t^((w delta)_i) T_i, so the Schur coefficient of its image of m_mu at
+    lam is the coefficient of x^(lam+delta): a signed sum over the
+    rearrangements e of delta with e <= v = lam + delta and v - e a
+    rearrangement of mu.  Kostka numbers turn it back into monomials.
     """
-    ring = xring(n)
     shapes = tuple(partitions_of(d, max_len=n))
-    spec = OperatorSpec("macdonald_r", 1)
+    delta = tuple(range(n - 1, -1, -1))
+    schur: dict = {mu: {} for mu in shapes}
+    for lam in shapes:
+        v = tuple(p + s for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
+        terms: dict = {}
+        for e, sign in signed_arrangements(delta, lambda i, x: x <= v[i]):
+            b = tuple(x - y for x, y in zip(v, e))
+            acc = terms.setdefault(Partition(sorted(b, reverse=True)), {})
+            for te, qe in zip(e, b):
+                acc[(qe, te)] = acc.get((qe, te), 0) + sign
+        for mu, acc in terms.items():
+            acc = {k: c for k, c in acc.items() if c}
+            if acc:
+                schur[mu][lam] = Poly(QT, acc)
     entries: dict = {}
     for mu in shapes:
-        out = apply_operator(spec, expand_monomial(mu, n, ring=ring), n)
-        for nu, c in to_monomial_basis(out, n).coeffs.items():
+        for nu, c in schur_to_monomial(schur[mu], n).coeffs.items():
             entries[(nu, mu)] = c
     return shapes, entries
 
 
 def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> MacdonaldResult:
-    """The integral form through the monic triangular eigenvector.
+    """The integral form through the triangular eigenvector, fraction-free.
 
-    Solves the one-operator eigenproblem for P from the top coefficient
-    down and scales it to J, which must come out integral; the full
-    u-generating eigencheck then certifies J unless validate is switched
-    off by a caller doing its own cross-checks.
+    Starts from the top coefficient c_integral(lam) and solves the
+    one-operator eigenproblem downwards; each coefficient is an exact
+    division in Z[q,t], so a remainder is a NonIntegralEntry naming the
+    monomial.  The full u-generating eigencheck then certifies J unless
+    validate is switched off by a caller doing its own cross-checks.
     """
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
@@ -86,7 +105,7 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
         return MacdonaldResult(lam, 0, SymPoly(0, {lam: QT.one}), "eigen_oracle")
     shapes, entries = _d1_action(lam.weight, n)
     top = eigenvalue_first(lam, n)
-    coeffs: dict[Partition, Frac] = {lam: Frac(QT.one)}
+    coeffs: dict[Partition, Poly] = {lam: c_integral(lam)}
     below = False
     for nu in shapes:
         if nu == lam:
@@ -94,7 +113,7 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
             continue
         if not below:
             continue
-        rhs = Frac(QT.zero)
+        rhs = QT.zero
         for mu, u in coeffs.items():
             a = entries.get((nu, mu))
             if a is not None:
@@ -106,24 +125,17 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
             raise SingularSystem(
                 f"repeated eigenvalue between {lam.render()} and {nu.render()}"
             )
-        coeffs[nu] = rhs / gap
-    J = _integral_form(lam, SymPoly(n, coeffs))
+        try:
+            coeffs[nu] = poly_exact_div(rhs, gap)
+        except NonExactDivision:
+            raise NonIntegralEntry(
+                f"coefficient of m_{nu.render()} in the integral form: "
+                f"{Frac(rhs, gap).render()}"
+            ) from None
+    J = SymPoly(n, coeffs)
     if validate:
         full_eigencheck(lam, n, J)
     return MacdonaldResult(lam, n, J, "eigen_oracle")
-
-
-def _integral_form(lam: Partition, P: SymPoly) -> SymPoly:
-    c = c_integral(lam)
-    out: dict = {}
-    for mu, u in P.coeffs.items():
-        g = u * c
-        if not g.is_polynomial():
-            raise NonIntegralEntry(
-                f"coefficient of m_{mu.render()} in the integral form: {g.render()}"
-            )
-        out[mu] = g.to_poly()
-    return SymPoly(P.nvars, out)
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
@@ -183,12 +195,15 @@ def macdonald_J_raising(
         raise OutOfRange(
             f"columns {cols} build {shape.render()}, not {lam.render()}"
         )
-    opkind = "raise_plus" if kind == "kplus" else "raise_minus"
-    ring = xring(n)
-    f = ring.one
+    f = SymPoly(n, {Partition(()): QT.one})
     for m in cols:
-        f = apply_operator(OperatorSpec(opkind, m), f, n)
-    return MacdonaldResult(lam, n, to_monomial_basis(f, n), f"raising_{kind}")
+        f = apply_column_adder(m, f, minus=kind == "kminus")
+        for mu, c in f.coeffs.items():
+            if c.var_min("q") < 0 or c.var_min("t") < 0:
+                raise NegativeExponent(
+                    f"column {m} of {lam.render()} left m_{mu.render()} = {c.render()}"
+                )
+    return MacdonaldResult(lam, n, f, f"raising_{kind}")
 
 
 def macdonald_J(

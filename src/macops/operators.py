@@ -16,9 +16,16 @@ the chosen subset, "minus" variants shift its complement:
 Two routes to every named operator exist.  ``build`` assembles the printed
 double sum over subsets J and I literally, clearing each divided-difference
 product into an exact polynomial; it is the reference implementation used
-by tests.  ``apply_operator`` is the production route: the outer J sum is
-collapsed into an elementary-polynomial factor, the Vandermonde stays as a
-single t-shifted coefficient, and one exact division happens at the end.
+by tests.  ``apply_operator`` applies any kind to an x-polynomial: the
+outer J sum is collapsed into an elementary-polynomial factor, the
+Vandermonde stays as a single t-shifted coefficient, and one exact
+division happens at the end.
+
+The two specialized column adders, which build the integral forms, also
+run on monomial coefficients: ``apply_column_adder`` reads the Schur
+coefficients of the image off the bialternant formula and converts them
+with Kostka numbers, with no x-expansion and no division by the
+Vandermonde.  ``apply_operator`` is its reference in the tests.
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import antisymmetrize, elementary, signed_permutations, vandermonde
+from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, signed_permutations, vandermonde
 from .errors import IndexOutOfRange, OutOfRange, SpecializationRequired
+from .partitions import partitions_of
 from .rings import (
+    QT,
     Poly,
     Ring,
     _positive_trail,
@@ -581,40 +590,77 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
     return poly_exact_div(g, den)
 
 
-# -- antisymmetrized route ----------------------------------------------
+# -- column adders on monomial coefficients ------------------------------
 
 
-def apply_antisym_raise(m: int, n: int, f: Poly, minus: bool = False) -> Poly:
-    """Column adders via the staircase-antisymmetrization form.
+def _adder_factor(S, bp, m: int, n: int, minus: bool) -> dict:
+    """Product over the variables x_i, i in S, of the adder's factor at x^bp.
 
-    Defined for symmetric f.  The plus form expands the elementary
-    polynomial in the commuting single-variable operators
-    x_i (1 - t^(m-i+1) T_i); the minus form composes each with the
-    inverse shift and a staircase power of t, with the global shift
-    of f applied first.
+    Plus: (1 - t^(m-i+1) q^(bp_i)); minus: q^|bp| times the product of
+    (t^(-(n-i)) q^(-bp_i) - t^(m-n+1)).  Here i is 1-based while S and bp
+    are indexed from 0.  Returned as {(q exponent, t exponent): integer};
+    exponents may be negative.
     """
+    terms = {(sum(bp), 0) if minus else (0, 0): 1}
+    for i in S:
+        if minus:
+            pair = ((-bp[i], i + 1 - n, 1), (0, m - n + 1, -1))
+        else:
+            pair = ((0, 0, 1), (bp[i], m - i, -1))
+        out: dict = {}
+        for (qe, te), c in terms.items():
+            for dq, dt, s in pair:
+                key = (qe + dq, te + dt)
+                out[key] = out.get(key, 0) + s * c
+        terms = out
+    return terms
+
+
+def apply_column_adder(m: int, F: SymPoly, minus: bool = False) -> SymPoly:
+    """raise_plus (raise_minus when minus) on a symmetric polynomial, exactly.
+
+    Works on the monomial coefficients of F and never builds an
+    x-polynomial.  The adder is Delta^-1 A(x^delta g), with A the
+    antisymmetrizer, delta = (n-1, ..., 0) and g the sum over |S| = m of
+    x^S prod over i in S of (1 - t^(m-i+1) T_i) F (plus), or of
+    x^S prod (t^-(n-i) T_i^-1 - t^(m-n+1)) applied to the global q-shift
+    of F, times t^(C(n,2) - C(n-m,2)) (minus).  By the bialternant
+    formula the coefficient of x^(mu+delta) in A(x^delta g) is the Schur
+    coefficient of the image at mu, so only those are summed, one
+    rearrangement of mu + delta at a time, grouped by the m_nu of F they
+    read, and converted with Kostka numbers.  Like the operator, it maps
+    some m_lam to negative powers of t; on the integral forms it stays
+    in Z[q,t].  :func:`apply_operator` on the x-expansion is the reference.
+    """
+    n = F.nvars
     _check_index(m, n)
-    ring = f.ring
-    base = scalar_shift(f, range(1, n + 1), "q") if minus else f
-    acc = ring.zero
-    for S in _subsets(n, m):
-        for ksz in range(m + 1):
-            for A in combinations(S, ksz):
-                if not minus:
-                    e = sum(m - i + 1 for i in A)
-                    c = ring.var("t", e)
-                    g = c * _xmono(ring, S) * scalar_shift(f, A, "q")
-                    acc = acc + (-g if len(A) % 2 else g)
-                else:
-                    a = len(S) - len(A)
-                    e = (m - n + 1) * a - sum(n - i for i in A)
-                    g = ring.var("t", e) * _xmono(ring, S) * scalar_shift(
-                        base, A, "q", mult=-1
-                    )
-                    acc = acc + (-g if a % 2 else g)
-    stair = [n - i for i in range(1, n + 1)] + [0] * (len(ring.names) - n)
-    acc = acc * ring.monomial(tuple(stair))
-    res = poly_exact_div(antisymmetrize(acc, n), vandermonde(n, ring))
+    fd = {lam.parts + (0,) * (n - lam.length): c for lam, c in F.coeffs.items()}
+    delta = tuple(range(n - 1, -1, -1))
+    schur = {}
+    for d in sorted({lam.weight for lam in F.coeffs}):
+        for mu in partitions_of(d + m, max_len=n):
+            v = tuple(p + s for p, s in zip(mu.parts + (0,) * (n - mu.length), delta))
+            groups: dict = {}
+            for u, sign in signed_arrangements(v, lambda i, x: x >= delta[i]):
+                b = [x - s for x, s in zip(u, delta)]
+                for S in combinations([i for i in range(n) if b[i]], m):
+                    bp = list(b)
+                    for i in S:
+                        bp[i] -= 1
+                    nu = tuple(sorted(bp, reverse=True))
+                    if nu not in fd:
+                        continue
+                    acc = groups.setdefault(nu, {})
+                    for e, c in _adder_factor(S, bp, m, n, minus).items():
+                        acc[e] = acc.get(e, 0) + sign * c
+            c_mu = QT.zero
+            for nu, terms in groups.items():
+                terms = {e: c for e, c in terms.items() if c}
+                if terms:
+                    c_mu = c_mu + fd[nu] * Poly(QT, terms)
+            if c_mu:
+                schur[mu] = c_mu
     if minus:
-        res = res * ring.var("t", _binom2(n) - _binom2(n - m))
-    return res
+        scale = QT.var("t", _binom2(n) - _binom2(n - m))
+        schur = {mu: c * scale for mu, c in schur.items()}
+    return schur_to_monomial(schur, n)

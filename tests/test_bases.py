@@ -12,12 +12,16 @@ from macops.bases import (
     expand_monomial,
     expand_schur,
     hl_one_row,
+    kostka_numbers,
+    schur_to_monomial,
+    signed_arrangements,
+    signed_permutations,
     sym_to_xpoly,
     to_monomial_basis,
     vandermonde,
 )
 from macops.errors import LengthExceedsVars, NonIntegralEntry, NotSymmetric, OutOfRange
-from macops.partitions import Partition, partitions_of
+from macops.partitions import Partition, dominance_leq, partitions_of
 from macops.rings import QT, eval_var, xring
 
 
@@ -145,6 +149,44 @@ def test_antisymmetrize():
     assert antisymmetrize(x1 * x1 + 3 * x2, 2) == x1 * x1 - x2 * x2 + 3 * (x2 - x1)
     # a symmetric input cancels to zero
     assert antisymmetrize(x1 + x2, 2).is_zero
+
+
+def test_kostka_numbers_by_hand():
+    def k(mu, nu, d, n):
+        return dict(kostka_numbers(d, n)[P(*mu)]).get(P(*nu), 0)
+
+    assert k((2, 1), (1, 1, 1), 3, 3) == 2
+    assert k((3, 2), (2, 2, 1), 5, 5) == 2
+    assert k((2, 2), (2, 1, 1), 4, 4) == 1
+    assert k((1, 1, 1), (2, 1), 3, 3) == 0
+    for d in range(0, 7):
+        table = kostka_numbers(d, d)
+        for mu in partitions_of(d):
+            row = dict(table[mu])
+            # unitriangular in dominance order
+            assert row[mu] == 1
+            assert all(dominance_leq(nu, mu) for nu in row), mu
+    # the variable count only drops the columns of too-long contents
+    assert kostka_numbers(3, 2)[P(2, 1)] == ((P(2, 1), 1),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_schur_to_monomial_matches_the_bialternant(n):
+    for d in range(0, 5):
+        for mu in partitions_of(d, max_len=n):
+            want = to_monomial_basis(expand_schur(mu.parts, n), n)
+            got = schur_to_monomial({mu: QT.one}, n)
+            assert got.coeffs == {nu: QT.const(c) for nu, c in want.coeffs.items()}, mu
+
+
+def test_signed_arrangements():
+    for n in range(0, 5):
+        vals = tuple(range(n - 1, -1, -1))
+        every = sorted(signed_arrangements(vals, lambda i, x: True))
+        assert every == sorted((tuple(n - p for p in perm), s) for perm, s in signed_permutations(n))
+    # pruned: only arrangements of (2, 1, 0) at or above (1, 1, 0)
+    got = sorted(signed_arrangements((2, 1, 0), lambda i, x: x >= (1, 1, 0)[i]))
+    assert got == [((1, 2, 0), -1), ((2, 1, 0), 1)]
 
 
 def rand_qt(rng):

@@ -246,6 +246,9 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
         ("--suite", "eigen", "--max-weight", "0"),
         ("--suite", "e-identities", "--n", "0"),
         ("--suite", "duality", "--max-weight", "-1"),
+        ("--suite", "duality", "--n", "0"),
+        ("--suite", "jack", "--n", "0"),
+        ("--suite", "lowering", "--n", "0"),
     ],
 )
 def test_selections_that_check_nothing_are_refused(capsys, argv):

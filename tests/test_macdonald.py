@@ -9,9 +9,10 @@ from dataclasses import fields
 
 import pytest
 
-from macops.bases import SymPoly, expand_big_schur, sym_to_xpoly
+from macops.bases import SymPoly, expand_big_schur, expand_monomial, sym_to_xpoly, to_monomial_basis
 from macops.errors import (
     LengthExceedsVars,
+    NegativeExponent,
     NonIntegralEntry,
     OutOfRange,
     VerificationFailed,
@@ -29,7 +30,8 @@ from macops.macdonald import (
     row_step_columns,
     triple_agreement,
 )
-from macops.partitions import Partition, column_unit_scale, partitions_of
+from macops.partitions import Partition, c_integral, column_unit_scale, partitions_of
+from macops.operators import OperatorSpec, apply_operator, operator_ring
 from macops.rings import QT, xring
 
 
@@ -39,6 +41,15 @@ def P(*parts):
 
 def coeff_map(sym):
     return {k.parts: v.render() for k, v in sym.coeffs.items()}
+
+
+def raising_reference(n, columns, kind="kplus"):
+    """The integral form by applying the x-expanded column adders in turn."""
+    spec = "raise_plus" if kind == "kplus" else "raise_minus"
+    f = xring(n).one
+    for m in columns:
+        f = apply_operator(OperatorSpec(spec, m), f, n)
+    return to_monomial_basis(f, n)
 
 
 def test_default_nvars():
@@ -125,9 +136,62 @@ def test_column_sequences_agree():
 
 
 def test_explicit_column_sequence_accepted():
-    want = macdonald_J_raising(P(2, 1), 3).J
-    got = macdonald_J_raising(P(2, 1), 3, columns=(1, 2)).J
-    assert got == want
+    for kind in ("kplus", "kminus"):
+        got = macdonald_J_raising(P(2, 1), 3, kind, columns=(1, 2)).J
+        assert got == macdonald_J_raising(P(2, 1), 3, kind).J
+        assert got == raising_reference(3, (1, 2), kind)
+        got = macdonald_J_raising(P(3, 1), 4, kind, columns=row_step_columns(P(3, 1), 4)).J
+        assert got == raising_reference(4, (1, 1, 2), kind)
+
+
+def test_raising_in_zero_and_one_variables():
+    for kind in ("kplus", "kminus"):
+        empty = macdonald_J_raising(P(), 0, kind)
+        assert empty.J == SymPoly(0, {P(): QT.one})
+        assert repr(empty.J) == "<SymPoly monomial[0] {(0): 1}>"
+        for lam in (P(), P(1), P(3)):
+            got = macdonald_J_raising(lam, 1, kind).J
+            assert got == raising_reference(1, conjugate_columns(lam), kind), lam.render()
+    assert coeff_map(macdonald_J_raising(P(2), 1).J) == {(2,): "1 - t - q*t + q*t^2"}
+
+
+def test_raising_routes_agree_in_weight_seven():
+    for lam in partitions_of(7):
+        n = default_nvars(lam)
+        plus = macdonald_J_raising(lam, n, "kplus").J
+        assert plus == macdonald_J_raising(lam, n, "kminus").J, lam.render()
+        assert plus.coeffs[lam] == c_integral(lam), lam.render()
+
+
+def test_raising_refuses_a_negative_exponent(monkeypatch):
+    import macops.macdonald as mac
+
+    real = mac.apply_column_adder
+
+    def laurent(m, f, minus=False):
+        out = real(m, f, minus)
+        return SymPoly(out.nvars, {mu: c * QT.var("t", -1) for mu, c in out.coeffs.items()})
+
+    monkeypatch.setattr(mac, "apply_column_adder", laurent)
+    with pytest.raises(NegativeExponent, match=r"^column 1 of 1 left m_1 = t\^-1 - 1$"):
+        mac.macdonald_J_raising(P(1), 2)
+
+
+def test_first_operator_matrix_against_the_expansion():
+    import macops.macdonald as mac
+
+    for d in range(0, 5):
+        for n in range(1, d + 2):
+            ring = operator_ring(n, "macdonald_r")
+            shapes, entries = mac._d1_action(d, n)
+            assert shapes == tuple(partitions_of(d, max_len=n))
+            want = {}
+            for mu in shapes:
+                f = expand_monomial(mu, n, ring=ring)
+                out = apply_operator(OperatorSpec("macdonald_r", 1), f, n)
+                for nu, c in to_monomial_basis(out, n).coeffs.items():
+                    want[(nu, mu)] = c
+            assert entries == want, (d, n)
 
 
 def test_bad_column_sequences_rejected():
@@ -274,10 +338,15 @@ def test_lowering_rejects_bad_arguments():
 
 def test_integral_form_guard(monkeypatch):
     import macops.macdonald as mac
-    from macops.rings import Frac
 
-    res = mac.macdonald_P_eigen(P(2), 2, validate=False)
-    q, t = QT.var("q"), QT.var("t")
-    crooked = res.P.map_coeffs(lambda c: c * Frac(QT.one, (1 - q * t)))
-    with pytest.raises(NonIntegralEntry):
-        mac._integral_form(P(2), crooked)
+    real = mac.eigenvalue_first
+
+    def crooked(lam, n):
+        # one wrong eigenvalue: the gap below m_(1,1) no longer divides
+        return real(lam, n) + (QT.var("q") if lam == P(1, 1) else QT.zero)
+
+    monkeypatch.setattr(mac, "eigenvalue_first", crooked)
+    with pytest.raises(
+        NonIntegralEntry, match=r"^coefficient of m_1,1 in the integral form: \(.*\)/\(.*\)$"
+    ):
+        mac.macdonald_P_eigen(P(2), 2, validate=False)

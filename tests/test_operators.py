@@ -1,6 +1,6 @@
 import pytest
 
-from macops.bases import elementary, expand_monomial, vandermonde
+from macops.bases import SymPoly, elementary, expand_monomial, to_monomial_basis, vandermonde
 from macops.errors import (
     IndexOutOfRange,
     OutOfRange,
@@ -11,7 +11,7 @@ from macops.operators import (
     _DET_KINDS,
     _NEEDS_INDEX,
     OperatorSpec,
-    apply_antisym_raise,
+    apply_column_adder,
     apply_determinantal,
     apply_factorized_qt,
     apply_operator,
@@ -21,8 +21,8 @@ from macops.operators import (
     operator_ring,
 )
 from macops.operators import _binom2, _subsets, _tshift_delta
-from macops.partitions import Partition, column_unit_scale
-from macops.rings import fold_var, scalar_shift, xring
+from macops.partitions import Partition, column_unit_scale, partitions_of
+from macops.rings import QT, fold_var, scalar_shift, xring
 
 
 def P(*parts):
@@ -212,18 +212,52 @@ def test_factorized_route_agrees_at_q_equals_t():
         apply_factorized_qt("raise_plus", 2, xring(2, ("t", "u")).one)
 
 
+def adder_reference(m, lam, n, minus=False):
+    """The column adder on m_lam through the full x-expansion."""
+    f = expand_monomial(lam, n, ring=operator_ring(n, "raise_plus"))
+    out = apply_operator(OperatorSpec("raise_minus" if minus else "raise_plus", m), f, n)
+    return to_monomial_basis(out, n)
+
+
 def test_antisymmetrized_route_agrees():
     for n in (1, 2, 3):
-        ring = operator_ring(n, "raise_plus")
         for m in range(0, n + 1):
             for lam in shapes_for(n):
                 if lam.length > n:
                     continue
-                f = expand_monomial(lam, n, ring=ring)
-                plus = apply_operator(OperatorSpec("raise_plus", m), f, n)
-                assert apply_antisym_raise(m, n, f) == plus, (m, n, lam.render())
-                minus = apply_operator(OperatorSpec("raise_minus", m), f, n)
-                assert apply_antisym_raise(m, n, f, minus=True) == minus
+                f = SymPoly(n, {lam: QT.one})
+                for minus in (False, True):
+                    want = adder_reference(m, lam, n, minus)
+                    assert apply_column_adder(m, f, minus) == want, (m, n, lam.render(), minus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_column_adder_matches_operator_on_every_monomial(n):
+    for d in range(0, 5):
+        for lam in partitions_of(d, max_len=n):
+            for m in range(0, n + 1):
+                for minus in (False, True):
+                    got = apply_column_adder(m, SymPoly(n, {lam: QT.one}), minus)
+                    assert got == adder_reference(m, lam, n, minus), (m, lam.render(), minus)
+
+
+def test_column_adder_is_linear_over_mixed_weights():
+    n = 3
+    f = SymPoly(n, {P(): QT.var("q"), P(2, 1): QT.var("t", 2), P(1, 1, 1): QT.one})
+    for minus in (False, True):
+        want = {}
+        for lam, c in f.coeffs.items():
+            for nu, a in apply_column_adder(2, SymPoly(n, {lam: QT.one}), minus).coeffs.items():
+                want[nu] = want.get(nu, QT.zero) + c * a
+        assert apply_column_adder(2, f, minus) == SymPoly(n, want)
+
+
+def test_column_adder_in_zero_variables_and_bad_index():
+    one = SymPoly(0, {P(): QT.one})
+    assert apply_column_adder(0, one) == one
+    assert apply_column_adder(0, one, minus=True) == one
+    with pytest.raises(IndexOutOfRange):
+        apply_column_adder(3, SymPoly(2, {P(): QT.one}))
 
 
 def test_first_family_commutes():
