@@ -27,12 +27,13 @@ from .operators import OperatorSpec, _binom2, apply_column_adder, apply_operator
 from .partitions import (
     Partition,
     c_integral,
+    c_integral_factors,
     eigen_poly,
     eigenvalue_first,
     lowering_coeff,
     partitions_of,
 )
-from .rings import QT, Frac, Poly, poly_exact_div, swap_vars, xring
+from .rings import QT, Frac, Poly, frac_by_factors, poly_exact_div, swap_vars, xring
 
 PROVENANCE_TAGS = ("eigen_oracle", "raising_kplus", "raising_kminus")
 
@@ -51,9 +52,13 @@ class MacdonaldResult:
 
     @property
     def P(self) -> SymPoly:
-        """The monic form J / c_integral(shape), fraction coefficients."""
+        """The monic form J / c_integral(shape), fraction coefficients.
+
+        Reduced by trial division with c_integral's irreducible factors.
+        """
         c = c_integral(self.shape)
-        return self.J.map_coeffs(lambda p: Frac(p, c))
+        factors = c_integral_factors(self.shape)
+        return self.J.map_coeffs(lambda p: frac_by_factors(p, c, factors))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ for matrix rows and JSON output puts (d) first and (1^d) last.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     CellOutsideDiagram,
@@ -15,9 +16,10 @@ from .errors import (
     NegativeExponent,
     OutOfRange,
 )
-from .rings import ALPHA, QT, Frac, Poly, Ring, pochhammer_t
+from .rings import ALPHA, QT, Frac, Poly, Ring, pochhammer_t, poly_exact_div
 
 QTU = Ring(("q", "t", "u"))
+X = Ring(("x",))
 
 
 class Partition:
@@ -173,6 +175,40 @@ def c_integral(lam: Partition) -> Poly:
     for arm, leg in _arms_legs(lam):
         res = res * (1 - QT.var("t", leg + 1) * QT.var("q", arm))
     return res
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> Poly:
+    """The d-th cyclotomic polynomial in x: x^d - 1 divided by Phi_e for each e | d, e < d."""
+    if d < 1:
+        raise OutOfRange("cyclotomic index must be positive")
+    res = X.var("x", d) - 1
+    for e in range(1, d):
+        if d % e == 0:
+            res = poly_exact_div(res, cyclotomic(e))
+    return res
+
+
+@lru_cache(maxsize=None)
+def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
+    """Irreducible factors of c_integral(lam) in Z[q,t], with multiplicities.
+
+    A cell's 1 - q^a t^b (b = leg + 1) is, with g = gcd(a, b), minus the
+    product over d | g of Phi_d(q^(a/g) t^(b/g)); each Phi_d(q^a' t^b') with
+    coprime a', b' is irreducible, since a unimodular change of exponents
+    takes it to Phi_d(u).  The factors multiply back to +-c_integral(lam).
+    """
+    mult: dict[tuple[int, int, int], int] = {}
+    for arm, leg in _arms_legs(lam):
+        g = gcd(arm, leg + 1)
+        for d in range(1, g + 1):
+            if g % d == 0:
+                key = (d, arm // g, (leg + 1) // g)
+                mult[key] = mult.get(key, 0) + 1
+    return tuple(
+        (Poly(QT, {(a * k, b * k): c for (k,), c in cyclotomic(d).terms.items()}), m)
+        for (d, a, b), m in mult.items()
+    )
 
 
 def b_coeff(lam: Partition) -> Frac:

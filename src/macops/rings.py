@@ -598,6 +598,26 @@ class Frac:
         return f"<Frac {self.render()}>"
 
 
+def frac_by_factors(num: Poly, den: Poly, factors) -> Frac:
+    """num/den in lowest terms when den's irreducible factors are known.
+
+    ``factors`` lists pairs (f, k) with den = +-prod f^k and each f
+    irreducible, so every common factor of num and den is one of them.
+    Dividing both by each f while it divides num, at most k times, gives
+    the same num/den pair as ``Frac(num, den)`` without computing a gcd.
+    """
+    for f, k in factors:
+        for _ in range(k):
+            try:
+                num = poly_exact_div(num, f)
+            except NonExactDivision:
+                break
+            den = poly_exact_div(den, f)
+    if _positive_trail(den) is not den:
+        num, den = -num, -den
+    return Frac(num, den, _canonical=True)
+
+
 # -- standard rings ------------------------------------------------------
 
 QT = Ring(("q", "t"))

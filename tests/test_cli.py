@@ -276,6 +276,25 @@ def test_duality_builds_each_reference_operator_once(capsys, monkeypatch):
     assert sorted(built) == [("raise_plus", m, 3) for m in range(4)]
 
 
+def test_ppoly_computes_no_gcd(capsys, monkeypatch):
+    import macops.rings as rings
+
+    calls = []
+    real = rings.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(rings, "poly_gcd", counting)
+    code, out, _ = run(capsys, "ppoly", "--lambda", "3,2,1", "--nvars", "6", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["coeffs"]) == 6
+    assert calls == []
+    rings.Frac(rings.QT.var("q"), rings.QT.var("t"))  # the counter does see Frac's gcd
+    assert calls == [1]
+
+
 def test_duality_mismatch_exits_one(capsys, monkeypatch):
     import macops.macdonald as mac
     from macops.errors import VerificationFailed

@@ -32,7 +32,7 @@ from macops.macdonald import (
 )
 from macops.partitions import Partition, c_integral, column_unit_scale, partitions_of
 from macops.operators import OperatorSpec, apply_operator, operator_ring
-from macops.rings import QT, xring
+from macops.rings import QT, Frac, xring
 
 
 def P(*parts):
@@ -71,6 +71,22 @@ def test_row_two_eigen_oracle():
         (2,): "1 - t - q*t + q*t^2",
         (1, 1): "1 + q - 2*t - 2*q*t + t^2 + q*t^2",
     }
+
+
+def test_P_reduction_matches_gcd_oracle():
+    # P divides out c_integral's irreducible factors; Frac's gcd is the oracle
+    for w in range(8):
+        for lam in partitions_of(w):
+            n0 = default_nvars(lam)
+            c = c_integral(lam)
+            for n in (n0, n0 + 1) if w <= 6 else (n0,):
+                res = macdonald_J(lam, n)
+                P_coeffs = res.P.coeffs
+                assert P_coeffs.keys() == res.J.coeffs.keys()
+                for mu, j in res.J.coeffs.items():
+                    want = Frac(j, c)
+                    got = P_coeffs[mu]
+                    assert (got.num, got.den) == (want.num, want.den), (lam, n, mu)
 
 
 def test_row_two_raising_routes_match_eigen():

@@ -13,7 +13,9 @@ from macops.partitions import (
     b_coeff,
     c_alpha,
     c_integral,
+    c_integral_factors,
     column_unit_scale,
+    cyclotomic,
     dominance_leq,
     eigen_poly,
     eigenvalue_first,
@@ -22,7 +24,7 @@ from macops.partitions import (
     partitions_of,
     revlex_key,
 )
-from macops.rings import ALPHA, QT, Frac, Ring
+from macops.rings import ALPHA, QT, Frac, Ring, frac_by_factors
 
 
 def P(*parts):
@@ -106,6 +108,41 @@ def test_c_integral_goldens():
     assert c_integral(P(1, 1)) == (1 - t) * (1 - t * t)
     assert c_integral(P(1)) == 1 - t
     assert c_integral(P()) == QT.one
+
+
+def test_cyclotomic_products():
+    x = cyclotomic(1).ring.var("x")
+    assert cyclotomic(1) == x - 1
+    assert cyclotomic(6) == x * x - x + 1
+    for k in range(1, 13):
+        prod = x.ring.one
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = prod * cyclotomic(d)
+        assert prod == x**k - 1
+    with pytest.raises(OutOfRange):
+        cyclotomic(0)
+
+
+def test_c_integral_factors_multiply_back():
+    for w in range(8):
+        for lam in partitions_of(w):
+            prod = QT.one
+            for f, k in c_integral_factors(lam):
+                prod = prod * f**k
+            assert prod in (c_integral(lam), -c_integral(lam)), lam
+
+
+def test_reduction_needs_the_cyclotomic_split():
+    # 1 - t^2 = (1 - t)(1 + t): only the split factor 1 + t cancels here
+    t = QT.var("t")
+    c = c_integral(P(1, 1))
+    got = frac_by_factors(1 + t, c, c_integral_factors(P(1, 1)))
+    assert (got.num, got.den) == (QT.one, (1 - t) ** 2)
+    oracle = Frac(1 + t, c)
+    assert (got.num, got.den) == (oracle.num, oracle.den)
+    whole = frac_by_factors(1 + t, c, [(1 - t, 1), (1 - t * t, 1)])
+    assert whole.den == c
 
 
 def test_b_coeff():

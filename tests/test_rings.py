@@ -13,6 +13,7 @@ from macops.rings import (
     deriv,
     eval_var,
     fold_var,
+    frac_by_factors,
     gauss_binomial,
     permute_x,
     pochhammer_t,
@@ -180,6 +181,16 @@ def test_frac_cancellation_random():
             continue
         done += 1
         assert Frac(a * c, b * c) == Frac(a, b)
+
+
+def test_frac_by_factors_matches_gcd_reduction():
+    q, t = QT.var("q"), QT.var("t")
+    factors = [(t - 1, 2), (1 + q * t, 1)]
+    den = (t - 1) ** 2 * (1 + q * t)
+    for num in (QT.zero, q, 3 * (t - 1), q * (t - 1) ** 2, (1 + q * t) * (t - 1) ** 3):
+        got = frac_by_factors(num, den, factors)
+        want = Frac(num, den)
+        assert (got.num, got.den) == (want.num, want.den), num
 
 
 def test_frac_arithmetic():
