@@ -2,9 +2,12 @@
 
 Expansion targets are honest polynomials in x1..xn over whatever scalar
 variables the chosen ring carries.  The one basis change, monomial to
-t-deformed Schur, runs a fraction-free elimination over Z[t]; no
-triangularity is assumed, because the t-deformed Schur family genuinely
-is not triangular against monomials.
+t-deformed Schur S_lam(x;t), needs no x-polynomials: S_lam is the basis
+dual to the Schur functions s_lam under the Hall-Littlewood scalar
+product <,>_t (Macdonald, SFHP III.4 and VI.8), so each coefficient is
+<f, s_lam>_t, read off from the Schur coefficients of f and the Gram
+matrix of <,>_t.  The x-level determinant ``expand_big_schur`` stays as
+the independent oracle the tests rebuild S_lam with.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .errors import (
     NonIntegralEntry,
     NotSymmetric,
     OutOfRange,
-    SingularTransition,
 )
 from .partitions import Partition, partitions_of, revlex_key
 from .rings import (
@@ -293,16 +295,23 @@ def hl_one_row(r: int, n: int) -> Poly:
 
 
 def _poly_det(rows: list[list[Poly]], ring: Ring) -> Poly:
+    """Laplace expansion along the top row, each lower minor computed once."""
     k = len(rows)
-    det = ring.zero
-    for perm, sign in signed_permutations(k):
-        prod = ring.one
-        for i in range(k):
-            prod = prod * rows[i][perm[i] - 1]
-            if prod.is_zero:
-                break
-        det = det + (prod if sign > 0 else -prod)
-    return det
+
+    @lru_cache(maxsize=None)
+    def minor(cols: tuple[int, ...]) -> Poly:
+        # rows[k - len(cols):] restricted to cols
+        if not cols:
+            return ring.one
+        row = rows[k - len(cols)]
+        total = ring.zero
+        for pos, j in enumerate(cols):
+            if row[j]:
+                term = row[j] * minor(cols[:pos] + cols[pos + 1 :])
+                total = total - term if pos & 1 else total + term
+        return total
+
+    return minor(tuple(range(k)))
 
 
 def expand_big_schur(lam: Partition, n: int) -> Poly:
@@ -378,74 +387,118 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
     return total
 
 
-# -- monomial to big-Schur, fraction-free -------------------------------
+# -- monomial to big-Schur, by the Hall-Littlewood scalar product -------
+
+
+def _characters(d: int) -> dict:
+    """Irreducible characters chi[lam, rho] of the symmetric group on d letters.
+
+    Murnaghan-Nakayama on beta-sets (SFHP I.7): removing a rim hook of
+    length r moves one bead b of beta(lam) = {lam_i + d - i} to the free
+    position b - r, with the sign of the beads jumped over.
+    """
+    @lru_cache(maxsize=None)
+    def chi(beta: frozenset, rho: tuple) -> int:
+        if not rho:
+            return 1
+        r, total = rho[0], 0
+        for b in beta:
+            if b >= r and b - r not in beta:
+                jumped = sum(1 for c in beta if b - r < c < b)
+                total += (-1) ** jumped * chi(beta - {b} | {b - r}, rho[1:])
+        return total
+
+    shapes = partitions_of(d)
+    out = {}
+    for lam in shapes:
+        parts = tuple(lam.parts) + (0,) * (d - lam.length)
+        beta = frozenset(p + d - 1 - i for i, p in enumerate(parts))
+        for rho in shapes:
+            out[lam, rho] = chi(beta, tuple(rho.parts))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _bigschur_adjugate(d: int, n: int):
-    """Fraction-free Gauss-Jordan elimination of [M | I] over Z[t].
+def _hall_gram(d: int):
+    """G[lam, nu] = (t;t)_d * <s_lam, s_nu>_t, a polynomial in Z[t].
 
-    Column lam of M holds the monomial coefficients of the t-deformed
-    Schur polynomial S_lam in weight d.  Every step divides exactly by
-    the previous pivot, so all entries stay in Z[t]; at the end the left
-    block is det * I and the right block is det * M^-1, where det is the
-    last pivot (the determinant of M up to the sign of the row swaps).
-    Needs n >= d so every partition of d labels both sides.
-    Returns (labels, right block, det).
+    <s_lam, s_nu>_t = sum over rho of chi^lam_rho chi^nu_rho / (z_rho
+    prod_i (1 - t^rho_i)) (SFHP III.4).  Each term is accumulated with the
+    integer class size d!/z_rho and the polynomial (t;t)_d / prod_i (1 -
+    t^rho_i); the sum is then divided exactly by d!.  Returns (labels, G
+    with the zeros left out, (t;t)_d).
     """
-    if n < d:
-        raise OutOfRange("need at least as many variables as the degree")
     labels = tuple(partitions_of(d))
-    k = len(labels)
-    cols = [to_monomial_basis(expand_big_schur(lam, n), n).coeffs for lam in labels]
-    rows = [
-        [cols[j].get(nu, QT.zero) for j in range(k)]
-        + [QT.one if i == j else QT.zero for j in range(k)]
-        for i, nu in enumerate(labels)
-    ]
-    prev = QT.one
-    for col in range(k):
-        piv = next((r for r in range(col, k) if rows[r][col]), None)
-        if piv is None:
-            raise SingularTransition(f"big-Schur transition singular in weight {d}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r in range(k):
-            if r == col:
-                continue
-            row, a = rows[r], rows[r][col]
-            rows[r] = [poly_exact_div(p * x - a * y, prev) for x, y in zip(row, top)]
-        prev = p
-    return labels, tuple(tuple(row[k:]) for row in rows), prev
+    t = QT.var("t")
+    tt = QT.one
+    for i in range(1, d + 1):
+        tt = tt * (1 - t**i)
+    chars = _characters(d)
+    weights = {}
+    for rho in labels:
+        z, den = 1, QT.one
+        for part in set(rho.parts):
+            m = rho.parts.count(part)
+            z *= part**m * factorial(m)
+        for part in rho.parts:
+            den = den * (1 - t**part)
+        weights[rho] = poly_exact_div(tt, den) * (factorial(d) // z)
+    gram = {}
+    for lam in labels:
+        for nu in labels:
+            total = QT.zero
+            for rho, w in weights.items():
+                c = chars[lam, rho] * chars[nu, rho]
+                if c:
+                    total = total + w * c
+            if total:
+                gram[lam, nu] = poly_exact_div(total, QT.const(factorial(d)))
+    return labels, gram, tt
 
 
 def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
     """Big-Schur coefficients of a weight-homogeneous monomial-basis SymPoly.
 
-    Each coefficient is an exact division of an adjugate combination by
-    the determinant of the transition; a division that leaves a
-    remainder raises NonIntegralEntry with the reduced fraction.
+    S_lam(x;t) is the basis dual to s_lam under the Hall-Littlewood scalar
+    product (SFHP III.4, VI.8), so the coefficient of S_lam is <f, s_lam>_t
+    = sum over nu of G[lam, nu] [s_nu]f / (t;t)_d.  The Schur coefficients
+    [s_nu]f come from the monomial ones by back-substitution with the
+    unitriangular integer Kostka numbers.  Each coefficient is one exact
+    division by (t;t)_d; a remainder raises NonIntegralEntry with the
+    reduced fraction.
     """
     weights = {lam.weight for lam in sym.coeffs}
     if len(weights) > 1:
         raise OutOfRange(f"mixed weights {sorted(weights)} in one basis change")
     if not weights:
         return {}
-    labels, adj, det = _bigschur_adjugate(weights.pop(), sym.nvars)
-    vec = [sym.coeffs.get(nu) for nu in labels]
+    d = weights.pop()
+    if sym.nvars < d:
+        raise OutOfRange("need at least as many variables as the degree")
+    labels, gram, tt = _hall_gram(d)
+    kostka = kostka_numbers(d, d)
+    rest = dict(sym.coeffs)
+    schur = {}
+    for mu in labels:  # (d) first: s_mu = m_mu + m_nu's with nu after mu
+        c = rest.pop(mu, None)
+        if not c:
+            continue
+        schur[mu] = c
+        for nu, k in kostka[mu][1:]:  # kostka[mu] opens with (mu, 1)
+            rest[nu] = rest.get(nu, QT.zero) - c * k
     out = {}
-    for lam, row in zip(labels, adj):
+    for lam in labels:
         num = QT.zero
-        for a, c in zip(row, vec):
-            if a and c:
-                num = num + a * c
+        for nu, c in schur.items():
+            g = gram.get((lam, nu))
+            if g:
+                num = num + g * c
         if not num:
             continue
         try:
-            out[lam] = poly_exact_div(num, det)
+            out[lam] = poly_exact_div(num, tt)
         except NonExactDivision:
             raise NonIntegralEntry(
-                f"coefficient of S[{lam.render()}] = {Frac(num, det).render()}"
+                f"coefficient of S[{lam.render()}] = {Frac(num, tt).render()}"
             ) from None
     return out

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .bases import expand_monomial, to_monomial_basis
 from .errors import (
@@ -399,7 +400,9 @@ def _add_common(sub, with_via: bool = False):
     sub.add_argument("--format", choices=("json", "text"), default="text")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="macops",
         description="exact raising/lowering operator calculus",

@@ -45,10 +45,6 @@ class NotSymmetric(MacopsError):
     """A polynomial expected to be symmetric in x is not."""
 
 
-class SingularTransition(MacopsError):
-    """A basis-change matrix is singular over the coefficient field."""
-
-
 class SingularSystem(MacopsError):
     """A linear system that should determine its unknowns is singular."""
 

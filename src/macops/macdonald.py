@@ -273,8 +273,10 @@ class KostkaMatrix:
 def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False) -> KostkaMatrix:
     """Transition coefficients from the integral forms to the t-Schur basis.
 
-    Columns are the integral forms; each is expanded in the t-deformed
-    Schur family by exact division, which certifies every entry to be a
+    Columns are the integral forms J_mu; the entry at lam is K_lam,mu(q,t)
+    = <J_mu, s_lam>_t, the Hall-Littlewood scalar product with a Schur
+    function (SFHP III.4, VI.8), computed by ``change_basis`` as one exact
+    division by (t;t)_d.  That division certifies every entry to be a
     polynomial in q and t with integer coefficients.
     """
     if d < 0:

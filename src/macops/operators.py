@@ -41,10 +41,8 @@ from .rings import (
     QT,
     Poly,
     Ring,
-    _positive_trail,
     negate_var_exponents,
     poly_exact_div,
-    poly_gcd,
     scalar_shift,
     vector_shift,
     xring,
@@ -221,24 +219,6 @@ class QDiffOp:
             self.nvars,
             {s: p * scale for s, p in self.terms.items()},
             self.den * scale,
-        )
-
-    def reduced(self) -> "QDiffOp":
-        """Cancel the overall polynomial content shared with the denominator."""
-        g = self.den
-        for p in self.terms.values():
-            g = poly_gcd(g, p)
-            if g.is_const() and abs(g.const_value()) == 1:
-                return self
-        den = poly_exact_div(self.den, g)
-        if _positive_trail(den) is not den:
-            g = -g
-            den = -den
-        return QDiffOp(
-            self.ring,
-            self.nvars,
-            {s: poly_exact_div(p, g) for s, p in self.terms.items()},
-            den,
         )
 
     def equals(self, other: "QDiffOp") -> bool:

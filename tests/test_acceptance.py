@@ -68,7 +68,7 @@ def test_criterion_02_integral_form_coefficients(three_routes):
 
 def test_criterion_03_kostka_integrality_duality_and_gate():
     q, t = QT.var("q"), QT.var("t")
-    for d in range(1, 6):
+    for d in range(1, 7):
         mat = kostka_matrix(d)
         mat.verify_duality()
         for lam in mat.shapes:

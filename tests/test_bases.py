@@ -198,18 +198,50 @@ def rand_qt(rng):
     )
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_adjugate_times_transition_is_det_identity(d):
-    labels, adj, det = bases._bigschur_adjugate(d, d)
-    cols = [to_monomial_basis(expand_big_schur(lam, d), d).coeffs for lam in labels]
-    k = len(labels)
-    assert not det.is_zero and det.var_max("q") == 0
-    for i in range(k):
-        for j in range(k):
-            got = QT.zero
-            for r, nu in enumerate(labels):
-                got = got + adj[i][r] * cols[j].get(nu, QT.zero)
-            assert got == (det if i == j else QT.zero), (labels[i], labels[j])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_change_basis_inverts_big_schur(d):
+    # the x-level determinant S_lam comes back as the unit vector at lam
+    for n in (d, d + 1):
+        for lam in partitions_of(d):
+            sym = to_monomial_basis(expand_big_schur(lam, n), n)
+            assert change_basis(sym) == {lam: QT.one}, (lam, n)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_hall_gram_symmetric_and_identity_at_t0(d):
+    labels, gram, tt = bases._hall_gram(d)
+    assert labels == tuple(partitions_of(d))
+    assert eval_var(tt, "t", 0) == 1 and tt.var_max("t") == d * (d + 1) // 2
+    for lam in labels:
+        for nu in labels:
+            g = gram.get((lam, nu), QT.zero)
+            assert g == gram.get((nu, lam), QT.zero)
+            assert g.var_max("q") == 0
+            assert eval_var(g, "t", 0) == (1 if lam == nu else 0)
+    # <s_(d), f>_t = f(1, t, t^2, ...), and s_nu(1, t, t^2, ...) =
+    # t^n(nu) / prod over cells of (1 - t^hook) (SFHP I.3, Ex. 2)
+    t = QT.var("t")
+    for nu in labels:
+        cols = nu.conjugate().parts
+        hooks = QT.one
+        for i, row in enumerate(nu.parts):
+            for j in range(row):
+                hooks = hooks * (1 - t ** (row - j + cols[j] - i - 1))
+        n_nu = sum(i * row for i, row in enumerate(nu.parts))
+        assert gram[labels[0], nu] * hooks == t**n_nu * tt, nu
+
+
+def test_poly_det_matches_leibniz():
+    rng = random.Random(5)
+    for k in range(6):
+        rows = [[rand_qt(rng) for _ in range(k)] for _ in range(k)]
+        want = QT.zero
+        for perm, sign in signed_permutations(k):
+            term = QT.one
+            for i in range(k):
+                term = term * rows[i][perm[i] - 1]
+            want = want + term * sign
+        assert bases._poly_det(rows, QT) == want, k
 
 
 def test_change_basis_roundtrip():

@@ -209,7 +209,6 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
     "error",
     [
         "NotDivisible",
-        "SingularTransition",
         "NegativeExponent",
         "CellOutsideDiagram",
         "SpecializationRequired",
