@@ -22,6 +22,7 @@ from .errors import (
     NonIntegralEntry,
     NotSymmetric,
     OutOfRange,
+    VerificationFailed,
 )
 from .partitions import Partition, partitions_of, revlex_key
 from .rings import (
@@ -68,6 +69,17 @@ class SymPoly:
     def __repr__(self):
         inner = ", ".join(f"({k.render()}): {_render_coeff(v)}" for k, v in self.items())
         return f"<SymPoly monomial[{self.nvars}] {{{inner}}}>"
+
+
+def assert_agree(what: str, **syms: SymPoly) -> None:
+    """Raise VerificationFailed naming the first m_mu (listing order) where syms differ, with every value."""
+    ring = next((c.ring for s in syms.values() for c in s.coeffs.values()), QT)
+    for mu in sorted({mu for s in syms.values() for mu in s.coeffs}, key=label_key):
+        vals = {name: s.coeffs.get(mu, ring.zero) for name, s in syms.items()}
+        first = next(iter(vals.values()))
+        if any(v != first for v in vals.values()):
+            shown = ", ".join(f"{name} {v.render()}" for name, v in vals.items())
+            raise VerificationFailed(f"{what} at m[{mu.render()}]: {shown}")
 
 
 def _render_coeff(c) -> str:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import comb, factorial
 
 from .bases import expand_monomial, to_monomial_basis
 from .errors import (
@@ -40,6 +41,7 @@ from .operators import (
     ALL_KINDS,
     _NEEDS_INDEX,
     OperatorSpec,
+    _check_index,
     apply_operator,
     operator_ring,
 )
@@ -47,6 +49,10 @@ from .partitions import parse_partition, partitions_of
 from .rings import Frac, Poly, eval_var
 
 DEFAULT_CAP = 12
+# apply-op expands x-polynomials and divides by the n!-term Vandermonde;
+# cmd_apply_op refuses a request estimated at more term products than this
+# (about 10-20 s of work on a 2-core machine).
+APPLY_OP_BUDGET = 2_000_000
 
 IDENTITY_GROUPS = {
     "e-identities": (
@@ -235,6 +241,21 @@ def cmd_apply_op(args) -> int:
     _check_cap(lam.weight)
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
+    if args.m is None:
+        shifts = 2**n
+    else:
+        _check_index(args.m, n)
+        ks = [args.m] if kind == "macdonald_r" else range(args.m + 1)
+        shifts = sum(comb(n, k) for k in ks)
+    monomials = comb(lam.weight + n - 1, n - 1) if n else 1
+    cost = shifts * factorial(n) * monomials
+    if cost > APPLY_OP_BUDGET:
+        raise OutOfRange(
+            f"apply-op {kind} on m[{lam.render()}] in {n} variables would take about "
+            f"{cost} term products ({shifts} shifts x {n}! Vandermonde terms x "
+            f"{monomials} monomials of degree {lam.weight}), over the bound "
+            f"{APPLY_OP_BUDGET}; use fewer variables"
+        )
     ring = operator_ring(n, kind)
     f = expand_monomial(lam, n, ring=ring)
     try:

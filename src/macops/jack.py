@@ -1,18 +1,17 @@
 """One-parameter differential limits of the column adders and removers.
 
 Setting q to an integer power of t and letting t tend to 1 turns the
-q-shift operators into first-order differential operators.  This module
-implements those limits directly (exact coefficients in Z[a], with a the
-limit parameter), builds the one-parameter polynomials by the same
-column recursion as the two-parameter family, and cross-checks them
-against the substitution limit of the two-parameter integral forms.
+q-shift operators into first-order differential operators, the jack
+kinds of the coefficient engine in ``operators`` (exact coefficients in
+Z[a], with a the limit parameter).  This module builds the one-parameter
+polynomials by the same column recursion as the two-parameter family and
+cross-checks them against the substitution limit of the two-parameter
+integral forms.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .bases import SymPoly, antisymmetrize, sym_to_xpoly, to_monomial_basis, vandermonde
+from .bases import SymPoly, assert_agree
 from .errors import (
     LengthExceedsVars,
     NonExactDivision,
@@ -21,12 +20,9 @@ from .errors import (
     VerificationFailed,
 )
 from .macdonald import conjugate_columns, macdonald_J_raising
+from .operators import apply_symmetric
 from .partitions import Partition, c_alpha
-from .rings import ALPHA, QT, Poly, Ring, deriv, eval_var, fold_var, poly_exact_div, xring
-
-
-def axring(n: int) -> Ring:
-    return xring(n, ("a",))
+from .rings import ALPHA, QT, Poly, eval_var, fold_var, poly_exact_div
 
 
 def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
@@ -45,64 +41,14 @@ def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
     return res
 
 
-def _one_var_op(f: Poly, i: int, const: int, kind: str) -> Poly:
-    """Apply one first-order factor in the variable x_i.
-
-    raising: x_i (a x_i d_i + const); lowering: (1/x_i)(a x_i d_i + const).
-    """
-    ring = f.ring
-    a = ring.var("a")
-    xi = ring.var(f"x{i}")
-    core = a * xi * deriv(f, i) + const * f
-    if kind == "raise":
-        return xi * core
-    e = [0] * len(ring.names)
-    e[ring.pos(f"x{i}")] = -1
-    return core * ring.monomial(tuple(e))
-
-
-def _apply_elementary(f: Poly, idxs, consts, kind: str, m: int) -> Poly:
-    """e_m of the commuting one-variable factors, applied to f."""
-    acc = f.ring.zero
-    for S in combinations(range(len(idxs)), m):
-        g = f
-        for pos in S:
-            g = _one_var_op(g, idxs[pos], consts[pos], kind)
-        acc = acc + g
-    return acc
-
-
-def apply_jack(kind: str, m: int, n: int, f: Poly) -> Poly:
-    """Column adder (kind "raise") or remover (kind "lower") of height m.
-
-    Defined for symmetric f: the elementary operator is applied once, the
-    staircase x^delta times its image is antisymmetrized over all n!
-    permutations, and one exact division by the Vandermonde follows.
-    """
-    if kind not in ("raise", "lower"):
-        raise OutOfRange(f"unknown kind {kind!r}")
-    if not 0 <= m <= n:
-        raise OutOfRange(f"column height {m} out of range for n={n}")
-    ring = f.ring
-    consts = [
-        (m - i + 1) if kind == "raise" else (n - i) for i in range(1, n + 1)
-    ]
-    g = _apply_elementary(f, range(1, n + 1), consts, kind, m)
-    stair = ring.monomial(
-        tuple(n - i for i in range(1, n + 1)) + (0,) * (len(ring.names) - n)
-    )
-    return poly_exact_div(antisymmetrize(stair * g, n), vandermonde(n, ring))
-
-
 def jack_J(lam: Partition, n: int) -> SymPoly:
     """The one-parameter polynomial by the column recursion, in Z[a]."""
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
-    ring = axring(n)
-    f = ring.one
+    f = SymPoly(n, {Partition(()): ALPHA.one})
     for m in conjugate_columns(lam):
-        f = apply_jack("raise", m, n, f)
-    return to_monomial_basis(f, n)
+        f = apply_symmetric("jack_raise", m, f)
+    return f
 
 
 def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
@@ -154,20 +100,15 @@ def jack_check_limits(lam: Partition, n: int, alphas=(1, 2, 3)) -> dict:
 
 def jack_lowering_verify(lam: Partition, m: int, n: int) -> dict:
     """Column-removal law for the differential remover."""
-    ring = axring(n)
-    f = sym_to_xpoly(jack_J(lam, n), ring)
-    got = apply_jack("lower", m, n, f)
+    got = apply_symmetric("jack_lower", m, jack_J(lam, n))
     scale = jack_lowering_coeff(lam, m, n)
     if lam.length == m:
-        want = scale.cast(ring) * sym_to_xpoly(jack_J(lam.minus_ones(m), n), ring)
+        want = jack_J(lam.minus_ones(m), n).map_coeffs(lambda c: scale * c)
     else:
-        want = ring.zero
+        want = SymPoly(n, {})
         if not scale.is_zero:
             raise VerificationFailed("short-shape scalar failed to vanish")
-    if got != want:
-        raise VerificationFailed(
-            f"lowering m={m} on {lam.render()} (n={n}) mismatch"
-        )
+    assert_agree(f"lowering m={m} on {lam.render()} (n={n})", got=got, want=want)
     return {
         "check": "jack_lowering",
         "shape": lam.render(),

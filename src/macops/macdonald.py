@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import SymPoly, change_basis, expand_monomial, label_key, schur_to_monomial, signed_arrangements, sym_to_xpoly
+from .bases import SymPoly, change_basis, expand_monomial, assert_agree
 from .errors import (
     LengthExceedsVars,
     NegativeExponent,
@@ -23,7 +23,7 @@ from .errors import (
     SingularSystem,
     VerificationFailed,
 )
-from .operators import OperatorSpec, _binom2, apply_column_adder, apply_operator, build, dualize, operator_ring
+from .operators import OperatorSpec, _binom2, apply_column_adder, apply_operator, apply_symmetric, build, dualize, operator_ring
 from .partitions import (
     Partition,
     c_integral,
@@ -33,7 +33,7 @@ from .partitions import (
     lowering_coeff,
     partitions_of,
 )
-from .rings import QT, Frac, Poly, frac_by_factors, poly_exact_div, swap_vars, xring
+from .rings import QT, Frac, Poly, coeff_of_power, frac_by_factors, poly_exact_div, swap_vars
 
 PROVENANCE_TAGS = ("eigen_oracle", "raising_kplus", "raising_kminus")
 
@@ -66,32 +66,14 @@ def _d1_action(d: int, n: int):
     """Matrix of the first difference operator on the weight-d monomial basis.
 
     Returns (shapes, entries) with entries[(nu, mu)] the coefficient of
-    m_nu in the image of m_mu; only nonzero entries are stored.  The
-    operator is Delta^-1 sum over w of sgn(w) x^(w delta) sum over i of
-    t^((w delta)_i) T_i, so the Schur coefficient of its image of m_mu at
-    lam is the coefficient of x^(lam+delta): a signed sum over the
-    rearrangements e of delta with e <= v = lam + delta and v - e a
-    rearrangement of mu.  Kostka numbers turn it back into monomials.
+    m_nu in the image of m_mu; only nonzero entries are stored.
     """
     shapes = tuple(partitions_of(d, max_len=n))
-    delta = tuple(range(n - 1, -1, -1))
-    schur: dict = {mu: {} for mu in shapes}
-    for lam in shapes:
-        v = tuple(p + s for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
-        terms: dict = {}
-        for e, sign in signed_arrangements(delta, lambda i, x: x <= v[i]):
-            b = tuple(x - y for x, y in zip(v, e))
-            acc = terms.setdefault(Partition(sorted(b, reverse=True)), {})
-            for te, qe in zip(e, b):
-                acc[(qe, te)] = acc.get((qe, te), 0) + sign
-        for mu, acc in terms.items():
-            acc = {k: c for k, c in acc.items() if c}
-            if acc:
-                schur[mu][lam] = Poly(QT, acc)
-    entries: dict = {}
-    for mu in shapes:
-        for nu, c in schur_to_monomial(schur[mu], n).coeffs.items():
-            entries[(nu, mu)] = c
+    entries = {
+        (nu, mu): c
+        for mu in shapes
+        for nu, c in apply_symmetric("macdonald_r", 1, SymPoly(n, {mu: QT.one})).coeffs.items()
+    }
     return shapes, entries
 
 
@@ -144,14 +126,19 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
-    """Assert the generating eigen-equation symbolically in u."""
-    ring = xring(n, ("q", "t", "u"))
-    fx = sym_to_xpoly(J, ring)
-    got = apply_operator(OperatorSpec("macdonald_u"), fx, n)
-    want = eigen_poly(lam, n).cast(ring) * fx
-    if got != want:
-        raise VerificationFailed(
-            f"eigencheck failed for {lam.render()} in {n} variables"
+    """Assert the generating eigen-equation, symbolic in u, on coefficients.
+
+    Its u^r part is D_r J = e_r(q^lam_i t^(n-i)) J, checked for every
+    order r = 0..n with the operators run on monomial coefficients; a
+    failure names the order and the first m_mu that differs.
+    """
+    series = eigen_poly(lam, n)
+    for r in range(n + 1):
+        ev = coeff_of_power(series, "u", r).cast(QT) * (-1) ** r
+        assert_agree(
+            f"eigencheck failed for {lam.render()} in {n} variables: D_{r}",
+            got=apply_symmetric("macdonald_r", r, J),
+            want=J.map_coeffs(lambda c: c * ev),
         )
     return True
 
@@ -229,16 +216,12 @@ def triple_agreement(lam: Partition, n: int) -> MacdonaldResult:
     A disagreement names the first differing m_mu with all three values.
     """
     plus = macdonald_J_raising(lam, n, "kplus")
-    routes = (plus.J, macdonald_J_raising(lam, n, "kminus").J,
-              macdonald_P_eigen(lam, n, validate=False).J)
-    for mu in sorted({mu for J in routes for mu in J.coeffs}, key=label_key):
-        kp, km, ei = (J.coeffs.get(mu, QT.zero) for J in routes)
-        if kp != km or kp != ei:
-            raise VerificationFailed(
-                f"construction routes disagree for {lam.render()} in {n} variables "
-                f"at m[{mu.render()}]: kplus {kp.render()}, kminus {km.render()}, "
-                f"eigen {ei.render()}"
-            )
+    assert_agree(
+        f"construction routes disagree for {lam.render()} in {n} variables",
+        kplus=plus.J,
+        kminus=macdonald_J_raising(lam, n, "kminus").J,
+        eigen=macdonald_P_eigen(lam, n, validate=False).J,
+    )
     return plus
 
 
@@ -313,22 +296,15 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict
     if not lam.length <= m <= n:
         raise OutOfRange("need length of shape <= m <= n")
     opkind = "lower_plus" if kind == "mplus" else "lower_minus"
-    ring = xring(n)
-    J = sym_to_xpoly(macdonald_J_raising(lam, n).J, ring)
-    got = apply_operator(OperatorSpec(opkind, m), J, n)
+    got = apply_symmetric(opkind, m, macdonald_J_raising(lam, n).J)
     if lam.length == m:
-        scale = lowering_coeff(lam, m, n).cast(ring)
-        lower = sym_to_xpoly(macdonald_J_raising(lam.minus_ones(m), n).J, ring)
-        want = scale * lower
-        scale_str = lowering_coeff(lam, m, n).render()
+        scale = lowering_coeff(lam, m, n)
+        want = macdonald_J_raising(lam.minus_ones(m), n).J.map_coeffs(lambda c: scale * c)
+        scale_str = scale.render()
     else:
-        want = ring.zero
+        want = SymPoly(n, {})
         scale_str = "0"
-    if got != want:
-        raise VerificationFailed(
-            f"lowering {kind} m={m} on {lam.render()} (n={n}): "
-            f"got {got.render()}, want {want.render()}"
-        )
+    assert_agree(f"lowering {kind} m={m} on {lam.render()} (n={n})", got=got, want=want)
     return {
         "check": "lowering",
         "kind": kind,

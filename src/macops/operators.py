@@ -21,11 +21,27 @@ outer J sum is collapsed into an elementary-polynomial factor, the
 Vandermonde stays as a single t-shifted coefficient, and one exact
 division happens at the end.
 
-The two specialized column adders, which build the integral forms, also
-run on monomial coefficients: ``apply_column_adder`` reads the Schur
-coefficients of the image off the bialternant formula and converts them
-with Kostka numbers, with no x-expansion and no division by the
-Vandermonde.  ``apply_operator`` is its reference in the tests.
+Every operator the package applies to symmetric polynomials has the form
+Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
+and psi_i: x^b -> x^(b + s e_i) phi_i(b_i) acting on x_i alone (i 1-based,
+b_i the exponent of x_i in F).  ``apply_symmetric`` reads the Schur
+coefficients of the image off the bialternant formula (SFHP I.3) on the
+monomial coefficients of F, with no x-expansion and no division by the
+Vandermonde:
+
+    kind          s    phi_i(b)                   ring     extra factor
+    macdonald_r   0    t^(n-i) q^b                Z[q,t]   -
+    raise_plus    +1   1 - t^(m-i+1) q^b          Z[q,t]   -
+    raise_minus   +1   t^-(n-i) q^-b - t^(m-n+1)  Z[q,t]   q^|F| t^(C(n,2)-C(n-m,2))
+    lower_plus    -1   1 - t^(n-i) q^b            Z[q,t]   -
+    lower_minus   -1   t^-(n-i) q^-b - 1          Z[q,t]   q^|F| t^(C(n,2)-C(n-m,2))
+    jack_raise    +1   a b + m - i + 1            Z[a]     -
+    jack_lower    -1   a b + n - i                Z[a]     -
+
+They build J (the adders), check the column-removal law (the removers)
+and the eigen-equations (D_r = macdonald_r), and run the Jack limit.
+``apply_operator`` and the x-level Jack operators in the tests are their
+references.
 """
 
 from __future__ import annotations
@@ -35,9 +51,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, signed_permutations, vandermonde
-from .errors import IndexOutOfRange, OutOfRange, SpecializationRequired
+from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
+    ALPHA,
     QT,
     Poly,
     Ring,
@@ -570,77 +587,110 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
     return poly_exact_div(g, den)
 
 
-# -- column adders on monomial coefficients ------------------------------
+# -- symmetric operators on monomial coefficients -------------------------
+
+# kind -> (s, phi(m, n, i, b), ring), the table in the module docstring; the
+# jack kinds are x_i^s (a x_i d/dx_i + c), the limits q = t^a, t -> 1.
+_FORMS = {
+    "macdonald_r": (0, lambda m, n, i, b: QT.monomial((b, n - i)), QT),
+    "raise_plus": (1, lambda m, n, i, b: QT.one - QT.monomial((b, m - i + 1)), QT),
+    "raise_minus": (1, lambda m, n, i, b: QT.monomial((-b, i - n)) - QT.monomial((0, m - n + 1)), QT),
+    "lower_plus": (-1, lambda m, n, i, b: QT.one - QT.monomial((b, n - i)), QT),
+    "lower_minus": (-1, lambda m, n, i, b: QT.monomial((-b, i - n)) - QT.one, QT),
+    "jack_raise": (1, lambda m, n, i, b: ALPHA.monomial((1,), b) + (m - i + 1), ALPHA),
+    "jack_lower": (-1, lambda m, n, i, b: ALPHA.monomial((1,), b) + (n - i), ALPHA),
+}
 
 
-def _adder_factor(S, bp, m: int, n: int, minus: bool) -> dict:
-    """Product over the variables x_i, i in S, of the adder's factor at x^bp.
+def _pack(e) -> int:
+    """Exponents e_j, maybe negative, as sum e_j 2^(32 j): monomials multiply by adding."""
+    return sum(x << (32 * j) for j, x in enumerate(e))
 
-    Plus: (1 - t^(m-i+1) q^(bp_i)); minus: q^|bp| times the product of
-    (t^(-(n-i)) q^(-bp_i) - t^(m-n+1)).  Here i is 1-based while S and bp
-    are indexed from 0.  Returned as {(q exponent, t exponent): integer};
-    exponents may be negative.
+
+@lru_cache(maxsize=None)
+def _unpacker(k: int):
+    bias = _pack((1 << 31,) * k)
+    return lru_cache(maxsize=1 << 16)(
+        lambda v: tuple((((v + bias) >> (32 * j)) & 0xFFFFFFFF) - (1 << 31) for j in range(k))
+    )
+
+
+@lru_cache(maxsize=None)
+def _packed_factor(kind: str, m: int, n: int):
+    phi = _FORMS[kind][1]
+    return lru_cache(maxsize=None)(
+        lambda i, b: tuple((_pack(e), c) for e, c in phi(m, n, i + 1, b).terms.items())
+    )
+
+
+def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
+    """The kind's e_m(psi) operator (module docstring) on F, exactly.
+
+    The Schur coefficient of the image at mu is the coefficient of
+    x^(mu+delta) in A(x^delta e_m(psi) F): each rearrangement u of
+    mu + delta is read once, and every m-subset S of the variables, with
+    F's exponent c = u - delta - s 1_S, adds sign(u) F_c prod_S phi_i(c_i).
+    For s = -1 a nonzero coefficient at a v with v_n = -1 is a pole at
+    x_i = 0 and raises NonExactDivision.
     """
-    terms = {(sum(bp), 0) if minus else (0, 0): 1}
-    for i in S:
-        if minus:
-            pair = ((-bp[i], i + 1 - n, 1), (0, m - n + 1, -1))
-        else:
-            pair = ((0, 0, 1), (bp[i], m - i, -1))
-        out: dict = {}
-        for (qe, te), c in terms.items():
-            for dq, dt, s in pair:
-                key = (qe + dq, te + dt)
-                out[key] = out.get(key, 0) + s * c
-        terms = out
-    return terms
+    if kind not in _FORMS:
+        raise OutOfRange(f"{kind} has no coefficient-level form")
+    n = F.nvars
+    _check_index(m, n)
+    shift, _, ring = _FORMS[kind]
+    if any(c.ring is not ring for c in F.coeffs.values()):
+        raise OutOfRange(f"{kind} needs coefficients in {ring!r}")
+    table, unpack = _packed_factor(kind, m, n), _unpacker(len(ring.names))
+    fd = {
+        lam.parts + (0,) * (n - lam.length): [(_pack(e), x) for e, x in c.terms.items()]
+        for lam, c in F.coeffs.items()
+    }
+    delta = tuple(range(n - 1, -1, -1))
+    low, high = min(shift, 0), max(shift, 0)
+    schur = {}
+    for d in sorted({lam.weight for lam in F.coeffs}):
+        # (mu, v = mu + delta); for shift -1 also (None, v) with v_n = -1
+        w = d + shift * m
+        targets = [(mu, mu, 0) for mu in partitions_of(w, max_len=n)] if w >= 0 else []
+        if shift < 0 and n:
+            targets += [(None, kap, 1) for kap in partitions_of(d - m + n, max_len=n - 1)]
+        for mu, lam, off in targets:
+            v = tuple(p + s - off for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
+            total: dict = {}
+            for u, sign in signed_arrangements(v, lambda i, x: x - delta[i] >= low):
+                b = [x - s for x, s in zip(u, delta)]
+                must = [i for i in range(n) if b[i] < 0]
+                if len(must) > m:
+                    continue
+                for T in combinations([i for i in range(n) if b[i] >= high], m - len(must)):
+                    S = must + list(T) if must else T
+                    c = b[:]
+                    for i in S:
+                        c[i] -= shift
+                    coeff = fd.get(tuple(sorted(c, reverse=True)))
+                    if coeff is None:
+                        continue
+                    terms = {e: sign * x for e, x in coeff}
+                    for i in S:
+                        new: dict = {}
+                        for de, y in table(i, c[i]):
+                            for e, x in terms.items():
+                                new[e + de] = new.get(e + de, 0) + x * y
+                        terms = new
+                    for e, x in terms.items():
+                        total[e] = total.get(e, 0) + x
+            c_mu = Poly(ring, {unpack(e): x for e, x in total.items() if x})
+            if c_mu and mu is None:
+                raise NonExactDivision(f"image has a pole: x^{v} in the numerator has {c_mu.render()}")
+            if c_mu:
+                schur[mu] = c_mu
+    if kind.endswith("minus"):
+        # |F| = |mu| - shift m on the part of F that reaches s_mu
+        t_exp = _binom2(n) - _binom2(n - m)
+        schur = {mu: c * QT.monomial((mu.weight - shift * m, t_exp)) for mu, c in schur.items()}
+    return schur_to_monomial(schur, n)
 
 
 def apply_column_adder(m: int, F: SymPoly, minus: bool = False) -> SymPoly:
-    """raise_plus (raise_minus when minus) on a symmetric polynomial, exactly.
-
-    Works on the monomial coefficients of F and never builds an
-    x-polynomial.  The adder is Delta^-1 A(x^delta g), with A the
-    antisymmetrizer, delta = (n-1, ..., 0) and g the sum over |S| = m of
-    x^S prod over i in S of (1 - t^(m-i+1) T_i) F (plus), or of
-    x^S prod (t^-(n-i) T_i^-1 - t^(m-n+1)) applied to the global q-shift
-    of F, times t^(C(n,2) - C(n-m,2)) (minus).  By the bialternant
-    formula the coefficient of x^(mu+delta) in A(x^delta g) is the Schur
-    coefficient of the image at mu, so only those are summed, one
-    rearrangement of mu + delta at a time, grouped by the m_nu of F they
-    read, and converted with Kostka numbers.  Like the operator, it maps
-    some m_lam to negative powers of t; on the integral forms it stays
-    in Z[q,t].  :func:`apply_operator` on the x-expansion is the reference.
-    """
-    n = F.nvars
-    _check_index(m, n)
-    fd = {lam.parts + (0,) * (n - lam.length): c for lam, c in F.coeffs.items()}
-    delta = tuple(range(n - 1, -1, -1))
-    schur = {}
-    for d in sorted({lam.weight for lam in F.coeffs}):
-        for mu in partitions_of(d + m, max_len=n):
-            v = tuple(p + s for p, s in zip(mu.parts + (0,) * (n - mu.length), delta))
-            groups: dict = {}
-            for u, sign in signed_arrangements(v, lambda i, x: x >= delta[i]):
-                b = [x - s for x, s in zip(u, delta)]
-                for S in combinations([i for i in range(n) if b[i]], m):
-                    bp = list(b)
-                    for i in S:
-                        bp[i] -= 1
-                    nu = tuple(sorted(bp, reverse=True))
-                    if nu not in fd:
-                        continue
-                    acc = groups.setdefault(nu, {})
-                    for e, c in _adder_factor(S, bp, m, n, minus).items():
-                        acc[e] = acc.get(e, 0) + sign * c
-            c_mu = QT.zero
-            for nu, terms in groups.items():
-                terms = {e: c for e, c in terms.items() if c}
-                if terms:
-                    c_mu = c_mu + fd[nu] * Poly(QT, terms)
-            if c_mu:
-                schur[mu] = c_mu
-    if minus:
-        scale = QT.var("t", _binom2(n) - _binom2(n - m))
-        schur = {mu: c * scale for mu, c in schur.items()}
-    return schur_to_monomial(schur, n)
+    """raise_plus (raise_minus when minus) on a symmetric polynomial, exactly."""
+    return apply_symmetric("raise_minus" if minus else "raise_plus", m, F)

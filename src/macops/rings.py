@@ -784,18 +784,6 @@ def permute_x(f: Poly, n: int, perm) -> Poly:
     return Poly(f.ring, out)
 
 
-def deriv(f: Poly, i: int) -> Poly:
-    """Partial derivative with respect to x_i (1-based)."""
-    v = f.ring.pos(f"x{i}")
-    out: dict = {}
-    for e, c in f.terms.items():
-        exp = e[v]
-        if not exp:
-            continue
-        out[e[:v] + (exp - 1,) + e[v + 1 :]] = c * exp
-    return Poly(f.ring, out)
-
-
 def split_x(f: Poly, n: int) -> dict[Expt, Poly]:
     """Group terms by their exponents in x1..xn; values in the scalar subring."""
     sub = Ring(f.ring.names[n:])

@@ -1,6 +1,8 @@
 """CLI contract tests: frozen output bytes, exit codes, determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -148,6 +150,52 @@ def test_apply_op_rejects_nonpolynomial_output(capsys):
     )
     assert code == 2
     assert "not a polynomial" in err
+
+
+def test_apply_op_refuses_past_its_cost_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "apply-op", "--kind", "lower_plus", "--m", "1",
+        "--lambda", "2,1", "--nvars", "8",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: apply-op lower_plus on m[2,1] in 8 variables would take about "
+        "43545600 term products (9 shifts x 8! Vandermonde terms x 120 monomials "
+        "of degree 3), over the bound 2000000; use fewer variables\n"
+    )
+
+
+# sha256 of stdout, generated before the coefficient engine replaced the
+# x-level column removers, eigencheck and Jack operators
+PINNED_STDOUT = {
+    ("jack", "--lambda", "3,2,1", "--format", "json"):
+        "2d14052d75d017ca565014558aaabf9fe358a36a93c1c7b789db6826602240e4",
+    ("verify", "--suite", "lowering", "--max-weight", "4", "--format", "json"):
+        "114c2dbae3a54bcee849be465309604f9ba41283ec4dec761fcf80a82c64d3df",
+    ("apply-op", "--kind", "lower_plus", "--m", "1", "--lambda", "2,1", "--nvars", "4", "--format", "json"):
+        "a3283fc0304e3c889f4382718d3670bbed7014f3f8c9c38c424cab3776a3047f",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=lambda a: " ".join(a))
+def test_stdout_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_jack_in_nine_variables_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "jack", "--lambda", "2,1", "--nvars", "9")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out == (
+        "Jack[2,1] (alpha=sym) in 9 variables (differential_recursion)\n"
+        "m[2,1] 2 + a\n"
+        "m[1,1,1] 6\n"
+    )
 
 
 def test_apply_op_index_flag_rules(capsys):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from macops.errors import LengthExceedsVars, NotDivisible, OutOfRange, VerificationFailed
+from jack_oracle import apply_jack, axring
+from macops.bases import SymPoly, expand_monomial, to_monomial_basis
+from macops.errors import IndexOutOfRange, LengthExceedsVars, NotDivisible, OutOfRange, VerificationFailed
 from macops.jack import (
-    apply_jack,
-    axring,
     c_alpha,
     jack_J,
     jack_check_limits,
@@ -13,6 +13,8 @@ from macops.jack import (
     jack_lowering_coeff,
     jack_lowering_verify,
 )
+from macops.macdonald import conjugate_columns
+from macops.operators import apply_symmetric
 from macops.partitions import Partition, partitions_of
 from macops.rings import ALPHA
 
@@ -30,6 +32,28 @@ def test_raising_on_one():
     assert apply_jack("raise", 0, 2, ring.one) == ring.one
     assert apply_jack("raise", 1, 2, ring.one) == ring.var("x1") + ring.var("x2")
     assert apply_jack("raise", 2, 2, ring.one) == 2 * ring.var("x1") * ring.var("x2")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_engine_matches_the_x_level_oracle_on_every_monomial(n):
+    for d in range(0, 5):
+        for lam in partitions_of(d, max_len=n):
+            for m in range(0, n + 1):
+                x = expand_monomial(lam, n, ring=axring(n))
+                for kind in ("raise", "lower"):
+                    want = to_monomial_basis(apply_jack(kind, m, n, x), n)
+                    got = apply_symmetric(f"jack_{kind}", m, SymPoly(n, {lam: ALPHA.one}))
+                    assert got == want, (kind, m, lam.render())
+
+
+def test_jack_J_matches_the_x_level_recursion():
+    for d in range(0, 5):
+        for lam in partitions_of(d):
+            n = max(lam.length, 2)
+            f = axring(n).one
+            for m in conjugate_columns(lam):
+                f = apply_jack("raise", m, n, f)
+            assert jack_J(lam, n) == to_monomial_basis(f, n), lam.render()
 
 
 def test_small_shapes_match_hand_values():
@@ -100,12 +124,39 @@ def test_argument_validation():
         apply_jack("shift", 1, 2, axring(2).one)
     with pytest.raises(OutOfRange):
         apply_jack("raise", 3, 2, axring(2).one)
+    with pytest.raises(OutOfRange):
+        apply_symmetric("jack_shift", 1, SymPoly(2, {P(): ALPHA.one}))
+    with pytest.raises(IndexOutOfRange):
+        apply_symmetric("jack_raise", 3, SymPoly(2, {P(): ALPHA.one}))
     with pytest.raises(LengthExceedsVars):
         jack_J(P(1, 1, 1), 2)
     with pytest.raises(OutOfRange):
         jack_limit_oracle(P(1), 2, alpha=0)
     with pytest.raises(OutOfRange):
         jack_lowering_coeff(P(2, 1), 1, 3)
+
+
+def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch):
+    import macops.jack as jk
+
+    real = jk.jack_J
+
+    def planted(lam, n):
+        # one wrong coefficient in the shape left after the column is removed
+        sym = real(lam, n)
+        if lam == P(2, 1):
+            sym = SymPoly(n, {**sym.coeffs, P(1, 1, 1): sym.coeffs[P(1, 1, 1)] + 1})
+        return sym
+
+    monkeypatch.setattr(jk, "jack_J", planted)
+    scale = jack_lowering_coeff(P(3, 2), 2, 3)
+    right = real(P(2, 1), 3).coeffs[P(1, 1, 1)]
+    with pytest.raises(VerificationFailed) as exc:
+        jk.jack_lowering_verify(P(3, 2), 2, 3)
+    assert str(exc.value) == (
+        f"lowering m=2 on 3,2 (n=3) at m[1,1,1]: "
+        f"got {(scale * right).render()}, want {(scale * (right + 1)).render()}"
+    )
 
 
 def test_limit_mismatch_is_loud(monkeypatch):

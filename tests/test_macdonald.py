@@ -30,7 +30,7 @@ from macops.macdonald import (
     row_step_columns,
     triple_agreement,
 )
-from macops.partitions import Partition, c_integral, column_unit_scale, partitions_of
+from macops.partitions import Partition, c_integral, column_unit_scale, lowering_coeff, partitions_of
 from macops.operators import OperatorSpec, apply_operator, operator_ring
 from macops.rings import QT, Frac, xring
 
@@ -245,6 +245,21 @@ def test_eigencheck_passes_and_detects_tampering():
         full_eigencheck(P(2, 1), 3, SymPoly(3, bad))
 
 
+def test_eigencheck_failure_names_the_order_and_the_monomial():
+    J = macdonald_J_raising(P(2, 1), 3).J
+    bad = SymPoly(3, {**J.coeffs, P(1, 1, 1): J.coeffs[P(1, 1, 1)] + 1})
+    # D_1 m_(1,1,1) = q(1 + t + t^2) m_(1,1,1) and D_1 J = (q^2 t^2 + q t + 1) J
+    q, t = QT.var("q"), QT.var("t")
+    ev = q * q * t * t + q * t + 1
+    got = (J.coeffs[P(1, 1, 1)] * ev + q * (1 + t + t * t)).render()
+    want = (bad.coeffs[P(1, 1, 1)] * ev).render()
+    with pytest.raises(VerificationFailed) as exc:
+        full_eigencheck(P(2, 1), 3, bad)
+    assert str(exc.value) == (
+        f"eigencheck failed for 2,1 in 3 variables: D_1 at m[1,1,1]: got {got}, want {want}"
+    )
+
+
 def test_kostka_degree_one():
     mat = kostka_matrix(1)
     assert mat.shapes == (P(1),)
@@ -341,6 +356,58 @@ def test_lowering_two_rows_both_kinds():
         assert rep["status"] == "pass"
         rep = lowering_verify(P(2, 2), 2, 3, kind=kind)
         assert rep["status"] == "pass"
+
+
+def test_lowering_law_on_x_polynomials():
+    # the column-removal law through x-expansion and division by the
+    # Vandermonde, J built by the x-level adders: no coefficient engine
+    checks = 0
+    for d in range(0, 4):
+        for lam in partitions_of(d, max_len=3):
+            for n in range(max(lam.length, 1), 4):
+                J = sym_to_xpoly(raising_reference(n, conjugate_columns(lam)), xring(n))
+                for m in range(lam.length, n + 1):
+                    for kind in ("lower_plus", "lower_minus"):
+                        got = apply_operator(OperatorSpec(kind, m), J, n)
+                        if lam.length == m:
+                            lower = raising_reference(n, conjugate_columns(lam.minus_ones(m)))
+                            want = lowering_coeff(lam, m, n).cast(xring(n)) * sym_to_xpoly(lower, xring(n))
+                        else:
+                            want = xring(n).zero
+                        assert got == want, (kind, lam.render(), m, n)
+                        checks += 1
+    assert checks == 68
+
+
+def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch, capsys):
+    import macops.macdonald as mac
+    from macops.cli import main
+
+    real = mac.macdonald_J_raising
+
+    def planted(lam, n, kind="kplus", columns=None):
+        # one wrong coefficient in the shape left after the column is removed
+        res = real(lam, n, kind, columns)
+        if lam != P(2, 1):
+            return res
+        J = SymPoly(n, {**res.J.coeffs, P(1, 1, 1): res.J.coeffs[P(1, 1, 1)] + 1})
+        return mac.MacdonaldResult(lam, n, J, res.provenance)
+
+    monkeypatch.setattr(mac, "macdonald_J_raising", planted)
+    scale = lowering_coeff(P(3, 2), 2, 3)
+    right = real(P(2, 1), 3).J.coeffs[P(1, 1, 1)]
+    message = (
+        f"lowering mplus m=2 on 3,2 (n=3) at m[1,1,1]: "
+        f"got {(scale * right).render()}, want {(scale * (right + 1)).render()}"
+    )
+    with pytest.raises(VerificationFailed) as exc:
+        mac.lowering_verify(P(3, 2), 2, 3)
+    assert str(exc.value) == message
+    # the suite meets the planted J first as the input of (2,1)
+    assert main(["verify", "--suite", "lowering", "--max-weight", "3", "--m", "2", "--n", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "FAIL: lowering mplus m=2 on 2,1 (n=3) at m[1]: got "
+    )
 
 
 def test_lowering_rejects_bad_arguments():

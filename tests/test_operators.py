@@ -3,6 +3,8 @@ import pytest
 from macops.bases import SymPoly, elementary, expand_monomial, to_monomial_basis, vandermonde
 from macops.errors import (
     IndexOutOfRange,
+    NonExactDivision,
+    NotSymmetric,
     OutOfRange,
     SpecializationRequired,
 )
@@ -15,13 +17,14 @@ from macops.operators import (
     apply_determinantal,
     apply_factorized_qt,
     apply_operator,
+    apply_symmetric,
     build,
     cross_cleared,
     dualize,
     operator_ring,
 )
 from macops.operators import QDiffOp, _binom2, _subsets, _tshift_delta
-from macops.partitions import Partition, column_unit_scale, partitions_of
+from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
 from macops.rings import QT, _positive_trail, fold_var, poly_exact_div, poly_gcd, scalar_shift, xring
 
 
@@ -239,6 +242,61 @@ def test_column_adder_matches_operator_on_every_monomial(n):
                 for minus in (False, True):
                     got = apply_column_adder(m, SymPoly(n, {lam: QT.one}), minus)
                     assert got == adder_reference(m, lam, n, minus), (m, lam.render(), minus)
+
+
+def operator_reference(kind, m, lam, n):
+    """The image of m_lam through the x-expansion, or None where it is not a polynomial."""
+    f = expand_monomial(lam, n, ring=operator_ring(n, kind))
+    try:
+        return to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n)
+    except (NonExactDivision, NotSymmetric):
+        return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_removers_and_difference_operators_match_operator_on_every_monomial(n):
+    # every order r of macdonald_r and every height of both removers; the
+    # specialized removers keep every m_lam polynomial here
+    for d in range(0, 5):
+        for lam in partitions_of(d, max_len=n):
+            for kind in ("macdonald_r", "lower_plus", "lower_minus"):
+                for m in range(0, n + 1):
+                    want = operator_reference(kind, m, lam, n)
+                    assert want is not None, (kind, m, lam.render())
+                    got = apply_symmetric(kind, m, SymPoly(n, {lam: QT.one}))
+                    assert got == want, (kind, m, lam.render())
+
+
+def test_engine_refuses_exactly_where_the_operator_leaves_polynomials(monkeypatch):
+    # lower_u_plus is the plus remover with u on every shifted variable:
+    # psi_i = x_i^-1 (1 - u t^(n-i) T_i) over Z[q,t,u], which has poles
+    import macops.operators as ops
+
+    form = (-1, lambda m, n, i, b: QTU.one - QTU.monomial((b, n - i, 1)), QTU)
+    monkeypatch.setitem(ops._FORMS, "lower_u_plus", form)
+    ops._packed_factor.cache_clear()
+    refused = 0
+    for n in range(1, 4):
+        for d in range(0, 4):
+            for lam in partitions_of(d, max_len=n):
+                for m in range(0, n + 1):
+                    want = operator_reference("lower_u_plus", m, lam, n)
+                    f = SymPoly(n, {lam: QTU.one})
+                    if want is None:
+                        refused += 1
+                        with pytest.raises(NonExactDivision, match="pole"):
+                            apply_symmetric("lower_u_plus", m, f)
+                    else:
+                        assert apply_symmetric("lower_u_plus", m, f) == want, (m, lam.render())
+    ops._packed_factor.cache_clear()
+    assert refused > 0
+
+
+def test_engine_rejects_unknown_kinds_and_bad_heights():
+    with pytest.raises(OutOfRange, match="no coefficient-level form"):
+        apply_symmetric("macdonald_u", 0, SymPoly(2, {P(): QT.one}))
+    with pytest.raises(IndexOutOfRange):
+        apply_symmetric("lower_plus", 3, SymPoly(2, {P(): QT.one}))
 
 
 def test_column_adder_is_linear_over_mixed_weights():

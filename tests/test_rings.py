@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jack_oracle import deriv
 from macops.errors import NonExactDivision, OutOfRange
 from macops.rings import (
     ALPHA,
@@ -10,7 +11,6 @@ from macops.rings import (
     Frac,
     Ring,
     coeff_of_power,
-    deriv,
     eval_var,
     fold_var,
     frac_by_factors,
