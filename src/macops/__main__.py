@@ -1,0 +1,8 @@
+"""``python -m macops``: the command-line interface of :mod:`macops.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import SymPoly, change_basis, expand_monomial, assert_agree
+from .bases import SymPoly, assert_agree, change_basis, expand_monomial, schur_to_monomial
 from .errors import (
     LengthExceedsVars,
     NegativeExponent,
@@ -23,7 +23,17 @@ from .errors import (
     SingularSystem,
     VerificationFailed,
 )
-from .operators import OperatorSpec, _binom2, apply_column_adder, apply_operator, apply_symmetric, build, dualize, operator_ring
+from .operators import (
+    OperatorSpec,
+    _binom2,
+    _schur_rows,
+    apply_column_adder,
+    apply_operator,
+    apply_symmetric,
+    build,
+    dualize,
+    operator_ring,
+)
 from .partitions import (
     Partition,
     c_integral,
@@ -54,11 +64,22 @@ class MacdonaldResult:
     def P(self) -> SymPoly:
         """The monic form J / c_integral(shape), fraction coefficients.
 
-        Reduced by trial division with c_integral's irreducible factors.
+        Reduced by trial division with c_integral's irreducible factors;
+        each reduced denominator is computed once per shape.
         """
-        c = c_integral(self.shape)
-        factors = c_integral_factors(self.shape)
-        return self.J.map_coeffs(lambda p: frac_by_factors(p, c, factors))
+        c, factors, dens = _p_denominators(self.shape)
+        return self.J.map_coeffs(lambda p: frac_by_factors(p, c, factors, dens))
+
+
+@lru_cache(maxsize=None)
+def _p_denominators(lam: Partition):
+    """c_integral(lam), its factors, and a memo for frac_by_factors.
+
+    The memo maps how often each factor was removed to the reduced
+    denominator, a function of lam and those counts only, so it is
+    filled on demand and shared by every P of the shape.
+    """
+    return c_integral(lam), c_integral_factors(lam), {}
 
 
 @lru_cache(maxsize=None)
@@ -66,14 +87,15 @@ def _d1_action(d: int, n: int):
     """Matrix of the first difference operator on the weight-d monomial basis.
 
     Returns (shapes, entries) with entries[(nu, mu)] the coefficient of
-    m_nu in the image of m_mu; only nonzero entries are stored.
+    m_nu in the image of m_mu; only nonzero entries are stored.  One pass
+    of the engine over the targets gives every column's Schur coefficients.
     """
     shapes = tuple(partitions_of(d, max_len=n))
-    entries = {
-        (nu, mu): c
-        for mu in shapes
-        for nu, c in apply_symmetric("macdonald_r", 1, SymPoly(n, {mu: QT.one})).coeffs.items()
-    }
+    rows = _schur_rows("macdonald_r", 1, n, d, {mu.parts + (0,) * (n - mu.length): mu for mu in shapes})
+    entries = {}
+    for mu in shapes:
+        image = schur_to_monomial({lam: row[mu] for lam, _, row in rows if mu in row}, n)
+        entries.update(((nu, mu), c) for nu, c in image.coeffs.items())
     return shapes, entries
 
 

@@ -623,15 +623,71 @@ def _packed_factor(kind: str, m: int, n: int):
     )
 
 
+def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> list:
+    """Schur coefficients of the kind's images of the m_nu in inputs, all of weight d.
+
+    inputs maps nu's exponent tuple, padded to n parts, to nu.  Returns a
+    list of (mu, v, {nu: the coefficient of s_mu in the image of m_nu}),
+    v = mu + delta, with the extra factor of the minus kinds left out; for
+    s = -1 it also holds (None, v, ...) for each v with v_n = -1, the
+    poles.  By the bialternant formula the coefficient at mu is that of
+    x^(mu+delta) in A(x^delta e_m(psi) m_nu): each rearrangement u of
+    mu + delta is read once, and every m-subset S of the variables, with
+    exponent c = u - delta - s 1_S, adds sign(u) prod_S phi_i(c_i) to the
+    input nu that c rearranges.
+    """
+    shift, _, ring = _FORMS[kind]
+    table, unpack = _packed_factor(kind, m, n), _unpacker(len(ring.names))
+    delta = tuple(range(n - 1, -1, -1))
+    low, high = min(shift, 0), max(shift, 0)
+    # (mu, v = mu + delta); for shift -1 also (None, v) with v_n = -1
+    w = d + shift * m
+    targets = [(mu, mu, 0) for mu in partitions_of(w, max_len=n)] if w >= 0 else []
+    if shift < 0 and n:
+        targets += [(None, kap, 1) for kap in partitions_of(d - m + n, max_len=n - 1)]
+    rows, products = [], {}  # products: ((i, c_i) for i in S) -> prod_S phi_i(c_i)
+    for mu, lam, off in targets:
+        v = tuple(p + s - off for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
+        acc: dict = {}
+        for u, sign in signed_arrangements(v, lambda i, x: x - delta[i] >= low):
+            b = [x - s for x, s in zip(u, delta)]
+            must = [i for i in range(n) if b[i] < 0]
+            if len(must) > m:
+                continue
+            for T in combinations([i for i in range(n) if b[i] >= high], m - len(must)):
+                S = must + list(T) if must else T
+                c = b[:]
+                for i in S:
+                    c[i] -= shift
+                nu = inputs.get(tuple(sorted(c, reverse=True)))
+                if nu is None:
+                    continue
+                key = tuple((i, c[i]) for i in S)
+                terms = products.get(key)
+                if terms is None:
+                    terms = {0: 1}
+                    for i, b_i in key:
+                        new: dict = {}
+                        for de, y in table(i, b_i):
+                            for e, x in terms.items():
+                                new[e + de] = new.get(e + de, 0) + x * y
+                        terms = new
+                    terms = products[key] = tuple(terms.items())
+                total = acc.setdefault(nu, {})
+                for e, x in terms:
+                    total[e] = total.get(e, 0) + sign * x
+        row = {nu: Poly(ring, {unpack(e): x for e, x in total.items() if x}) for nu, total in acc.items()}
+        rows.append((mu, v, {nu: c for nu, c in row.items() if c}))
+    return rows
+
+
 def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
     """The kind's e_m(psi) operator (module docstring) on F, exactly.
 
-    The Schur coefficient of the image at mu is the coefficient of
-    x^(mu+delta) in A(x^delta e_m(psi) F): each rearrangement u of
-    mu + delta is read once, and every m-subset S of the variables, with
-    F's exponent c = u - delta - s 1_S, adds sign(u) F_c prod_S phi_i(c_i).
-    For s = -1 a nonzero coefficient at a v with v_n = -1 is a pole at
-    x_i = 0 and raises NonExactDivision.
+    The Schur coefficient of the image at mu is the sum over the inputs nu
+    of F_nu times that of m_nu's image (:func:`_schur_rows`), one product
+    per (mu, nu).  For s = -1 a nonzero coefficient at a v with v_n = -1
+    is a pole at x_i = 0 and raises NonExactDivision.
     """
     if kind not in _FORMS:
         raise OutOfRange(f"{kind} has no coefficient-level form")
@@ -640,46 +696,13 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
     shift, _, ring = _FORMS[kind]
     if any(c.ring is not ring for c in F.coeffs.values()):
         raise OutOfRange(f"{kind} needs coefficients in {ring!r}")
-    table, unpack = _packed_factor(kind, m, n), _unpacker(len(ring.names))
-    fd = {
-        lam.parts + (0,) * (n - lam.length): [(_pack(e), x) for e, x in c.terms.items()]
-        for lam, c in F.coeffs.items()
-    }
-    delta = tuple(range(n - 1, -1, -1))
-    low, high = min(shift, 0), max(shift, 0)
     schur = {}
     for d in sorted({lam.weight for lam in F.coeffs}):
-        # (mu, v = mu + delta); for shift -1 also (None, v) with v_n = -1
-        w = d + shift * m
-        targets = [(mu, mu, 0) for mu in partitions_of(w, max_len=n)] if w >= 0 else []
-        if shift < 0 and n:
-            targets += [(None, kap, 1) for kap in partitions_of(d - m + n, max_len=n - 1)]
-        for mu, lam, off in targets:
-            v = tuple(p + s - off for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
-            total: dict = {}
-            for u, sign in signed_arrangements(v, lambda i, x: x - delta[i] >= low):
-                b = [x - s for x, s in zip(u, delta)]
-                must = [i for i in range(n) if b[i] < 0]
-                if len(must) > m:
-                    continue
-                for T in combinations([i for i in range(n) if b[i] >= high], m - len(must)):
-                    S = must + list(T) if must else T
-                    c = b[:]
-                    for i in S:
-                        c[i] -= shift
-                    coeff = fd.get(tuple(sorted(c, reverse=True)))
-                    if coeff is None:
-                        continue
-                    terms = {e: sign * x for e, x in coeff}
-                    for i in S:
-                        new: dict = {}
-                        for de, y in table(i, c[i]):
-                            for e, x in terms.items():
-                                new[e + de] = new.get(e + de, 0) + x * y
-                        terms = new
-                    for e, x in terms.items():
-                        total[e] = total.get(e, 0) + x
-            c_mu = Poly(ring, {unpack(e): x for e, x in total.items() if x})
+        inputs = {lam.parts + (0,) * (n - lam.length): lam for lam in F.coeffs if lam.weight == d}
+        for mu, v, row in _schur_rows(kind, m, n, d, inputs):
+            c_mu = ring.zero
+            for nu, c in row.items():
+                c_mu = c_mu + F.coeffs[nu] * c
             if c_mu and mu is None:
                 raise NonExactDivision(f"image has a pole: x^{v} in the numerator has {c_mu.render()}")
             if c_mu:

@@ -9,14 +9,26 @@ transiently); every published value is an honest polynomial.
 
 Canonical term order, used for iteration, rendering and golden files:
 ascending total degree, ties broken by descending exponent tuple.
+
+Dense operands with int coefficients are multiplied and divided as single
+big integers (Kronecker substitution, ``_packed_mul``/``_packed_div``):
+products of at least PACK_MIN_PAIRS term pairs whose box holds at most
+DENSE digits per pair, and divisions with nonnegative exponents, at least
+PACK_MIN_DIV_PAIRS term pairs and at most DENSE digits per term in the
+dividend's box.  Everything else runs the dict loop and the heap loop,
+which the tests keep as the oracles.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from itertools import product
+from math import gcd as _int_gcd, prod
+from operator import add, mul
 
 from .errors import NonExactDivision, OutOfRange
 
@@ -178,18 +190,8 @@ class Poly:
         if other is None:
             return NotImplemented
         a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Poly(self.ring, out)
+        out = _packed_mul(a, b) if len(a) * len(b) >= PACK_MIN_PAIRS else None
+        return Poly(self.ring, _dict_mul(a, b) if out is None else out)
 
     __rmul__ = __mul__
 
@@ -288,6 +290,167 @@ class Poly:
         return f"<Poly {self.render()}>"
 
 
+# -- products and Kronecker packing ----------------------------------------
+
+# Inside a box lo_v <= e_v < lo_v + r_v an exponent vector e is the
+# mixed-radix position p = sum (e_v - lo_v) * stride_v, and a polynomial
+# packs into the integer sum c * 2^(W p), its coefficients signed digits
+# of W = 8 * nb bits.  Below these term-pair counts the dict and heap
+# loops are faster; the division's bound is lower because a plain heap
+# division that fails retries in a Laurent box.  Past DENSE digits per
+# term (pair) the box is mostly empty.
+PACK_MIN_PAIRS = 64
+PACK_MIN_DIV_PAIRS = 32
+DENSE = 4
+# array typecodes by item size, for digits of 1, 2, 4 and 8 bytes
+_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    """Terms of the product by the schoolbook loop over term pairs."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = tuple(map(add, ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def _box(terms: dict) -> tuple[list[int], list[int]] | None:
+    """Per-variable exponent minima and maxima, or None unless every coefficient is an int."""
+    if not all(type(c) is int for c in terms.values()):
+        return None
+    cols = list(zip(*terms))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit, so that every |c| <= bound is below 2^(W-1), W = 8 * bytes."""
+    nb = (bound.bit_length() + 8) // 8
+    return next(w for w in (1, 2, 4, 8) if w >= nb) if nb <= 8 else nb
+
+
+def _strides(radix) -> list[int]:
+    """Mixed-radix place values, the last variable fastest (the order of itertools.product)."""
+    out, s = [], 1
+    for r in reversed(radix):
+        out.append(s)
+        s *= r
+    return out[::-1]
+
+
+def _bias(nb: int, size: int) -> int:
+    """The packing of size digits 2^(W-1): added, it makes balanced digits unsigned."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * size, "little")
+
+
+def _join(digits: list, nb: int) -> int:
+    """The integer with these unsigned base-2^(8 nb) digits, least significant first."""
+    code = _CODES.get(nb)
+    if code is None:
+        return int.from_bytes(b"".join(d.to_bytes(nb, "little") for d in digits), "little")
+    arr = array(code, digits)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def _split(x: int, nb: int, size: int):
+    """The size unsigned base-2^(8 nb) digits of x, least significant first."""
+    raw = x.to_bytes(nb * size, "little")
+    code = _CODES.get(nb)
+    if code is None:
+        return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+    arr = array(code, raw)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr
+
+
+def _pack(terms: dict, lo, strides, nb: int) -> int:
+    """Sum of c * 2^(8 nb p), p the mixed-radix position of e - lo."""
+    off = sum(map(mul, lo, strides))
+    pos = [sum(map(mul, e, strides)) - off for e in terms]
+    half, size = 1 << (8 * nb - 1), max(pos) + 1
+    digits = [half] * size
+    for p, c in zip(pos, terms.values()):
+        digits[p] = half + c
+    return _join(digits, nb) - _bias(nb, size)
+
+
+def _unpack(packed: int, lo, radix, nb: int) -> dict | None:
+    """The terms whose packing is packed, or None when it needs more positions than the box.
+
+    The digits are balanced, in [-2^(W-1), 2^(W-1)), and position p stands
+    for the exponent lo + (p's mixed-radix digits).
+    """
+    npos, half = prod(radix), 1 << (8 * nb - 1)
+    biased = packed + _bias(nb, npos)
+    if biased < 0 or biased.bit_length() > 8 * nb * npos:
+        return None
+    exps = product(*(range(low, low + r) for low, r in zip(lo, radix)))
+    return {e: v - half for e, v in zip(exps, _split(biased, nb, npos)) if v != half}
+
+
+def _packed_mul(a: dict, b: dict) -> dict | None:
+    """Terms of the product by one big-integer product, or None when sparse or not over Z.
+
+    The product's box is the sum of the operands' boxes, and its
+    coefficients are at most min(|a|_1 |b|_inf, |a|_inf |b|_1), which
+    sets the digit width, so decoding is exact.
+    """
+    boxa, boxb = _box(a), _box(b)
+    if boxa is None or boxb is None:
+        return None
+    lo = [x + y for x, y in zip(boxa[0], boxb[0])]
+    radix = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(*boxa, *boxb)]
+    if prod(radix) > DENSE * len(a) * len(b):
+        return None
+    abs_a, abs_b = [abs(c) for c in a.values()], [abs(c) for c in b.values()]
+    nb = _digit_bytes(min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b)))
+    strides = _strides(radix)
+    return _unpack(_pack(a, boxa[0], strides, nb) * _pack(b, boxb[0], strides, nb), lo, radix, nb)
+
+
+def _packed_div(f: dict, g: dict) -> dict | None:
+    """Terms of f / g by one big-integer divmod, or None when the packing cannot decide.
+
+    Packing is evaluation at powers of 2, a ring homomorphism, so a
+    nonzero remainder proves that no quotient exists.  A decoded quotient
+    h is accepted only when |g|_1 |h|_inf < 2^(W-1) and h lies in the box
+    of f less the box of g: then pack(g h) = pack(f) holds between
+    polynomials whose packing is injective, so g h = f.
+    """
+    boxf, boxg = _box(f), _box(g)
+    if boxf is None or boxg is None:
+        return None
+    radix = [h - l + 1 for l, h in zip(*boxf)]
+    if prod(radix) > DENSE * len(f):
+        return None
+    span = [r - 1 - (h - l) for r, l, h in zip(radix, *boxg)]
+    if min(span) < 0:
+        raise NonExactDivision("divisor is wider than the dividend")
+    gnorm = sum(abs(c) for c in g.values())
+    nb = _digit_bytes(sum(abs(c) for c in f.values()) * gnorm)
+    strides = _strides(radix)
+    h, rem = divmod(_pack(f, boxf[0], strides, nb), _pack(g, boxg[0], strides, nb))
+    if rem:
+        raise NonExactDivision("nonzero remainder")
+    lo = [x - y for x, y in zip(boxf[0], boxg[0])]
+    out = _unpack(h, lo, radix, nb)
+    if out is None or any(max(col) - low > s for col, low, s in zip(zip(*out), lo, span)):
+        return None
+    if gnorm * max(map(abs, out.values())) >= 1 << (8 * nb - 1):
+        return None
+    return out
+
+
 # -- exact division ------------------------------------------------------
 
 
@@ -303,10 +466,9 @@ def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
     """Divide ``f`` by ``g`` exactly, raising :class:`NonExactDivision`.
 
-    Leading-term reduction in graded lex order.  When both operands have
-    nonnegative exponents the classical divisibility test makes failures
-    fast; with Laurent terms in the dividend the quotient support is
-    bounded by a degree box instead so the loop still terminates.
+    Dense integer operands with nonnegative exponents are divided packed
+    (:func:`_packed_div`); the rest, and whatever the packing leaves
+    undecided, by the heap loop of :func:`_heap_div`.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -314,11 +476,23 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
         return f.ring.zero
     if f.ring is not g.ring:
         raise OutOfRange("mixed rings in division")
-    glead = max(g.terms, key=_grlex)
-    gc = g.terms[glead]
     plain = all(x >= 0 for e in f.terms for x in e) and all(
         x >= 0 for e in g.terms for x in e
     )
+    quot = _packed_div(f.terms, g.terms) if plain and len(f.terms) * len(g.terms) >= PACK_MIN_DIV_PAIRS else None
+    return Poly(f.ring, _heap_div(f, g, plain) if quot is None else quot)
+
+
+def _heap_div(f: Poly, g: Poly, plain: bool) -> dict:
+    """Terms of f / g by leading-term reduction in graded lex order.
+
+    When both operands have nonnegative exponents (plain) the classical
+    divisibility test makes failures fast; with Laurent terms in the
+    dividend the quotient support is bounded by a degree box instead so
+    the loop still terminates.
+    """
+    glead = max(g.terms, key=_grlex)
+    gc = g.terms[glead]
 
     def box_budget():
         budget = 1
@@ -366,7 +540,7 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
                 del rem[e]
     if rem:
         raise NonExactDivision("nonzero remainder")
-    return f.ring.from_terms(quot)
+    return {e: c for e, c in quot.items() if c}
 
 
 # -- gcd over Z[vars] ----------------------------------------------------
@@ -598,21 +772,35 @@ class Frac:
         return f"<Frac {self.render()}>"
 
 
-def frac_by_factors(num: Poly, den: Poly, factors) -> Frac:
+def frac_by_factors(num: Poly, den: Poly, factors, dens: dict | None = None) -> Frac:
     """num/den in lowest terms when den's irreducible factors are known.
 
     ``factors`` lists pairs (f, k) with den = +-prod f^k and each f
     irreducible, so every common factor of num and den is one of them.
     Dividing both by each f while it divides num, at most k times, gives
     the same num/den pair as ``Frac(num, den)`` without computing a gcd.
+    The reduced denominator depends only on how often each f was removed;
+    ``dens``, shared between calls with the same den, keeps it per count.
     """
+    removed = []
     for f, k in factors:
-        for _ in range(k):
+        r = 0
+        while r < k:
             try:
                 num = poly_exact_div(num, f)
             except NonExactDivision:
                 break
-            den = poly_exact_div(den, f)
+            r += 1
+        removed.append(r)
+    dens = {} if dens is None else dens
+    key = tuple(removed)
+    if key not in dens:
+        reduced = den
+        for (f, _), r in zip(factors, removed):
+            for _ in range(r):
+                reduced = poly_exact_div(reduced, f)
+        dens[key] = reduced
+    den = dens[key]
     if _positive_trail(den) is not den:
         num, den = -num, -den
     return Frac(num, den, _canonical=True)

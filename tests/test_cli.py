@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import macops
 from macops.cli import main
 
 
@@ -176,6 +181,11 @@ PINNED_STDOUT = {
         "114c2dbae3a54bcee849be465309604f9ba41283ec4dec761fcf80a82c64d3df",
     ("apply-op", "--kind", "lower_plus", "--m", "1", "--lambda", "2,1", "--nvars", "4", "--format", "json"):
         "a3283fc0304e3c889f4382718d3670bbed7014f3f8c9c38c424cab3776a3047f",
+    # weight 10 in 10 variables, from before the packed products
+    ("jpoly", "--lambda", "4,3,2,1", "--format", "json"):
+        "c01427a5b6f0f0c33b4c93f5b4e3e65fc1aee8883b5fc7bc5524efe625a6da4e",
+    ("ppoly", "--lambda", "4,3,2,1", "--format", "json"):
+        "b4c439590ff3e8eba131d5e1a54e7f1bf5a5c44fa94ef9bf6a28e629bb201b01",
 }
 
 
@@ -196,6 +206,25 @@ def test_jack_in_nine_variables_is_quick(capsys):
         "m[2,1] 2 + a\n"
         "m[1,1,1] 6\n"
     )
+
+
+def test_jpoly_in_ten_variables_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "jpoly", "--lambda", "4,3,2,1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.startswith("J[4,3,2,1] in 10 variables (raising_kplus)\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(macops.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "macops"]
+    done = subprocess.run(argv + ["jpoly", "--lambda", "1,1", "--nvars", "2"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout == "J[1,1] in 2 variables (raising_kplus)\nm[1,1] 1 - t - t^2 + t^3\n"
+    done = subprocess.run(argv + ["jpoly", "--lambda", "x"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("error: ")
 
 
 def test_apply_op_index_flag_rules(capsys):

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from jack_oracle import deriv
 from macops.errors import NonExactDivision, OutOfRange
@@ -9,7 +11,13 @@ from macops.rings import (
     ALPHA,
     QT,
     Frac,
+    Poly,
     Ring,
+    _dict_mul,
+    _digit_bytes,
+    _heap_div,
+    _packed_div,
+    _packed_mul,
     coeff_of_power,
     eval_var,
     fold_var,
@@ -187,10 +195,13 @@ def test_frac_by_factors_matches_gcd_reduction():
     q, t = QT.var("q"), QT.var("t")
     factors = [(t - 1, 2), (1 + q * t, 1)]
     den = (t - 1) ** 2 * (1 + q * t)
-    for num in (QT.zero, q, 3 * (t - 1), q * (t - 1) ** 2, (1 + q * t) * (t - 1) ** 3):
-        got = frac_by_factors(num, den, factors)
+    dens = {}
+    for num in (QT.zero, q, 3 * (t - 1), q * (t - 1) ** 2, (1 + q * t) * (t - 1) ** 3, -q * (t - 1)):
         want = Frac(num, den)
-        assert (got.num, got.den) == (want.num, want.den), num
+        for got in (frac_by_factors(num, den, factors), frac_by_factors(num, den, factors, dens)):
+            assert (got.num, got.den) == (want.num, want.den), num
+    # one reduced denominator per removal count: (0, 0), (1, 0), (2, 0), (2, 1)
+    assert len(dens) == 4
 
 
 def test_frac_arithmetic():
@@ -316,3 +327,140 @@ def test_fold_and_coeff_of_power():
 def test_alpha_ring_render():
     a = ALPHA.var("a")
     assert ((a + 1) * (a + 2)).render() == "2 + 3*a + a^2"
+
+
+# -- the packed kernel against the dict and heap loops ---------------------
+
+SIDE = {1: 8, 2: 5, 3: 3, 4: 2}
+
+
+@st.composite
+def laurent_terms(draw, k, bits=st.sampled_from([1, 3, 8, 40, 100])):
+    """A nonzero Laurent polynomial in k variables: a box, some cells empty, signed coefficients."""
+    lo = [draw(st.integers(-3, 2)) for _ in range(k)]
+    side = [draw(st.integers(1, SIDE[k])) for _ in range(k)]
+    bits = draw(bits)
+    coeff = st.integers(-(1 << bits), 1 << bits)
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0), coeff)
+    cells = list(product(*(range(x, x + w) for x, w in zip(lo, side))))
+    values = draw(st.lists(coeff, min_size=len(cells), max_size=len(cells)))
+    return {e: c for e, c in zip(cells, values) if c} or {cells[0]: 1}
+
+
+@st.composite
+def laurent_pairs(draw):
+    k = draw(st.integers(1, 4))
+    a, b = draw(laurent_terms(k)), draw(laurent_terms(k))
+    return Ring(tuple(f"y{i}" for i in range(k))), a, b
+
+
+def heap_oracle(ring, f, g):
+    plain = all(x >= 0 for e in list(f) + list(g) for x in e)
+    try:
+        return _heap_div(Poly(ring, f), Poly(ring, g), plain)
+    except NonExactDivision:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs())
+def test_packed_product_matches_the_dict_loop(case):
+    ring, a, b = case
+    want = _dict_mul(a, b)
+    got = _packed_mul(a, b)
+    event("packed" if got is not None else "dict loop")
+    assert got is None or got == want
+    assert (Poly(ring, a) * Poly(ring, b)).terms == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs())
+def test_packed_division_of_a_product_matches_the_heap_loop(case):
+    ring, a, b = case
+    f = _dict_mul(a, b)
+    got = _packed_div(f, b)
+    event("packed" if got is not None else "heap loop")
+    assert got is None or got == a
+    assert heap_oracle(ring, f, b) == a
+    assert poly_exact_div(Poly(ring, f), Poly(ring, b)).terms == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs(), st.data())
+def test_packed_division_refuses_a_perturbed_dividend(case, data):
+    ring, a, b = case
+    f = _dict_mul(a, b)
+    cells = sorted(f) + [tuple(x + 1 for x in max(f)), tuple(x - 1 for x in min(f))]
+    e = data.draw(st.sampled_from(cells))
+    f[e] = f.get(e, 0) + data.draw(st.sampled_from([-3, -1, 1, 2]))
+    f = {e: c for e, c in f.items() if c}
+    if not f:
+        return
+    want = heap_oracle(ring, f, b)
+    try:
+        got = _packed_div(f, b)
+    except NonExactDivision:
+        got = "refused"
+    event(f"oracle divides: {want is not None}; kernel: {'undecided' if got is None else got == 'refused' and 'refuses' or 'divides'}")
+    if want is None:
+        assert got in (None, "refused")
+        with pytest.raises(NonExactDivision):
+            poly_exact_div(Poly(ring, f), Poly(ring, b))
+    else:
+        # the perturbation left b | f (b a unit monomial, say)
+        assert got in (None, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    power=st.integers(8, 9),
+    n=st.integers(20, 26),
+    sign=st.sampled_from([1, -1]),
+    data=st.data(),
+)
+def test_packed_division_falls_back_past_the_injectivity_bound(k, power, n, sign, data):
+    # f = (1 - y^n)^power (1 + ... + y^(n-1)) r, with r small and free of
+    # y, is dense with small coefficients, but its quotient by
+    # g = (1 - y)^power is (1 + ... + y^(n-1))^(power + 1) r, whose
+    # coefficients pass 2^(W-1) for every such r
+    ring = Ring(tuple(f"y{i}" for i in range(k)))
+    v = data.draw(st.integers(0, k - 1))
+    y = ring.monomial(tuple(int(i == v) for i in range(k)))
+    r = data.draw(laurent_terms(k - 1, bits=st.just(1))) if k > 1 else {(): 1}
+    r = Poly(ring, {e[:v] + (0,) + e[v:]: c for e, c in r.items()})
+    geometric = sum((y**i for i in range(n)), ring.zero)
+    f = (1 - y**n) ** power * geometric * r * sign
+    g = (1 - y) ** power
+    h = geometric ** (power + 1) * r * sign
+    norm1 = lambda p: sum(map(abs, p.terms.values()))  # noqa: E731
+    nb = _digit_bytes(norm1(f) * norm1(g))
+    assert norm1(g) * max(map(abs, h.terms.values())) >= 1 << (8 * nb - 1)
+    assert _packed_div(f.terms, g.terms) is None
+    assert poly_exact_div(f, g) == h
+
+
+def test_packed_paths_are_taken_on_dense_operands():
+    q, t = QT.var("q"), QT.var("t")
+    a = sum((q**i * t**j * (i - 2 * j + 1) for i in range(6) for j in range(5)), QT.zero)
+    b = (1 - q * t) * (1 + 3 * q + t) * (2 - t * t)
+    ab = _packed_mul(a.terms, b.terms)
+    assert ab is not None and ab == _dict_mul(a.terms, b.terms)
+    assert _packed_div(ab, b.terms) == a.terms
+    ab[(0, 0)] += 1
+    with pytest.raises(NonExactDivision, match="remainder"):
+        _packed_div(ab, b.terms)
+    # Fraction coefficients and sparse boxes take the loops
+    assert _packed_mul({(0, 0): Fraction(1, 2), (1, 0): 1}, b.terms) is None
+    assert _packed_div({(0, 0): 1, (40, 40): 1}, {(0, 0): 1}) is None
+
+
+def test_packed_division_rejects_a_quotient_outside_the_box():
+    # in the box of f = a + b^2 the position of b^3 is that of a, so
+    # pack(1 + b) divides pack(f) with quotient pack(b^2), but b^2 leaves
+    # the box of f less that of 1 + b, and indeed 1 + b does not divide f
+    f, g = {(1, 0): 1, (0, 2): 1}, {(0, 0): 1, (0, 1): 1}
+    assert _packed_div(f, g) is None
+    with pytest.raises(NonExactDivision):
+        poly_exact_div(Poly(QT, f), Poly(QT, g))
