@@ -67,7 +67,7 @@ class SymPoly:
         return SymPoly(self.nvars, {k: fn(v) for k, v in self.coeffs.items()})
 
     def __repr__(self):
-        inner = ", ".join(f"({k.render()}): {_render_coeff(v)}" for k, v in self.items())
+        inner = ", ".join(f"({k.render()}): {render_coeff(v)}" for k, v in self.items())
         return f"<SymPoly monomial[{self.nvars}] {{{inner}}}>"
 
 
@@ -82,7 +82,7 @@ def assert_agree(what: str, **syms: SymPoly) -> None:
             raise VerificationFailed(f"{what} at m[{mu.render()}]: {shown}")
 
 
-def _render_coeff(c) -> str:
+def render_coeff(c) -> str:
     if isinstance(c, (Poly, Frac)):
         return c.render()
     return str(c)
@@ -389,12 +389,7 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
     total = ring.zero
     for lam, c in sym.coeffs.items():
         base = expand_monomial(lam, n, ring)
-        if isinstance(c, Poly):
-            base = base * c.cast(ring)
-        elif isinstance(c, Frac):
-            raise OutOfRange("cannot expand fractional coefficients exactly")
-        else:
-            base = base * c
+        base = base * (c.cast(ring) if isinstance(c, Poly) else c)
         total = total + base
     return total
 

@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 from math import comb, factorial
 
-from .bases import expand_monomial, to_monomial_basis
+from .bases import expand_monomial, render_coeff, to_monomial_basis
 from .errors import (
     LengthExceedsVars,
     MacopsError,
@@ -46,7 +46,7 @@ from .operators import (
     operator_ring,
 )
 from .partitions import parse_partition, partitions_of
-from .rings import Frac, Poly, eval_var
+from .rings import eval_var
 
 DEFAULT_CAP = 12
 # apply-op expands x-polynomials and divides by the n!-term Vandermonde;
@@ -101,15 +101,9 @@ def _check_cap(weight: int, what: str = "weight"):
         )
 
 
-def _value_str(c) -> str:
-    if isinstance(c, (Poly, Frac)):
-        return c.render()
-    return str(c)
-
-
 def _coeff_records(sym) -> list[dict]:
     return [
-        {"partition": list(lam.parts), "value": _value_str(c)}
+        {"partition": list(lam.parts), "value": render_coeff(c)}
         for lam, c in sym.items()
     ]
 
@@ -128,7 +122,7 @@ def _emit_poly(args, command: str, params: dict, sym, provenance: str, check, la
         return
     print(f"{label} in {sym.nvars} variables ({provenance})")
     for lam, c in sym.items():
-        print(f"m[{lam.render()}] {_value_str(c)}")
+        print(f"m[{lam.render()}] {render_coeff(c)}")
     if check is not None:
         print(f"check: {check}")
 

@@ -29,10 +29,6 @@ class IndexOutOfRange(OutOfRange):
     """An operator index is outside [0, nvars]."""
 
 
-class CellOutsideDiagram(MacopsError):
-    """A cell coordinate does not lie in the given partition diagram."""
-
-
 class LengthExceedsVars(MacopsError):
     """A partition has more parts than there are variables."""
 

@@ -220,16 +220,11 @@ def macdonald_J_raising(
     return MacdonaldResult(lam, n, f, f"raising_{kind}")
 
 
-def macdonald_J(
-    lam: Partition, n: int, via: str = "kplus", validate: bool = False
-) -> MacdonaldResult:
-    """Dispatch on the construction route; optional eigencheck at the end."""
+def macdonald_J(lam: Partition, n: int, via: str = "kplus") -> MacdonaldResult:
+    """Dispatch on the construction route, unvalidated."""
     if via == "eigen":
-        return macdonald_P_eigen(lam, n, validate=validate)
-    res = macdonald_J_raising(lam, n, kind=via)
-    if validate:
-        full_eigencheck(lam, n, res.J)
-    return res
+        return macdonald_P_eigen(lam, n, validate=False)
+    return macdonald_J_raising(lam, n, kind=via)
 
 
 def triple_agreement(lam: Partition, n: int) -> MacdonaldResult:

@@ -700,9 +700,11 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
     for d in sorted({lam.weight for lam in F.coeffs}):
         inputs = {lam.parts + (0,) * (n - lam.length): lam for lam in F.coeffs if lam.weight == d}
         for mu, v, row in _schur_rows(kind, m, n, d, inputs):
-            c_mu = ring.zero
+            acc: dict = {}
             for nu, c in row.items():
-                c_mu = c_mu + F.coeffs[nu] * c
+                for e, x in (F.coeffs[nu] * c).terms.items():
+                    acc[e] = acc.get(e, 0) + x
+            c_mu = ring.from_terms(acc)
             if c_mu and mu is None:
                 raise NonExactDivision(f"image has a pole: x^{v} in the numerator has {c_mu.render()}")
             if c_mu:

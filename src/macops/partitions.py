@@ -10,13 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import (
-    CellOutsideDiagram,
-    LengthExceedsVars,
-    NegativeExponent,
-    OutOfRange,
-)
-from .rings import ALPHA, QT, Frac, Poly, Ring, pochhammer_t, poly_exact_div
+from .errors import LengthExceedsVars, NegativeExponent, OutOfRange
+from .rings import ALPHA, QT, Poly, Ring, pochhammer_t, poly_exact_div
 
 QTU = Ring(("q", "t", "u"))
 X = Ring(("x",))
@@ -72,10 +67,6 @@ class Partition:
             for j in range(1, p + 1):
                 yield (i, j)
 
-    def contains_cell(self, cell) -> bool:
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
     def render(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
 
@@ -109,10 +100,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """Dominance order on partitions of equal weight; False across weights."""
     if mu.weight != lam.weight:
@@ -126,16 +113,7 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def arm_leg(lam: Partition, cell) -> tuple[int, int]:
-    if not lam.contains_cell(cell):
-        raise CellOutsideDiagram(f"cell {cell} outside {lam!r}")
-    i, j = cell
-    arm = lam.parts[i - 1] - j
-    leg = lam.conjugate().parts[j - 1] - i
-    return arm, leg
-
-
-def partitions_of(d: int, max_len: int | None = None, max_part: int | None = None):
+def partitions_of(d: int, max_len: int | None = None):
     """All partitions of d, reverse-lexicographically: (d) first, (1^d) last."""
     if d < 0:
         raise OutOfRange("negative weight")
@@ -150,7 +128,7 @@ def partitions_of(d: int, max_len: int | None = None, max_part: int | None = Non
         for p in range(min(cap, remaining), 0, -1):
             rec(remaining - p, p, prefix + [p])
 
-    rec(d, d if max_part is None else min(d, max_part), [])
+    rec(d, d, [])
     return out
 
 
@@ -209,16 +187,6 @@ def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
         (Poly(QT, {(a * k, b * k): c for (k,), c in cyclotomic(d).terms.items()}), m)
         for (d, a, b), m in mult.items()
     )
-
-
-def b_coeff(lam: Partition) -> Frac:
-    """Cellwise ratio (1 - t^(leg+1) q^arm)/(1 - t^leg q^(arm+1))."""
-    num = QT.one
-    den = QT.one
-    for arm, leg in _arms_legs(lam):
-        num = num * (1 - QT.var("t", leg + 1) * QT.var("q", arm))
-        den = den * (1 - QT.var("t", leg) * QT.var("q", arm + 1))
-    return Frac(num, den)
 
 
 def eigen_poly(lam: Partition, n: int) -> Poly:

@@ -1,22 +1,25 @@
-"""Exact sparse polynomial and rational-function arithmetic.
+"""Exact sparse polynomials over the integers.
 
-Everything in this package computes over exact coefficient domains: Python
-ints (arbitrary precision) or ``fractions.Fraction``.  A :class:`Ring` is an
-interned tuple of variable names and a :class:`Poly` is a sparse map from
-exponent tuples to nonzero coefficients.  Negative exponents are tolerated
-in intermediate values (inverse shifts and ``1/x_j`` clearing produce them
-transiently); every published value is an honest polynomial.
+Every coefficient is a Python int (arbitrary precision).  A :class:`Ring`
+is an interned tuple of variable names and a :class:`Poly` is a sparse map
+from exponent tuples to nonzero int coefficients.  Negative exponents are
+tolerated in intermediate values (inverse shifts and ``1/x_j`` clearing
+produce them transiently); every published value is an honest polynomial.
 
 Canonical term order, used for iteration, rendering and golden files:
 ascending total degree, ties broken by descending exponent tuple.
 
-Dense operands with int coefficients are multiplied and divided as single
-big integers (Kronecker substitution, ``_packed_mul``/``_packed_div``):
-products of at least PACK_MIN_PAIRS term pairs whose box holds at most
-DENSE digits per pair, and divisions with nonnegative exponents, at least
+Dense operands are multiplied and divided as single big integers
+(Kronecker substitution, ``_packed_mul``/``_packed_div``): products of at
+least PACK_MIN_PAIRS term pairs whose box holds at most DENSE digits per
+pair, and divisions with nonnegative exponents, at least
 PACK_MIN_DIV_PAIRS term pairs and at most DENSE digits per term in the
 dividend's box.  Everything else runs the dict loop and the heap loop,
 which the tests keep as the oracles.
+
+A :class:`Frac` is a reduced fraction num/den of polynomials, a value
+with no arithmetic: the monic P coefficients and the fraction a
+NonIntegralEntry message shows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import heapq
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd as _int_gcd, prod
@@ -32,7 +34,6 @@ from operator import add, mul
 
 from .errors import NonExactDivision, OutOfRange
 
-Coeff = int | Fraction
 Expt = tuple[int, ...]
 
 
@@ -69,17 +70,17 @@ class Ring:
             raise OutOfRange(f"no variable {name!r} in {self!r}")
         return self._pos[name]
 
-    def const(self, c: Coeff) -> "Poly":
+    def const(self, c: int) -> "Poly":
         if not c:
             return self.zero
         return Poly(self, {(0,) * len(self.names): c})
 
-    def var(self, name: str, exp: int = 1, coeff: Coeff = 1) -> "Poly":
+    def var(self, name: str, exp: int = 1, coeff: int = 1) -> "Poly":
         e = [0] * len(self.names)
         e[self.pos(name)] = exp
         return Poly(self, {tuple(e): coeff}) if coeff else self.zero
 
-    def monomial(self, exps: Expt, coeff: Coeff = 1) -> "Poly":
+    def monomial(self, exps: Expt, coeff: int = 1) -> "Poly":
         exps = tuple(exps)
         if len(exps) != len(self.names):
             raise OutOfRange("exponent tuple has wrong length")
@@ -122,7 +123,7 @@ class Poly:
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def const_value(self) -> Coeff:
+    def const_value(self) -> int:
         if not self.terms:
             return 0
         [(e, c)] = self.terms.items()
@@ -137,12 +138,12 @@ class Poly:
             if other.ring is not self.ring:
                 raise OutOfRange("mixed rings; cast() one operand first")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.ring.const(other)
         return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -182,7 +183,7 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return self.ring.zero
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
@@ -219,10 +220,6 @@ class Poly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _order_key(kv[0]))
-
-    def leading(self) -> tuple[Expt, Coeff]:
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
 
     def map_coeffs(self, fn) -> "Poly":
         return self.ring.from_terms({e: fn(c) for e, c in self.terms.items()})
@@ -322,10 +319,8 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _box(terms: dict) -> tuple[list[int], list[int]] | None:
-    """Per-variable exponent minima and maxima, or None unless every coefficient is an int."""
-    if not all(type(c) is int for c in terms.values()):
-        return None
+def _box(terms: dict) -> tuple[list[int], list[int]]:
+    """Per-variable exponent minima and maxima."""
     cols = list(zip(*terms))
     return [min(c) for c in cols], [max(c) for c in cols]
 
@@ -399,15 +394,13 @@ def _unpack(packed: int, lo, radix, nb: int) -> dict | None:
 
 
 def _packed_mul(a: dict, b: dict) -> dict | None:
-    """Terms of the product by one big-integer product, or None when sparse or not over Z.
+    """Terms of the product by one big-integer product, or None when sparse.
 
     The product's box is the sum of the operands' boxes, and its
     coefficients are at most min(|a|_1 |b|_inf, |a|_inf |b|_1), which
     sets the digit width, so decoding is exact.
     """
     boxa, boxb = _box(a), _box(b)
-    if boxa is None or boxb is None:
-        return None
     lo = [x + y for x, y in zip(boxa[0], boxb[0])]
     radix = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(*boxa, *boxb)]
     if prod(radix) > DENSE * len(a) * len(b):
@@ -428,8 +421,6 @@ def _packed_div(f: dict, g: dict) -> dict | None:
     polynomials whose packing is injective, so g h = f.
     """
     boxf, boxg = _box(f), _box(g)
-    if boxf is None or boxg is None:
-        return None
     radix = [h - l + 1 for l, h in zip(*boxf)]
     if prod(radix) > DENSE * len(f):
         return None
@@ -452,15 +443,6 @@ def _packed_div(f: dict, g: dict) -> dict | None:
 
 
 # -- exact division ------------------------------------------------------
-
-
-def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NonExactDivision("coefficient not divisible")
-        return q
-    return Fraction(a) / Fraction(b)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
@@ -527,7 +509,9 @@ def _heap_div(f: Poly, g: Poly, plain: bool) -> dict:
             budget -= 1
             if budget < 0:
                 raise NonExactDivision("no Laurent-bounded quotient")
-        qc = _coeff_div(mc, gc)
+        qc, r = divmod(mc, gc)
+        if r:
+            raise NonExactDivision("coefficient not divisible")
         quot[qe] = quot.get(qe, 0) + qc
         for ge, gcf in gother:
             e = tuple(a + b for a, b in zip(ge, qe))
@@ -598,15 +582,10 @@ def _positive_trail(f: Poly) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over the integers in every ring variable (subresultant PRS).
 
-    Sign-normalized via :func:`_positive_trail`.  Coefficients must be
-    ints; rational coefficients have no canonical gcd and are rejected.
+    Sign-normalized via :func:`_positive_trail`.
     """
     if a.ring is not b.ring:
         raise OutOfRange("mixed rings in gcd")
-    for p in (a, b):
-        for c in p.terms.values():
-            if not isinstance(c, int):
-                raise OutOfRange("gcd requires integer coefficients")
     return _positive_trail(_gcd_rec(a, b, len(a.ring.names) - 1))
 
 def _gcd_rec(a: Poly, b: Poly, v: int) -> Poly:
@@ -663,17 +642,15 @@ def _content(f: Poly, v: int) -> Poly:
 
 
 class Frac:
-    """Reduced fraction of integer-coefficient polynomials.
+    """Reduced fraction of integer-coefficient polynomials, a value without arithmetic.
 
     Construction reduces eagerly by :func:`poly_gcd` and normalizes the
-    denominator sign, so equal fractions have identical num/den pairs.
+    denominator sign, so equal values have identical num/den pairs.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, _canonical=False):
-        if den is None:
-            den = num.ring.one
+    def __init__(self, num: Poly, den: Poly, _canonical=False):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not _canonical:
@@ -693,75 +670,18 @@ class Frac:
     def ring(self) -> Ring:
         return self.num.ring
 
-    def _lift(self, other) -> "Frac | None":
-        if isinstance(other, Frac):
-            return other
-        if isinstance(other, Poly):
-            return Frac(other, None, _canonical=True)
-        if isinstance(other, int):
-            return Frac(self.ring.const(other), None, _canonical=True)
-        return None
-
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, Frac):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     __hash__ = None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Frac(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Frac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Frac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return other / self
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     def __bool__(self):
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
         return self.den.is_const() and self.den.const_value() == 1
-
-    def to_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise NonExactDivision("fraction has a nontrivial denominator")
-        return self.num
 
     def render(self) -> str:
         if self.is_polynomial():
@@ -821,17 +741,12 @@ def xring(n: int, extra: tuple[str, ...] = ("q", "t")) -> Ring:
 # -- classical t-products ------------------------------------------------
 
 
-def pochhammer_t(a, k: int):
-    """Finite t-shifted product (1-a)(1-a*t)...(1-a*t^(k-1)).
-
-    ``a`` may be a Poly or a Frac over a ring containing ``t``; the result
-    lives in the same domain.
-    """
+def pochhammer_t(a: Poly, k: int) -> Poly:
+    """Finite t-shifted product (1-a)(1-a*t)...(1-a*t^(k-1)), a over a ring containing ``t``."""
     if k < 0:
         raise OutOfRange("negative product length")
-    ring = a.ring
-    t = ring.var("t")
-    res = ring.one if isinstance(a, Poly) else Frac(ring.one, None, _canonical=True)
+    t = a.ring.var("t")
+    res = a.ring.one
     cur = a
     for _ in range(k):
         res = res * (1 - cur)
@@ -871,20 +786,19 @@ def fold_var(f: Poly, src: str, dst: str, power: int = 1) -> Poly:
     return Poly(f.ring, out)
 
 
-def eval_var(f: Poly, name: str, value: Coeff) -> Poly:
-    """Substitute a numeric value for one variable (exact)."""
+def eval_var(f: Poly, name: str, value: int) -> Poly:
+    """Substitute an integer for one variable; a negative power must stay integral."""
     v = f.ring.pos(name)
     out: dict = {}
     for e, c in f.terms.items():
         exp = e[v]
-        if exp:
-            if value == 0:
-                if exp < 0:
-                    raise ZeroDivisionError("zero to a negative power")
-                continue
-            c = c * (Fraction(value) ** exp if exp < 0 or isinstance(value, Fraction) else value**exp)
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
+        if exp < 0:
+            if not value:
+                raise ZeroDivisionError("zero to a negative power")
+            if abs(value) != 1:
+                raise NonExactDivision(f"{value}^{exp} is not an integer")
+            exp = -exp
+        c *= value**exp
         k = e[:v] + (0,) + e[v + 1 :]
         s = out.get(k, 0) + c
         if s:

@@ -1,5 +1,6 @@
 """CLI contract tests: frozen output bytes, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -227,6 +228,20 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("error: ")
 
 
+def test_package_imports_only_the_standard_library():
+    # every coefficient is an int, so not even fractions is needed
+    imported = set()
+    for path in sorted(Path(macops.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"heapq", "argparse"} <= imported  # the walk does see the imports
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+    assert "fractions" not in imported
+
+
 def test_apply_op_index_flag_rules(capsys):
     code, _, err = run(
         capsys, "apply-op", "--kind", "raise_plus", "--lambda", "1"
@@ -287,7 +302,6 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
     [
         "NotDivisible",
         "NegativeExponent",
-        "CellOutsideDiagram",
         "SpecializationRequired",
     ],
 )

@@ -1,16 +1,9 @@
 import pytest
 
-from macops.errors import (
-    CellOutsideDiagram,
-    LengthExceedsVars,
-    NegativeExponent,
-    OutOfRange,
-)
+from macops.errors import LengthExceedsVars, NegativeExponent, OutOfRange
 from macops.jack import jack_lowering_coeff
 from macops.partitions import (
     Partition,
-    arm_leg,
-    b_coeff,
     c_alpha,
     c_integral,
     c_integral_factors,
@@ -70,14 +63,6 @@ def test_dominance():
         for mu in partitions_of(5):
             if dominance_leq(lam, mu) and dominance_leq(mu, lam):
                 assert lam == mu
-
-
-def test_arm_leg():
-    assert arm_leg(P(3, 1), (1, 1)) == (2, 1)
-    assert arm_leg(P(3, 1), (1, 3)) == (0, 0)
-    assert arm_leg(P(3, 1), (2, 1)) == (0, 0)
-    with pytest.raises(CellOutsideDiagram):
-        arm_leg(P(3, 1), (2, 2))
 
 
 def test_partitions_of_order():
@@ -143,21 +128,6 @@ def test_reduction_needs_the_cyclotomic_split():
     assert (got.num, got.den) == (oracle.num, oracle.den)
     whole = frac_by_factors(1 + t, c, [(1 - t, 1), (1 - t * t, 1)])
     assert whole.den == c
-
-
-def test_b_coeff():
-    q, t = QT.var("q"), QT.var("t")
-    assert b_coeff(P(1)) == Frac(1 - t, 1 - q)
-    assert b_coeff(P()) == Frac(QT.one)
-    # b * conjugate-b with q,t swapped is 1
-    from macops.rings import swap_vars
-
-    for parts in [(2,), (2, 1), (3, 1)]:
-        lam = Partition(parts)
-        b = b_coeff(lam)
-        bc = b_coeff(lam.conjugate())
-        swapped = Frac(swap_vars(bc.num, "q", "t"), swap_vars(bc.den, "q", "t"))
-        assert b * swapped == 1
 
 
 def test_eigen_poly():
