@@ -1,13 +1,16 @@
 """Symmetric polynomials: expansions, the monomial basis, big-Schur solves.
 
 Expansion targets are honest polynomials in x1..xn over whatever scalar
-variables the chosen ring carries.  The one basis change, monomial to
-t-deformed Schur S_lam(x;t), needs no x-polynomials: S_lam is the basis
-dual to the Schur functions s_lam under the Hall-Littlewood scalar
-product <,>_t (Macdonald, SFHP III.4 and VI.8), so each coefficient is
-<f, s_lam>_t, read off from the Schur coefficients of f and the Gram
-matrix of <,>_t.  The x-level determinant ``expand_big_schur`` stays as
-the independent oracle the tests rebuild S_lam with.
+variables the chosen ring carries.  A Schur polynomial, for any integer
+vector, is straightened to a partition and expanded by the integer
+Kostka numbers (SFHP I.3); nothing is antisymmetrized over the n!
+permutations.  The one basis change, monomial to t-deformed Schur
+S_lam(x;t), needs no x-polynomials: S_lam is the basis dual to the Schur
+functions s_lam under the Hall-Littlewood scalar product <,>_t
+(Macdonald, SFHP III.4 and VI.8), so each coefficient is <f, s_lam>_t,
+read off from the Schur coefficients of f through the character table.
+The x-level determinant ``expand_big_schur`` stays as the independent
+oracle the tests rebuild S_lam with.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .rings import (
     Frac,
     Poly,
     Ring,
-    permute_x,
     poly_exact_div,
     split_x,
     xring,
@@ -135,16 +137,6 @@ def vandermonde(n: int, ring: Ring | None = None) -> Poly:
     return _delta(n, ring.names)
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every permutation of 1..n, in lexicographic order, with its sign."""
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        out.append((perm, -1 if inv & 1 else 1))
-    return tuple(out)
-
-
 def signed_arrangements(vals: tuple[int, ...], fits):
     """Arrangements u of the strictly decreasing vals with fits(i, u[i]) everywhere.
 
@@ -223,33 +215,41 @@ def kostka_numbers(d: int, n: int) -> dict:
     return out
 
 
+def _int_combination(pairs):
+    """The sum of k * c over pairs (k, c), accumulated in one dict.
+
+    The k are ints; the c are all ints or all polynomials over one ring.
+    An int counts as a constant over the ring with no variables.
+    """
+    acc: dict = {}
+    ring = None
+    for k, c in pairs:
+        if isinstance(c, Poly):
+            ring, terms = c.ring, c.terms
+        else:
+            terms = {(): c}
+        if k:
+            for e, x in terms.items():
+                acc[e] = acc.get(e, 0) + k * x
+    return acc.get((), 0) if ring is None else ring.from_terms(acc)
+
+
 def schur_to_monomial(coeffs: dict, n: int) -> SymPoly:
     """The monomial-basis form of sum over mu of coeffs[mu] * s_mu in n variables."""
-    out: dict = {}
+    rows: dict = {}
     for mu, c in coeffs.items():
         for nu, k in kostka_numbers(mu.weight, n)[mu]:
-            term = c if k == 1 else c * k
-            out[nu] = out[nu] + term if nu in out else term
-    return SymPoly(n, out)
-
-
-def antisymmetrize(f: Poly, n: int) -> Poly:
-    """Sum of sign * permuted f over the symmetric group on x1..xn."""
-    terms: dict = {}
-    for perm, sign in signed_permutations(n):
-        for e, c in permute_x(f, n, perm).terms.items():
-            s = terms.get(e, 0) + (c if sign > 0 else -c)
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
-    return Poly(f.ring, terms)
+            rows.setdefault(nu, []).append((k, c))
+    return SymPoly(n, {nu: _int_combination(row) for nu, row in rows.items()})
 
 
 def expand_schur(vec, n: int, ring: Ring | None = None) -> Poly:
     """Schur polynomial for any integer vector, straightening included.
 
-    Computed as the bialternant det(x_j^(v_i + n - i)) / Delta.  Entries
+    s_v is the bialternant det(x_j^(v_i + n - i)) / Delta (SFHP I.3): a
+    repeated exponent in v + delta gives zero, and sorting v + delta into
+    mu + delta, mu a partition, only changes the sign.  Then s_mu =
+    (x1...xn)^mu_n s_(mu - mu_n), expanded by the Kostka numbers.  Entries
     may be negative; the result is then a Laurent polynomial (used only
     inside identity checks, never published).
     """
@@ -259,23 +259,15 @@ def expand_schur(vec, n: int, ring: Ring | None = None) -> Poly:
         if any(vec[n:]):
             raise LengthExceedsVars("vector longer than the variable count")
         vec = vec[:n]
-    vec = vec + (0,) * (n - len(vec))
-    exps = tuple(v + (n - 1 - i) for i, v in enumerate(vec))
+    exps = [v + n - 1 - i for i, v in enumerate(vec + (0,) * (n - len(vec)))]
     if len(set(exps)) < n:
         return ring.zero
-    shift = min(exps)
-    if shift > 0:
-        shift = 0
-    pad = (0,) * (len(ring.names) - n)
-    num = antisymmetrize(ring.monomial(tuple(e - shift for e in exps) + pad), n)
-    quo = poly_exact_div(num, vandermonde(n, ring))
-    if shift:
-        # undo the uniform column shift: divide by (x1...xn)^(-shift)
-        out = {}
-        for e, c in quo.terms.items():
-            out[tuple(x + shift if i < n else x for i, x in enumerate(e))] = c
-        quo = Poly(ring, out)
-    return quo
+    odd = sum(1 for i in range(n) for j in range(i + 1, n) if exps[i] < exps[j]) & 1
+    exps.sort(reverse=True)
+    low = exps[-1] if exps else 0
+    mu = Partition(tuple(e - low - (n - 1 - i) for i, e in enumerate(exps)))
+    f = sym_to_xpoly(schur_to_monomial({mu: -1 if odd else 1}, n), ring)
+    return f * ring.monomial((low,) * n + (0,) * (len(ring.names) - n)) if low else f
 
 
 @lru_cache(maxsize=None)
@@ -397,6 +389,7 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
 # -- monomial to big-Schur, by the Hall-Littlewood scalar product -------
 
 
+@lru_cache(maxsize=None)
 def _characters(d: int) -> dict:
     """Irreducible characters chi[lam, rho] of the symmetric group on d letters.
 
@@ -426,21 +419,20 @@ def _characters(d: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _hall_gram(d: int):
-    """G[lam, nu] = (t;t)_d * <s_lam, s_nu>_t, a polynomial in Z[t].
+def _class_weights(d: int):
+    """The class weights of <,>_t in degree d, scaled into Z[t].
 
     <s_lam, s_nu>_t = sum over rho of chi^lam_rho chi^nu_rho / (z_rho
-    prod_i (1 - t^rho_i)) (SFHP III.4).  Each term is accumulated with the
-    integer class size d!/z_rho and the polynomial (t;t)_d / prod_i (1 -
-    t^rho_i); the sum is then divided exactly by d!.  Returns (labels, G
-    with the zeros left out, (t;t)_d).
+    prod_i (1 - t^rho_i)) (SFHP III.4).  Returns (labels, {rho: w_rho},
+    d! (t;t)_d) with w_rho = (d!/z_rho) (t;t)_d / prod_i (1 - t^rho_i), so
+    that d! (t;t)_d <s_lam, s_nu>_t = sum over rho of chi^lam_rho
+    chi^nu_rho w_rho.
     """
     labels = tuple(partitions_of(d))
     t = QT.var("t")
     tt = QT.one
     for i in range(1, d + 1):
         tt = tt * (1 - t**i)
-    chars = _characters(d)
     weights = {}
     for rho in labels:
         z, den = 1, QT.one
@@ -450,29 +442,21 @@ def _hall_gram(d: int):
         for part in rho.parts:
             den = den * (1 - t**part)
         weights[rho] = poly_exact_div(tt, den) * (factorial(d) // z)
-    gram = {}
-    for lam in labels:
-        for nu in labels:
-            total = QT.zero
-            for rho, w in weights.items():
-                c = chars[lam, rho] * chars[nu, rho]
-                if c:
-                    total = total + w * c
-            if total:
-                gram[lam, nu] = poly_exact_div(total, QT.const(factorial(d)))
-    return labels, gram, tt
+    return labels, weights, tt * factorial(d)
 
 
 def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
     """Big-Schur coefficients of a weight-homogeneous monomial-basis SymPoly.
 
     S_lam(x;t) is the basis dual to s_lam under the Hall-Littlewood scalar
-    product (SFHP III.4, VI.8), so the coefficient of S_lam is <f, s_lam>_t
-    = sum over nu of G[lam, nu] [s_nu]f / (t;t)_d.  The Schur coefficients
-    [s_nu]f come from the monomial ones by back-substitution with the
-    unitriangular integer Kostka numbers.  Each coefficient is one exact
-    division by (t;t)_d; a remainder raises NonIntegralEntry with the
-    reduced fraction.
+    product (SFHP III.4, VI.8), so the coefficient of S_lam is <f, s_lam>_t.
+    The Schur coefficients [s_nu]f come from the monomial ones by
+    back-substitution with the unitriangular integer Kostka numbers.
+    Through the character table, <f, s_lam>_t = sum over rho of
+    chi^lam_rho P_rho / (d! (t;t)_d) with P_rho = w_rho sum over nu of
+    chi^nu_rho [s_nu]f (:func:`_class_weights`): one product per class.
+    Each coefficient is one exact division by d! (t;t)_d; a remainder
+    raises NonIntegralEntry with the reduced fraction.
     """
     weights = {lam.weight for lam in sym.coeffs}
     if len(weights) > 1:
@@ -482,7 +466,8 @@ def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
     d = weights.pop()
     if sym.nvars < d:
         raise OutOfRange("need at least as many variables as the degree")
-    labels, gram, tt = _hall_gram(d)
+    labels, class_weights, norm = _class_weights(d)
+    chars = _characters(d)
     kostka = kostka_numbers(d, d)
     rest = dict(sym.coeffs)
     schur = {}
@@ -493,19 +478,20 @@ def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
         schur[mu] = c
         for nu, k in kostka[mu][1:]:  # kostka[mu] opens with (mu, 1)
             rest[nu] = rest.get(nu, QT.zero) - c * k
+    power = {}
+    for rho, w in class_weights.items():
+        p = _int_combination((chars[nu, rho], c) for nu, c in schur.items())
+        if p:
+            power[rho] = w * p
     out = {}
     for lam in labels:
-        num = QT.zero
-        for nu, c in schur.items():
-            g = gram.get((lam, nu))
-            if g:
-                num = num + g * c
+        num = _int_combination((chars[lam, rho], p) for rho, p in power.items())
         if not num:
             continue
         try:
-            out[lam] = poly_exact_div(num, tt)
+            out[lam] = poly_exact_div(num, norm)
         except NonExactDivision:
             raise NonIntegralEntry(
-                f"coefficient of S[{lam.render()}] = {Frac(num, tt).render()}"
+                f"coefficient of S[{lam.render()}] = {Frac(num, norm).render()}"
             ) from None
     return out

@@ -31,6 +31,7 @@ from .macdonald import (
     commute_verify,
     default_nvars,
     duality_verify,
+    full_eigencheck,
     kostka_matrix,
     lowering_verify,
     macdonald_J,
@@ -314,7 +315,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     elif suite == "eigen":
         for lam in _shapes_to(maxw if maxw is not None else 3, 1):
             nv = n if n is not None else default_nvars(lam)
-            macdonald_P_eigen(lam, nv, validate=True)
+            full_eigencheck(lam, nv, macdonald_P_eigen(lam, nv).J)
             yield {
                 "check": "eigencheck",
                 "shape": lam.render(),

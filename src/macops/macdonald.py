@@ -99,14 +99,13 @@ def _d1_action(d: int, n: int):
     return shapes, entries
 
 
-def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> MacdonaldResult:
+def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
     """The integral form through the triangular eigenvector, fraction-free.
 
     Starts from the top coefficient c_integral(lam) and solves the
     one-operator eigenproblem downwards; each coefficient is an exact
     division in Z[q,t], so a remainder is a NonIntegralEntry naming the
-    monomial.  The full u-generating eigencheck then certifies J unless
-    validate is switched off by a caller doing its own cross-checks.
+    monomial.  :func:`full_eigencheck` certifies the result separately.
     """
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
@@ -141,10 +140,7 @@ def macdonald_P_eigen(lam: Partition, n: int, validate: bool = True) -> Macdonal
                 f"coefficient of m_{nu.render()} in the integral form: "
                 f"{Frac(rhs, gap).render()}"
             ) from None
-    J = SymPoly(n, coeffs)
-    if validate:
-        full_eigencheck(lam, n, J)
-    return MacdonaldResult(lam, n, J, "eigen_oracle")
+    return MacdonaldResult(lam, n, SymPoly(n, coeffs), "eigen_oracle")
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
@@ -170,47 +166,18 @@ def conjugate_columns(lam: Partition) -> tuple[int, ...]:
     return tuple(reversed(lam.conjugate().parts))
 
 
-def row_step_columns(lam: Partition, n: int) -> tuple[int, ...]:
-    """The same heights read off the row differences of the shape."""
-    if lam.length > n:
-        raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
-    out = []
-    for i in range(1, n + 1):
-        out.extend([i] * (lam.part(i) - lam.part(i + 1)))
-    return tuple(out)
-
-
-def macdonald_J_raising(
-    lam: Partition,
-    n: int,
-    kind: str = "kplus",
-    columns: tuple[int, ...] | None = None,
-) -> MacdonaldResult:
+def macdonald_J_raising(lam: Partition, n: int, kind: str = "kplus") -> MacdonaldResult:
     """The integral form by repeated column adders, shortest column first.
 
-    An explicit columns sequence may be supplied; it must build the shape
-    with every step legal (current length at most the next height).
+    Each step is legal: the shape built so far has at most as many rows
+    as the next column is high.
     """
     if kind not in ("kplus", "kminus"):
         raise OutOfRange(f"unknown raising kind {kind!r}")
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
-    cols = tuple(columns) if columns is not None else conjugate_columns(lam)
-    shape = Partition(())
-    for m in cols:
-        if not 0 <= m <= n:
-            raise OutOfRange(f"column height {m} out of range for n={n}")
-        if shape.length > m:
-            raise OutOfRange(
-                f"columns {cols} out of order: height {m} after length {shape.length}"
-            )
-        shape = shape.plus_ones(m)
-    if shape != lam:
-        raise OutOfRange(
-            f"columns {cols} build {shape.render()}, not {lam.render()}"
-        )
     f = SymPoly(n, {Partition(()): QT.one})
-    for m in cols:
+    for m in conjugate_columns(lam):
         f = apply_column_adder(m, f, minus=kind == "kminus")
         for mu, c in f.coeffs.items():
             if c.var_min("q") < 0 or c.var_min("t") < 0:
@@ -221,9 +188,9 @@ def macdonald_J_raising(
 
 
 def macdonald_J(lam: Partition, n: int, via: str = "kplus") -> MacdonaldResult:
-    """Dispatch on the construction route, unvalidated."""
+    """Dispatch on the construction route."""
     if via == "eigen":
-        return macdonald_P_eigen(lam, n, validate=False)
+        return macdonald_P_eigen(lam, n)
     return macdonald_J_raising(lam, n, kind=via)
 
 
@@ -237,7 +204,7 @@ def triple_agreement(lam: Partition, n: int) -> MacdonaldResult:
         f"construction routes disagree for {lam.render()} in {n} variables",
         kplus=plus.J,
         kminus=macdonald_J_raising(lam, n, "kminus").J,
-        eigen=macdonald_P_eigen(lam, n, validate=False).J,
+        eigen=macdonald_P_eigen(lam, n).J,
     )
     return plus
 

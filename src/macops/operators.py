@@ -13,13 +13,15 @@ the chosen subset, "minus" variants shift its complement:
     lower_u_plus/_minus     symbolic-u column removers
     lower_gen_plus/_minus   generating form of the removers
 
-Two routes to every named operator exist.  ``build`` assembles the printed
-double sum over subsets J and I literally, clearing each divided-difference
-product into an exact polynomial; it is the reference implementation used
-by tests.  ``apply_operator`` applies any kind to an x-polynomial: the
-outer J sum is collapsed into an elementary-polynomial factor, the
-Vandermonde stays as a single t-shifted coefficient, and one exact
-division happens at the end.
+Every named operator has two forms, both a :class:`QDiffOp` (polynomial
+coefficients times 0/1 q-shifts over one denominator) applied by
+``QDiffOp.apply``.  ``build`` assembles the printed double sum over
+subsets J and I literally, clearing each divided-difference product into
+an exact polynomial; it is the reference implementation used by tests.
+``apply_operator`` applies any kind to an x-polynomial through the
+collapsed form ``_plan``: the outer J sum is folded into an
+elementary-polynomial factor, the Vandermonde stays as a single t-shifted
+coefficient, and one exact division happens at the end.
 
 Every operator the package applies to symmetric polynomials has the form
 Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, signed_permutations, vandermonde
+from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, vandermonde
 from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
@@ -60,7 +62,6 @@ from .rings import (
     Ring,
     negate_var_exponents,
     poly_exact_div,
-    scalar_shift,
     vector_shift,
     xring,
 )
@@ -127,6 +128,12 @@ def _comp(I, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if i not in s)
 
 
+def _unit_shift(idxs, n: int) -> tuple[int, ...]:
+    """The 0/1 shift vector of the (1-based) indices idxs among x1..xn."""
+    s = set(idxs)
+    return tuple(1 if i in s else 0 for i in range(1, n + 1))
+
+
 def _xmono(ring: Ring, idxs) -> Poly:
     e = [0] * len(ring.names)
     for i in idxs:
@@ -137,7 +144,7 @@ def _xmono(ring: Ring, idxs) -> Poly:
 @lru_cache(maxsize=None)
 def _tshift_delta(n: int, S: tuple[int, ...], names: tuple[str, ...]) -> Poly:
     ring = Ring(names)
-    return scalar_shift(vandermonde(n, ring), S, "t")
+    return vector_shift(vandermonde(n, ring), _unit_shift(S, n), "t")
 
 
 def cross_named(ring: Ring, vnames, chosen, pattern: str) -> Poly:
@@ -283,7 +290,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
     terms: dict = {}
 
     def add(shift_idxs, coeff):
-        key = tuple(1 if i + 1 in set(shift_idxs) else 0 for i in range(n))
+        key = _unit_shift(shift_idxs, n)
         terms[key] = terms.get(key, ring.zero) + coeff
 
     def tpow(e):
@@ -377,8 +384,8 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
 
 
 @lru_cache(maxsize=None)
-def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
-    """Collapsed form: list of (q-shift subset, coefficient), denominator.
+def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
+    """The operator in collapsed form, over the ring with these names.
 
     The outer sum over J is already folded into an elementary factor, and
     any negative powers of the specialized parameter are cleared into the
@@ -394,16 +401,20 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
     def esk(k, skip):
         return elementary(k, n, ring, skip=frozenset(skip))
 
-    out: list[tuple[tuple[int, ...], Poly]] = []
+    terms: dict = {}
     den = delta
+
+    def add(S, c):
+        key = _unit_shift(S, n)
+        terms[key] = terms.get(key, ring.zero) + c
 
     if kind == "macdonald_r":
         for I in _subsets(n, m):
-            out.append((I, tsd(I)))
+            add(I, tsd(I))
     elif kind == "macdonald_u":
         for I in _subsets(n):
             c = tsd(I) * ring.var("u", len(I))
-            out.append((I, c if len(I) % 2 == 0 else -c))
+            add(I, c if len(I) % 2 == 0 else -c)
     elif kind in RAISE_KINDS:
         # plus shifts I, minus its complement; a is the sign count.  The
         # specialized kinds scale by a power of t (negative powers cleared
@@ -420,7 +431,7 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
                 else:
                     c = ring.var("t", (m - n + 1) * a + base)
                 c = c * tsd(S) * _xmono(ring, I) * esk(m - ksz, I)
-                out.append((S, c if a % 2 == 0 else -c))
+                add(S, c if a % 2 == 0 else -c)
         if not symbolic:
             den = delta * ring.var("t", base + (_binom2(n - m) if minus else 0))
     elif kind in LOWER_KINDS:
@@ -432,7 +443,7 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
                 c = tsd(S) * esk(n - m, I)
                 if "_u_" in kind:
                     c = c * ring.var("u", a)
-                out.append((S, c if a % 2 == 0 else -c))
+                add(S, c if a % 2 == 0 else -c)
         den = delta * xall
         if minus:
             den = den * ring.var("t", _binom2(n - m) if kind == "lower_minus" else 0)
@@ -445,27 +456,27 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]):
                 c = uv**k * tsd(I) * _xmono(ring, I)
                 for j in comp:
                     c = c * (1 + ring.var("v") * ring.var(f"x{j}"))
-                out.append((I, c if k % 2 == 0 else -c))
+                add(I, c if k % 2 == 0 else -c)
             elif kind == "raise_gen_minus":
                 c = ring.var("v", k) * tsd(comp) * _xmono(ring, I)
                 for j in comp:
                     c = c * (1 - uv * ring.var(f"x{j}"))
-                out.append((comp, c))
+                add(comp, c)
             elif kind == "lower_gen_plus":
                 c = uv**k * tsd(I)
                 for j in comp:
                     c = c * (ring.var(f"x{j}") + ring.var("v"))
-                out.append((I, c if k % 2 == 0 else -c))
+                add(I, c if k % 2 == 0 else -c)
             else:
                 c = ring.var("v", k) * tsd(comp)
                 for j in comp:
                     c = c * (ring.var(f"x{j}") - uv)
-                out.append((comp, c))
+                add(comp, c)
         if kind.startswith("lower"):
             den = delta * xall
     else:
         raise OutOfRange(f"unknown operator kind {kind!r}")
-    return tuple(out), den
+    return QDiffOp(ring, n, terms, den)
 
 
 def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
@@ -485,17 +496,12 @@ def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
             raise SpecializationRequired(f"{kind} needs a ring with u")
     if kind in _NEEDS_V and "v" not in f.ring.names:
         raise SpecializationRequired(f"{kind} needs a ring with v")
-    plan, den = _plan(kind, spec.index, n, f.ring.names)
-    acc = f.ring.zero
-    for subset, coeff in plan:
-        acc = acc + coeff * scalar_shift(f, subset, "q")
-    if raw:
-        return acc, den
-    return poly_exact_div(acc, den)
+    return _plan(kind, spec.index, n, f.ring.names).apply(f, raw)
 
 
-# -- determinant route ---------------------------------------------------
+# -- factorized route at q = t ------------------------------------------
 
+# the kinds with an operator-entry determinant form, hence a product at q = t
 _DET_KINDS = (
     "macdonald_u",
     "raise_gen_plus",
@@ -503,53 +509,6 @@ _DET_KINDS = (
     "lower_gen_plus",
     "lower_gen_minus",
 )
-
-
-def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
-    """Apply via the operator-entry determinant expansion.
-
-    Entries in one Leibniz product act on distinct variables and commute;
-    each permutation term is an n-fold composition applied to f.  The
-    lower kinds use entries pre-cleared by one power of x_j so everything
-    stays polynomial until the final division.
-    """
-    if kind not in _DET_KINDS:
-        raise OutOfRange(f"no determinant form for {kind!r}")
-    ring = f.ring
-    u = ring.var("u")
-    v = ring.var("v") if "v" in ring.names else None
-
-    def entry(i, j, g):
-        # row i, column j, both 1-based; delta = n - i
-        d = n - i
-        xj = ring.var(f"x{j}")
-        td = ring.var("t", d)
-        shifted = scalar_shift(g, (j,), "q")
-        if kind == "macdonald_u":
-            return xj**d * (g - u * td * shifted)
-        if kind == "raise_gen_plus":
-            return xj**d * (g + v * xj * g - u * v * xj * td * shifted)
-        if kind == "raise_gen_minus":
-            return xj**d * (td * shifted + v * xj * g - u * v * xj * td * shifted)
-        if kind == "lower_gen_plus":
-            return xj**d * (xj * g + v * g - u * v * td * shifted)
-        return xj**d * (td * xj * shifted + v * g - u * v * td * shifted)
-
-    acc = ring.zero
-    for perm, sign in signed_permutations(n):
-        g = f
-        for j in range(1, n + 1):
-            g = entry(perm[j - 1], j, g)
-        acc = acc + (g if sign > 0 else -g)
-    den = vandermonde(n, ring)
-    if kind.startswith("lower"):
-        den = den * _xmono(ring, range(1, n + 1))
-    if raw:
-        return acc, den
-    return poly_exact_div(acc, den)
-
-
-# -- factorized route at q = t ------------------------------------------
 
 
 def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
@@ -568,7 +527,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
     g = f * vandermonde(n, ring)
     for j in range(1, n + 1):
         xj = ring.var(f"x{j}")
-        sh = scalar_shift(g, (j,), "t")
+        sh = vector_shift(g, _unit_shift((j,), n), "t")
         if kind == "macdonald_u":
             g = g - u * sh
         elif kind == "raise_gen_plus":

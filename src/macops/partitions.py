@@ -100,19 +100,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """Dominance order on partitions of equal weight; False across weights."""
-    if mu.weight != lam.weight:
-        return False
-    acc_m = acc_l = 0
-    for i in range(1, max(len(mu), len(lam)) + 1):
-        acc_m += mu.part(i)
-        acc_l += lam.part(i)
-        if acc_m > acc_l:
-            return False
-    return True
-
-
 def partitions_of(d: int, max_len: int | None = None):
     """All partitions of d, reverse-lexicographically: (d) first, (1^d) last."""
     if d < 0:

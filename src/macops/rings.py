@@ -830,32 +830,12 @@ def negate_var_exponents(f: Poly, names: tuple[str, ...]) -> Poly:
     return Poly(f.ring, out)
 
 
-def scalar_shift(f: Poly, idxs, var: str, mult: int = 1) -> Poly:
-    """Substitute x_i -> var**mult * x_i for the (1-based) indices given.
-
-    This is the q- or t-shift operator on the chosen subset of x variables.
-    """
-    v = f.ring.pos(var)
-    cols = [f.ring.pos(f"x{i}") for i in idxs]
-    if not cols:
-        return f
-    out: dict = {}
-    for e, c in f.terms.items():
-        tot = 0
-        for p in cols:
-            tot += e[p]
-        if tot:
-            e = e[:v] + (e[v] + mult * tot,) + e[v + 1 :]
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return Poly(f.ring, out)
-
-
 def vector_shift(f: Poly, svec, var: str) -> Poly:
-    """Substitute x_i -> var**svec[i-1] * x_i; entries may be negative."""
+    """Substitute x_i -> var**svec[i-1] * x_i; entries may be negative.
+
+    x_i is the ring's i-th variable.  A 0/1 vector gives the q- or t-shift
+    operator on a subset of the x variables.
+    """
     v = f.ring.pos(var)
     out: dict = {}
     for e, c in f.terms.items():
@@ -870,19 +850,6 @@ def vector_shift(f: Poly, svec, var: str) -> Poly:
             out[e] = s2
         elif e in out:
             del out[e]
-    return Poly(f.ring, out)
-
-
-def permute_x(f: Poly, n: int, perm) -> Poly:
-    """Apply the variable permutation x_i -> x_{perm[i-1]} (perm 1-based values)."""
-    out: dict = {}
-    width = len(f.ring.names)
-    for e, c in f.terms.items():
-        ne = [0] * width
-        ne[n:] = e[n:]
-        for i in range(n):
-            ne[perm[i] - 1] = e[i]
-        out[tuple(ne)] = c
     return Poly(f.ring, out)
 
 

@@ -8,9 +8,10 @@ the bialternant engine of :mod:`macops.operators`.
 
 from itertools import combinations
 
-from macops.bases import antisymmetrize, vandermonde
+from macops.bases import vandermonde
 from macops.errors import OutOfRange
 from macops.rings import Poly, Ring, poly_exact_div, xring
+from oracles import antisymmetrize
 
 
 def axring(n: int) -> Ring:

@@ -21,13 +21,13 @@ from macops.macdonald import (
 from macops.operators import (
     _DET_KINDS,
     OperatorSpec,
-    apply_determinantal,
     apply_factorized_qt,
     apply_operator,
     operator_ring,
 )
 from macops.partitions import Partition, partitions_of
 from macops.rings import Poly, QT, fold_var, xring
+from oracles import apply_determinantal
 
 
 def _default_n(lam: Partition) -> int:
@@ -43,7 +43,7 @@ def three_routes():
             n = _default_n(lam)
             plus = macdonald_J(lam, n, via="kplus").J
             minus = macdonald_J(lam, n, via="kminus").J
-            eigen = macdonald_P_eigen(lam, n, validate=False).J
+            eigen = macdonald_P_eigen(lam, n).J
             out[lam] = (n, plus, minus, eigen)
     return out
 

@@ -1,11 +1,12 @@
+import itertools
 import random
+from math import factorial
 
 import pytest
 
 import macops.bases as bases
 from macops.bases import (
     SymPoly,
-    antisymmetrize,
     change_basis,
     elementary,
     expand_big_schur,
@@ -15,14 +16,14 @@ from macops.bases import (
     kostka_numbers,
     schur_to_monomial,
     signed_arrangements,
-    signed_permutations,
     sym_to_xpoly,
     to_monomial_basis,
     vandermonde,
 )
 from macops.errors import LengthExceedsVars, NonIntegralEntry, NotSymmetric, OutOfRange
-from macops.partitions import Partition, dominance_leq, partitions_of
-from macops.rings import QT, eval_var, xring
+from macops.partitions import Partition, partitions_of
+from macops.rings import QT, eval_var, poly_exact_div, xring
+from oracles import antisymmetrize, bialternant, dominance_leq, signed_permutations
 
 
 def P(*parts):
@@ -64,6 +65,14 @@ def test_expand_schur():
     assert expand_schur((0, 2), 2) == -expand_schur((1, 1), 2)
     # repeated bialternant exponents kill the determinant
     assert expand_schur((1, 2), 2).is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expand_schur_matches_the_bialternant(n):
+    # every integer vector in [-2, 3]^n: straightening, repeats, Laurent results
+    for ring in (xring(n), xring(n, ("t", "u", "v"))):
+        for vec in itertools.product(range(-2, 4), repeat=n):
+            assert expand_schur(vec, n, ring) == bialternant(vec, n, ring), vec
 
 
 def test_expand_schur_negative_entry():
@@ -174,7 +183,7 @@ def test_kostka_numbers_by_hand():
 def test_schur_to_monomial_matches_the_bialternant(n):
     for d in range(0, 5):
         for mu in partitions_of(d, max_len=n):
-            want = to_monomial_basis(expand_schur(mu.parts, n), n)
+            want = to_monomial_basis(bialternant(mu.parts, n, xring(n)), n)
             got = schur_to_monomial({mu: QT.one}, n)
             assert got.coeffs == {nu: QT.const(c) for nu, c in want.coeffs.items()}, mu
 
@@ -209,7 +218,18 @@ def test_change_basis_inverts_big_schur(d):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_hall_gram_symmetric_and_identity_at_t0(d):
-    labels, gram, tt = bases._hall_gram(d)
+    # G[lam, nu] = (t;t)_d <s_lam, s_nu>_t = sum over rho of chi^lam_rho
+    # chi^nu_rho w_rho / d!, from the class weights change_basis divides by
+    labels, weights, norm = bases._class_weights(d)
+    chars = bases._characters(d)
+    tt = poly_exact_div(norm, QT.const(factorial(d)))
+    gram = {}
+    for lam in labels:
+        for nu in labels:
+            total = QT.zero
+            for rho, w in weights.items():
+                total = total + w * (chars[lam, rho] * chars[nu, rho])
+            gram[lam, nu] = poly_exact_div(total, QT.const(factorial(d)))
     assert labels == tuple(partitions_of(d))
     assert eval_var(tt, "t", 0) == 1 and tt.var_max("t") == d * (d + 1) // 2
     for lam in labels:

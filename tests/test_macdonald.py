@@ -27,7 +27,6 @@ from macops.macdonald import (
     macdonald_J,
     macdonald_J_raising,
     macdonald_P_eigen,
-    row_step_columns,
     triple_agreement,
 )
 from macops.partitions import Partition, c_integral, column_unit_scale, lowering_coeff, partitions_of
@@ -124,8 +123,8 @@ def test_triple_agreement_reports_mismatch(monkeypatch):
 
     real = mac.macdonald_P_eigen
 
-    def crooked(lam, n, validate=True):
-        res = real(lam, n, validate=False)
+    def crooked(lam, n):
+        res = real(lam, n)
         bad = dict(res.J.coeffs)
         first = next(iter(bad))
         bad[first] = bad[first] + QT.one
@@ -142,21 +141,26 @@ def test_triple_agreement_reports_mismatch(monkeypatch):
 
 
 def test_column_sequences_agree():
-    # both constructors emit the heights in weakly increasing order, which
-    # is the only order the one-column adder accepts
-    for lam in (P(2, 1), P(3, 1), P(2, 2), P(3, 2, 1), P(1, 1, 1)):
-        n = max(lam.length, 2)
-        assert conjugate_columns(lam) == row_step_columns(lam, n)
+    # the heights come in weakly increasing order, the only order the
+    # one-column adder accepts, and they build the shape
     assert conjugate_columns(P(2, 1)) == (1, 2)
-    assert row_step_columns(P(3, 1), 4) == (1, 1, 2)
+    assert conjugate_columns(P(3, 1)) == (1, 1, 2)
+    assert conjugate_columns(P(3, 2, 1)) == (1, 2, 3)
+    assert conjugate_columns(P()) == ()
+    for lam in partitions_of(6):
+        cols = conjugate_columns(lam)
+        assert list(cols) == sorted(cols)
+        shape = P()
+        for m in cols:
+            shape = shape.plus_ones(m)
+        assert shape == lam
 
 
-def test_explicit_column_sequence_accepted():
+def test_default_column_order_matches_the_reference():
     for kind in ("kplus", "kminus"):
-        got = macdonald_J_raising(P(2, 1), 3, kind, columns=(1, 2)).J
-        assert got == macdonald_J_raising(P(2, 1), 3, kind).J
+        got = macdonald_J_raising(P(2, 1), 3, kind).J
         assert got == raising_reference(3, (1, 2), kind)
-        got = macdonald_J_raising(P(3, 1), 4, kind, columns=row_step_columns(P(3, 1), 4)).J
+        got = macdonald_J_raising(P(3, 1), 4, kind).J
         assert got == raising_reference(4, (1, 1, 2), kind)
 
 
@@ -210,18 +214,7 @@ def test_first_operator_matrix_against_the_expansion():
             assert entries == want, (d, n)
 
 
-def test_bad_column_sequences_rejected():
-    with pytest.raises(OutOfRange):
-        macdonald_J_raising(P(2, 1), 3, columns=(2, 1))
-    with pytest.raises(OutOfRange):
-        macdonald_J_raising(P(2, 1), 3, columns=(1, 1))
-    with pytest.raises(OutOfRange):
-        macdonald_J_raising(P(2, 1), 3, columns=(1, 2, 4))
-
-
-def test_row_step_needs_enough_variables():
-    with pytest.raises(LengthExceedsVars):
-        row_step_columns(P(1, 1, 1), 2)
+def test_routes_need_enough_variables():
     with pytest.raises(LengthExceedsVars):
         macdonald_J_raising(P(1, 1, 1), 2)
     with pytest.raises(LengthExceedsVars):
@@ -236,7 +229,7 @@ def test_unknown_routes_rejected():
 
 
 def test_eigencheck_passes_and_detects_tampering():
-    res = macdonald_P_eigen(P(2, 1), 3, validate=False)
+    res = macdonald_P_eigen(P(2, 1), 3)
     assert full_eigencheck(P(2, 1), 3, res.J)
     bad = dict(res.J.coeffs)
     key = next(iter(bad))
@@ -385,9 +378,9 @@ def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch, capsys):
 
     real = mac.macdonald_J_raising
 
-    def planted(lam, n, kind="kplus", columns=None):
+    def planted(lam, n, kind="kplus"):
         # one wrong coefficient in the shape left after the column is removed
-        res = real(lam, n, kind, columns)
+        res = real(lam, n, kind)
         if lam != P(2, 1):
             return res
         J = SymPoly(n, {**res.J.coeffs, P(1, 1, 1): res.J.coeffs[P(1, 1, 1)] + 1})
@@ -432,4 +425,4 @@ def test_integral_form_guard(monkeypatch):
     with pytest.raises(
         NonIntegralEntry, match=r"^coefficient of m_1,1 in the integral form: \(.*\)/\(.*\)$"
     ):
-        mac.macdonald_P_eigen(P(2), 2, validate=False)
+        mac.macdonald_P_eigen(P(2), 2)

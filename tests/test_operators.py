@@ -14,7 +14,6 @@ from macops.operators import (
     _NEEDS_INDEX,
     OperatorSpec,
     apply_column_adder,
-    apply_determinantal,
     apply_factorized_qt,
     apply_operator,
     apply_symmetric,
@@ -23,9 +22,10 @@ from macops.operators import (
     dualize,
     operator_ring,
 )
-from macops.operators import QDiffOp, _binom2, _subsets, _tshift_delta
+from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
 from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
-from macops.rings import QT, _positive_trail, fold_var, poly_exact_div, poly_gcd, scalar_shift, xring
+from macops.rings import QT, _positive_trail, fold_var, poly_exact_div, poly_gcd, vector_shift, xring
+from oracles import apply_determinantal, permute_x
 
 
 def P(*parts):
@@ -118,6 +118,15 @@ def test_production_matches_built_form():
                     assert num * bden == bnum * den, (kind, m, n, lam.render())
 
 
+def test_plan_equals_the_literal_build():
+    # the collapsed form apply_operator runs is the printed subset sum
+    for n in range(0, 4):
+        for kind in ALL_KINDS:
+            names = operator_ring(n, kind).names
+            for m in op_index_range(kind, n):
+                assert _plan(kind, m, n, names).equals(build(OperatorSpec(kind, m), n)), (kind, m, n)
+
+
 def test_raise_zero_and_full_index():
     for n in (1, 2, 3):
         ring = operator_ring(n, "raise_plus")
@@ -125,7 +134,7 @@ def test_raise_zero_and_full_index():
         lam = P(2, 1) if n >= 2 else P(2)
         f = expand_monomial(lam, n, ring=ring)
         assert apply_operator(OperatorSpec("raise_plus", 0), f, n) == f
-        shifted = scalar_shift(f, range(1, n + 1), "q")
+        shifted = vector_shift(f, (1,) * n, "q")
         assert apply_operator(OperatorSpec("raise_minus", 0), f, n) == shifted
         # column adders of full height multiply by x1..xn after the
         # u = t specialization of the generating operator
@@ -143,7 +152,7 @@ def test_lower_zero_index():
         lam = P(2, 1) if n >= 2 else P(2)
         f = expand_monomial(lam, n, ring=ring)
         assert apply_operator(OperatorSpec("lower_plus", 0), f, n) == f
-        shifted = scalar_shift(f, range(1, n + 1), "q")
+        shifted = vector_shift(f, (1,) * n, "q")
         assert apply_operator(OperatorSpec("lower_minus", 0), f, n) == shifted
 
 
@@ -404,8 +413,6 @@ def test_u_specializations_recover_named_operators():
 
 def test_w_invariance_on_asymmetric_input():
     import random
-
-    from macops.rings import permute_x
 
     rng = random.Random(7)
     n = 3

@@ -9,7 +9,6 @@ from macops.partitions import (
     c_integral_factors,
     column_unit_scale,
     cyclotomic,
-    dominance_leq,
     eigen_poly,
     eigenvalue_first,
     lowering_coeff,
@@ -18,6 +17,7 @@ from macops.partitions import (
     revlex_key,
 )
 from macops.rings import ALPHA, QT, Frac, Ring, frac_by_factors
+from oracles import dominance_leq
 
 
 def P(*parts):

@@ -23,14 +23,14 @@ from macops.rings import (
     fold_var,
     frac_by_factors,
     gauss_binomial,
-    permute_x,
     pochhammer_t,
     poly_exact_div,
     poly_gcd,
-    scalar_shift,
     split_x,
+    vector_shift,
     xring,
 )
+from oracles import permute_x
 
 
 def qt(expr_terms):
@@ -274,13 +274,16 @@ def test_eval_var_zero_negative_power():
         eval_var(f, "x1", 0)
 
 
-def test_scalar_shift():
+def test_vector_shift():
     R = xring(2)
     x1, x2, q = R.var("x1"), R.var("x2"), R.var("q")
     f = x1 * x1 * x2
-    assert scalar_shift(f, (1,), "q") == q * q * f
-    assert scalar_shift(f, (1, 2), "q") == q**3 * f
-    assert scalar_shift(f, (2,), "t", mult=-1) == R.from_terms({(2, 1, 0, -1): 1})
+    assert vector_shift(f, (1, 0), "q") == q * q * f
+    assert vector_shift(f, (1, 1), "q") == q**3 * f
+    assert vector_shift(f, (0, -1), "t") == R.from_terms({(2, 1, 0, -1): 1})
+    # x_i -> q^(s_i) x_i takes x1^2 x2 to q^(2*2 - 3*1) x1^2 x2
+    assert vector_shift(f, (2, -3), "q") == q * f
+    assert vector_shift(x1 + q * x2, (-1, 1), "q") == R.var("q", -1) * x1 + q * q * x2
 
 
 def test_permute_and_deriv():
