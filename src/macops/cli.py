@@ -290,6 +290,10 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         raise OutOfRange(
             f"suite {suite!r} needs at least one variable; --n {n} leaves only constants"
         )
+    if m is not None and suite in ("raising", "eigen", "kostka", "commute", "jack", "schur-action"):
+        raise OutOfRange(f"suite {suite!r} takes no --m")
+    if m is not None and m < 0 and suite == "lowering":
+        raise OutOfRange(f"suite 'lowering' removes a column of height m >= 0; --m {m} is negative")
     if suite == "raising":
         for lam in _shapes_to(maxw if maxw is not None else 4, 1):
             nv = n if n is not None else default_nvars(lam)
@@ -355,6 +359,8 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     elif suite in IDENTITY_GROUPS:
         defaults = {"e-identities": 3, "kernel": 2, "schur-action": 2}
         nv = n if n is not None else defaults[suite]
+        if suite == "kernel" and m is not None and not 1 <= m <= nv:
+            raise OutOfRange(f"suite 'kernel' needs 1 <= m <= n; --m {m} is outside [1, {nv}]")
         for name in IDENTITY_GROUPS[suite]:
             yield run_suite(name, nv, m)
     else:

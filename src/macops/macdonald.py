@@ -23,17 +23,7 @@ from .errors import (
     SingularSystem,
     VerificationFailed,
 )
-from .operators import (
-    OperatorSpec,
-    _binom2,
-    _schur_rows,
-    apply_column_adder,
-    apply_operator,
-    apply_symmetric,
-    build,
-    dualize,
-    operator_ring,
-)
+from .operators import OperatorSpec, _binom2, _schur_rows, apply_operator, apply_symmetric, operator_ring
 from .partitions import (
     Partition,
     c_integral,
@@ -43,7 +33,16 @@ from .partitions import (
     lowering_coeff,
     partitions_of,
 )
-from .rings import QT, Frac, Poly, coeff_of_power, frac_by_factors, poly_exact_div, swap_vars
+from .rings import (
+    QT,
+    Frac,
+    Poly,
+    coeff_of_power,
+    frac_by_factors,
+    negate_var_exponents,
+    poly_exact_div,
+    swap_vars,
+)
 
 PROVENANCE_TAGS = ("eigen_oracle", "raising_kplus", "raising_kminus")
 
@@ -176,9 +175,10 @@ def macdonald_J_raising(lam: Partition, n: int, kind: str = "kplus") -> Macdonal
         raise OutOfRange(f"unknown raising kind {kind!r}")
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
+    adder = "raise_minus" if kind == "kminus" else "raise_plus"
     f = SymPoly(n, {Partition(()): QT.one})
     for m in conjugate_columns(lam):
-        f = apply_column_adder(m, f, minus=kind == "kminus")
+        f = apply_symmetric(adder, m, f)
         for mu, c in f.coeffs.items():
             if c.var_min("q") < 0 or c.var_min("t") < 0:
                 raise NegativeExponent(
@@ -300,28 +300,25 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict
     }
 
 
-@lru_cache(maxsize=None)
-def _dual_plus(m: int, n: int):
-    """The bar-dual of the literal plus adder, q-shifted and scaled.
-
-    The dual is composed with the global q-shift and scaled by
-    (-1)^m t^(m + m(m-1)/2); it depends on (m, n) only, so it is built
-    once per pair.
-    """
-    sc = operator_ring(n, "raise_plus").var("t", m + _binom2(m))
-    dual = dualize(build(OperatorSpec("raise_plus", m), n)).with_global_qshift()
-    return dual.scaled(-sc if m % 2 else sc)
-
-
 def duality_verify(lam: Partition, m: int, n: int) -> dict:
     """The minus adder against the bar-dual of the plus adder, on m_lam.
 
-    Both sides are compared cross-multiplied.
+    The bar involution inverts q and t.  The minus adder is the plus adder
+    conjugated by it, composed with the global q-shift and scaled by
+    (-1)^m t^(m + m(m-1)/2).  The global shift multiplies m_lam by q^|lam|,
+    and m_lam has no q or t, so the law on m_lam reads
+
+        raise_minus(m_lam) = (-1)^m t^(m + m(m-1)/2) q^|lam| bar(raise_plus(m_lam)),
+
+    compared cross-multiplied.
     """
-    f = expand_monomial(lam, n, ring=operator_ring(n, "raise_plus"))
+    ring = operator_ring(n, "raise_plus")
+    f = expand_monomial(lam, n, ring=ring)
     ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
-    rn, rd = _dual_plus(m, n).apply(f, raw=True)
-    if ln * rd != rn * ld:
+    pn, pd = apply_operator(OperatorSpec("raise_plus", m), f, n, raw=True)
+    scale = ring.var("q", lam.weight) * ring.var("t", m + _binom2(m), -1 if m % 2 else 1)
+    qt = ("q", "t")
+    if ln * negate_var_exponents(pd, qt) != scale * negate_var_exponents(pn, qt) * ld:
         raise VerificationFailed(f"duality m={m} on m[{lam.render()}] (n={n})")
     return {
         "check": "duality",

@@ -1,4 +1,4 @@
-"""The q-difference operator family: builds, applications, alternative forms.
+"""The q-difference operator family: collapsed plans, applications, alternative forms.
 
 Fourteen operator kinds are supported.  The index m is a column height
 (or the order r for the basic Macdonald family); "plus" variants shift
@@ -13,15 +13,13 @@ the chosen subset, "minus" variants shift its complement:
     lower_u_plus/_minus     symbolic-u column removers
     lower_gen_plus/_minus   generating form of the removers
 
-Every named operator has two forms, both a :class:`QDiffOp` (polynomial
-coefficients times 0/1 q-shifts over one denominator) applied by
-``QDiffOp.apply``.  ``build`` assembles the printed double sum over
-subsets J and I literally, clearing each divided-difference product into
-an exact polynomial; it is the reference implementation used by tests.
-``apply_operator`` applies any kind to an x-polynomial through the
-collapsed form ``_plan``: the outer J sum is folded into an
+Every named operator has one form: a :class:`QDiffOp` (polynomial
+coefficients times 0/1 q-shifts over one denominator) that ``_plan``
+builds collapsed.  The outer sum over subsets J is folded into an
 elementary-polynomial factor, the Vandermonde stays as a single t-shifted
-coefficient, and one exact division happens at the end.
+coefficient, and ``apply_operator`` ends with one exact division.  The
+printed double sum over subsets J and I, assembled literally, is the test
+oracle ``build`` in ``tests/oracles.py``.
 
 Every operator the package applies to symmetric polynomials has the form
 Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
@@ -60,7 +58,6 @@ from .rings import (
     QT,
     Poly,
     Ring,
-    negate_var_exponents,
     poly_exact_div,
     vector_shift,
     xring,
@@ -186,8 +183,8 @@ def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ..
 class QDiffOp:
     """Sum of polynomial coefficients times q-shifts, over a common denominator.
 
-    terms maps a shift vector (one integer per x variable; negative values
-    appear only inside dualized operators) to its numerator coefficient.
+    terms maps a shift vector (one integer per x variable) to its numerator
+    coefficient.
     """
 
     __slots__ = ("ring", "nvars", "terms", "den")
@@ -214,170 +211,8 @@ class QDiffOp:
             return acc, self.den
         return poly_exact_div(acc, self.den)
 
-    def scaled(self, c) -> "QDiffOp":
-        return QDiffOp(
-            self.ring, self.nvars, {s: p * c for s, p in self.terms.items()}, self.den
-        )
-
-    def with_global_qshift(self) -> "QDiffOp":
-        """Compose on the right with the shift of every x variable."""
-        return QDiffOp(
-            self.ring,
-            self.nvars,
-            {tuple(x + 1 for x in s): p for s, p in self.terms.items()},
-            self.den,
-        )
-
-    def normalized(self) -> "QDiffOp":
-        """Clear negative q,t exponents by scaling numerators and denominator."""
-        polys = list(self.terms.values()) + [self.den]
-        scale = self.ring.one
-        for nm in ("q", "t"):
-            low = min(p.var_min(nm) for p in polys)
-            if low < 0:
-                scale = scale * self.ring.var(nm, -low)
-        if scale == self.ring.one:
-            return self
-        return QDiffOp(
-            self.ring,
-            self.nvars,
-            {s: p * scale for s, p in self.terms.items()},
-            self.den * scale,
-        )
-
-    def equals(self, other: "QDiffOp") -> bool:
-        if self.ring is not other.ring or self.nvars != other.nvars:
-            return False
-        for s in set(self.terms) | set(other.terms):
-            a = self.terms.get(s, self.ring.zero)
-            b = other.terms.get(s, other.ring.zero)
-            if a * other.den != b * self.den:
-                return False
-        return True
-
     def __repr__(self):
         return f"<QDiffOp n={self.nvars} shifts={sorted(self.terms)}>"
-
-
-def dualize(op: QDiffOp) -> QDiffOp:
-    """The bar involution: invert q and t and invert every shift.
-
-    Inverting shifts is part of the involution; inverting only the scalars
-    does not reproduce the minus-family and fails the duality law.
-    """
-    terms = {
-        tuple(-x for x in s): negate_var_exponents(p, ("q", "t"))
-        for s, p in op.terms.items()
-    }
-    den = negate_var_exponents(op.den, ("q", "t"))
-    return QDiffOp(op.ring, op.nvars, terms, den).normalized()
-
-
-# -- reference builds of the printed double sums -------------------------
-
-
-def build(spec: OperatorSpec, n: int) -> QDiffOp:
-    """Assemble the printed subset sum for the operator, literally.
-
-    Quadratic in the number of subset pairs, so for checking at small n
-    only; production applications go through :func:`apply_operator`.
-    """
-    kind = spec.kind
-    ring = operator_ring(n, kind)
-    names = ring.names
-    delta = vandermonde(n, ring)
-    xall = _xmono(ring, range(1, n + 1))
-    terms: dict = {}
-
-    def add(shift_idxs, coeff):
-        key = _unit_shift(shift_idxs, n)
-        terms[key] = terms.get(key, ring.zero) + coeff
-
-    def tpow(e):
-        return ring.var("t", e)
-
-    def upow(e):
-        return ring.var("u", e)
-
-    if kind == "macdonald_r":
-        r = spec.index
-        _check_index(r, n)
-        for I in _subsets(n, r):
-            add(I, tpow(_binom2(r)) * cross_cleared(n, I, "plus", names))
-        return QDiffOp(ring, n, terms, delta)
-
-    if kind == "macdonald_u":
-        for I in _subsets(n):
-            k = len(I)
-            c = tpow(_binom2(k)) * cross_cleared(n, I, "plus", names) * upow(k)
-            add(I, c if k % 2 == 0 else -c)
-        return QDiffOp(ring, n, terms, delta)
-
-    if kind in RAISE_KINDS or kind in LOWER_KINDS:
-        m = spec.index
-        _check_index(m, n)
-        lower = kind in LOWER_KINDS
-        minus = kind.endswith("minus")
-        symbolic = "_u_" in kind
-        for J in _subsets(n, m):
-            xfac = _xmono(ring, _comp(J, n)) if lower else _xmono(ring, J)
-            for ksz in range(m + 1):
-                for I in combinations(J, ksz):
-                    k = len(I)
-                    if not minus:
-                        cross = cross_cleared(n, I, "plus", names)
-                        if symbolic:
-                            c = upow(k) * tpow(_binom2(k)) * cross
-                        elif lower:
-                            c = tpow(_binom2(k)) * cross
-                        else:
-                            # parameter specialized to a power of t, which may
-                            # be negative: normalized() clears it afterwards
-                            c = tpow((m - n + 1) * k + _binom2(k)) * cross
-                        if k % 2:
-                            c = -c
-                        add(I, xfac * c)
-                    else:
-                        cross = cross_cleared(n, I, "minus", names)
-                        a = m - k
-                        if symbolic:
-                            c = upow(a) * tpow(_binom2(n - k)) * cross
-                        elif lower:
-                            c = tpow((n - m) * a + _binom2(a)) * cross
-                        else:
-                            c = tpow(a + _binom2(a)) * cross
-                        if a % 2:
-                            c = -c
-                        add(_comp(I, n), xfac * c)
-        den = xall * delta if lower else delta
-        return QDiffOp(ring, n, terms, den).normalized()
-
-    # generating kinds: every subset size, one power of v per element of J
-    lower = kind.startswith("lower")
-    minus = kind.endswith("minus")
-    for J in _subsets(n):
-        xfac = _xmono(ring, _comp(J, n)) if lower else _xmono(ring, J)
-        vfac = ring.var("v", len(J)) if J else ring.one
-        for ksz in range(len(J) + 1):
-            for I in combinations(J, ksz):
-                k = len(I)
-                if not minus:
-                    c = ring.var("u", k) * tpow(_binom2(k)) * cross_cleared(
-                        n, I, "plus", names
-                    )
-                    if k % 2:
-                        c = -c
-                    add(I, xfac * vfac * c)
-                else:
-                    a = len(J) - k
-                    c = ring.var("u", a) * tpow(_binom2(n - k)) * cross_cleared(
-                        n, I, "minus", names
-                    )
-                    if a % 2:
-                        c = -c
-                    add(_comp(I, n), xfac * vfac * c)
-    den = xall * delta if lower else delta
-    return QDiffOp(ring, n, terms, den)
 
 
 # -- production applications --------------------------------------------
@@ -674,7 +509,3 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
         schur = {mu: c * QT.monomial((mu.weight - shift * m, t_exp)) for mu, c in schur.items()}
     return schur_to_monomial(schur, n)
 
-
-def apply_column_adder(m: int, F: SymPoly, minus: bool = False) -> SymPoly:
-    """raise_plus (raise_minus when minus) on a symmetric polynomial, exactly."""
-    return apply_symmetric("raise_minus" if minus else "raise_plus", m, F)

@@ -73,13 +73,6 @@ class Partition:
     def __repr__(self):
         return f"Partition({self.render()})"
 
-    def plus_ones(self, m: int) -> "Partition":
-        """Add a column of height m; the length may not exceed m."""
-        if len(self.parts) > m:
-            raise LengthExceedsVars("partition longer than the column being added")
-        padded = list(self.parts) + [0] * (m - len(self.parts))
-        return Partition(p + 1 for p in padded)
-
     def minus_ones(self, m: int) -> "Partition":
         """Remove a column of height m; needs at least m positive parts."""
         if len(self.parts) < m:

@@ -12,10 +12,9 @@ ascending total degree, ties broken by descending exponent tuple.
 Dense operands are multiplied and divided as single big integers
 (Kronecker substitution, ``_packed_mul``/``_packed_div``): products of at
 least PACK_MIN_PAIRS term pairs whose box holds at most DENSE digits per
-pair, and divisions with nonnegative exponents, at least
-PACK_MIN_DIV_PAIRS term pairs and at most DENSE digits per term in the
-dividend's box.  Everything else runs the dict loop and the heap loop,
-which the tests keep as the oracles.
+pair, and divisions of at least PACK_MIN_DIV_PAIRS term pairs with at
+most DENSE digits per term in the dividend's box.  Everything else runs
+the dict loop and the heap loop, which the tests keep as the oracles.
 
 A :class:`Frac` is a reduced fraction num/den of polynomials, a value
 with no arithmetic: the monic P coefficients and the fraction a
@@ -30,7 +29,7 @@ from array import array
 from functools import lru_cache
 from itertools import product
 from math import gcd as _int_gcd, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import NonExactDivision, OutOfRange
 
@@ -293,9 +292,8 @@ class Poly:
 # mixed-radix position p = sum (e_v - lo_v) * stride_v, and a polynomial
 # packs into the integer sum c * 2^(W p), its coefficients signed digits
 # of W = 8 * nb bits.  Below these term-pair counts the dict and heap
-# loops are faster; the division's bound is lower because a plain heap
-# division that fails retries in a Laurent box.  Past DENSE digits per
-# term (pair) the box is mostly empty.
+# loops are faster.  Past DENSE digits per term (pair) the box is mostly
+# empty.
 PACK_MIN_PAIRS = 64
 PACK_MIN_DIV_PAIRS = 32
 DENSE = 4
@@ -448,9 +446,13 @@ def _packed_div(f: dict, g: dict) -> dict | None:
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
     """Divide ``f`` by ``g`` exactly, raising :class:`NonExactDivision`.
 
-    Dense integer operands with nonnegative exponents are divided packed
-    (:func:`_packed_div`); the rest, and whatever the packing leaves
-    undecided, by the heap loop of :func:`_heap_div`.
+    Dense operands are divided packed (:func:`_packed_div`), which packs
+    each operand relative to its own box.  The rest, and whatever the
+    packing leaves undecided, go to the heap loop of :func:`_heap_div`
+    divided by their lowest monomials, the per-variable minimum exponents.
+    The units of Z[x^(+-1)] are the signed monomials, so this loses
+    nothing: then no variable divides g and f has nonnegative exponents,
+    so a Laurent quotient is a polynomial.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -458,39 +460,36 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
         return f.ring.zero
     if f.ring is not g.ring:
         raise OutOfRange("mixed rings in division")
-    plain = all(x >= 0 for e in f.terms for x in e) and all(
-        x >= 0 for e in g.terms for x in e
-    )
-    quot = _packed_div(f.terms, g.terms) if plain and len(f.terms) * len(g.terms) >= PACK_MIN_DIV_PAIRS else None
-    return Poly(f.ring, _heap_div(f, g, plain) if quot is None else quot)
+    quot = _packed_div(f.terms, g.terms) if len(f.terms) * len(g.terms) >= PACK_MIN_DIV_PAIRS else None
+    if quot is None:
+        flo, glo = _box(f.terms)[0], _box(g.terms)[0]
+        quot = _heap_div(_mono_div(f.terms, flo), _mono_div(g.terms, glo))
+        quot = _mono_div(quot, tuple(map(sub, glo, flo)))
+    return Poly(f.ring, quot)
 
 
-def _heap_div(f: Poly, g: Poly, plain: bool) -> dict:
+def _mono_div(terms: dict, low) -> dict:
+    """The terms divided by the monomial with exponents low."""
+    if not any(low):
+        return terms
+    return {tuple(map(sub, e, low)): c for e, c in terms.items()}
+
+
+def _heap_div(f: dict, g: dict) -> dict:
     """Terms of f / g by leading-term reduction in graded lex order.
 
-    When both operands have nonnegative exponents (plain) the classical
-    divisibility test makes failures fast; with Laurent terms in the
-    dividend the quotient support is bounded by a degree box instead so
-    the loop still terminates.
+    Both operands have nonnegative exponents.  While g divides what
+    remains of f, lead(g) divides its leading term, so the first leading
+    term that lead(g) does not divide proves that no quotient exists.
     """
-    glead = max(g.terms, key=_grlex)
-    gc = g.terms[glead]
-
-    def box_budget():
-        budget = 1
-        for v in range(len(f.ring.names)):
-            fs = [e[v] for e in f.terms]
-            gs = [e[v] for e in g.terms]
-            budget *= (max(fs) - min(fs)) + (max(gs) - min(gs)) + 1
-        return budget + 8
-
-    budget = None if plain else box_budget()
-    rem = dict(f.terms)
+    glead = max(g, key=_grlex)
+    gc = g[glead]
+    rem = dict(f)
     # heap pops in descending graded-lex order
     heap = [((-sum(e), tuple(-x for x in e)), e) for e in rem]
     heapq.heapify(heap)
     quot: dict = {}
-    gother = [(e, c) for e, c in g.terms.items() if e != glead]
+    gother = [(e, c) for e, c in g.items() if e != glead]
     while rem:
         while heap:
             _, m = heapq.heappop(heap)
@@ -500,19 +499,12 @@ def _heap_div(f: Poly, g: Poly, plain: bool) -> dict:
             break
         mc = rem.pop(m)
         qe = tuple(a - b for a, b in zip(m, glead))
-        if plain and any(x < 0 for x in qe):
-            # quotient leaves the plain ring; retry the step with the
-            # Laurent bound instead of giving up
-            plain = False
-            budget = box_budget() - len(quot)
-        if budget is not None:
-            budget -= 1
-            if budget < 0:
-                raise NonExactDivision("no Laurent-bounded quotient")
+        if any(x < 0 for x in qe):
+            raise NonExactDivision("leading term not divisible")
         qc, r = divmod(mc, gc)
         if r:
             raise NonExactDivision("coefficient not divisible")
-        quot[qe] = quot.get(qe, 0) + qc
+        quot[qe] = qc
         for ge, gcf in gother:
             e = tuple(a + b for a, b in zip(ge, qe))
             s = rem.get(e, 0) - qc * gcf
@@ -524,7 +516,7 @@ def _heap_div(f: Poly, g: Poly, plain: bool) -> dict:
                 del rem[e]
     if rem:
         raise NonExactDivision("nonzero remainder")
-    return {e: c for e, c in quot.items() if c}
+    return quot
 
 
 # -- gcd over Z[vars] ----------------------------------------------------

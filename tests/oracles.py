@@ -3,17 +3,34 @@
 Nothing in the package calls these: the antisymmetrizer over all n!
 permutations (the bialternant numerator, which the package reads off
 Kostka numbers instead), the operator-entry determinant route of the
-generating operators, and the dominance order on partitions.
+generating operators, the printed subset sums of the named operators
+assembled literally (``build``) with the operator algebra that compares
+them (``dualize``, ``equals`` and friends), adding a column to a
+partition, and the dominance order on partitions.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from macops.bases import vandermonde
-from macops.errors import OutOfRange
-from macops.operators import _DET_KINDS, _unit_shift, _xmono
+from macops.errors import LengthExceedsVars, OutOfRange
+from macops.operators import (
+    _DET_KINDS,
+    LOWER_KINDS,
+    RAISE_KINDS,
+    OperatorSpec,
+    QDiffOp,
+    _binom2,
+    _check_index,
+    _comp,
+    _subsets,
+    _unit_shift,
+    _xmono,
+    cross_cleared,
+    operator_ring,
+)
 from macops.partitions import Partition
-from macops.rings import Poly, poly_exact_div, vector_shift
+from macops.rings import Poly, negate_var_exponents, poly_exact_div, vector_shift
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +129,14 @@ def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
     return poly_exact_div(acc, den)
 
 
+def plus_ones(lam: Partition, m: int) -> Partition:
+    """Add a column of height m; the length may not exceed m."""
+    if len(lam.parts) > m:
+        raise LengthExceedsVars("partition longer than the column being added")
+    padded = list(lam.parts) + [0] * (m - len(lam.parts))
+    return Partition(p + 1 for p in padded)
+
+
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """Dominance order on partitions of equal weight; False across weights."""
     if mu.weight != lam.weight:
@@ -123,3 +148,156 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
         if acc_m > acc_l:
             return False
     return True
+
+
+# -- the operators as printed, and their algebra ---------------------------
+
+
+def scaled(op: QDiffOp, c) -> QDiffOp:
+    return QDiffOp(op.ring, op.nvars, {s: p * c for s, p in op.terms.items()}, op.den)
+
+
+def with_global_qshift(op: QDiffOp) -> QDiffOp:
+    """Compose on the right with the shift of every x variable."""
+    return QDiffOp(op.ring, op.nvars, {tuple(x + 1 for x in s): p for s, p in op.terms.items()}, op.den)
+
+
+def normalized(op: QDiffOp) -> QDiffOp:
+    """Clear negative q,t exponents by scaling numerators and denominator."""
+    polys = list(op.terms.values()) + [op.den]
+    scale = op.ring.one
+    for nm in ("q", "t"):
+        low = min(p.var_min(nm) for p in polys)
+        if low < 0:
+            scale = scale * op.ring.var(nm, -low)
+    if scale == op.ring.one:
+        return op
+    return QDiffOp(op.ring, op.nvars, {s: p * scale for s, p in op.terms.items()}, op.den * scale)
+
+
+def equals(a: QDiffOp, b: QDiffOp) -> bool:
+    """The same operator: equal shift by shift, cross-multiplied by the denominators."""
+    if a.ring is not b.ring or a.nvars != b.nvars:
+        return False
+    for s in set(a.terms) | set(b.terms):
+        if a.terms.get(s, a.ring.zero) * b.den != b.terms.get(s, b.ring.zero) * a.den:
+            return False
+    return True
+
+
+def dualize(op: QDiffOp) -> QDiffOp:
+    """The bar involution: invert q and t and invert every shift.
+
+    Inverting shifts is part of the involution; inverting only the scalars
+    does not reproduce the minus-family and fails the duality law.
+    """
+    terms = {
+        tuple(-x for x in s): negate_var_exponents(p, ("q", "t"))
+        for s, p in op.terms.items()
+    }
+    den = negate_var_exponents(op.den, ("q", "t"))
+    return normalized(QDiffOp(op.ring, op.nvars, terms, den))
+
+
+def build(spec: OperatorSpec, n: int) -> QDiffOp:
+    """Assemble the printed subset sum for the operator, literally.
+
+    Quadratic in the number of subset pairs, so for checking at small n
+    only; the package applies the collapsed form ``operators._plan``.
+    """
+    kind = spec.kind
+    ring = operator_ring(n, kind)
+    names = ring.names
+    delta = vandermonde(n, ring)
+    xall = _xmono(ring, range(1, n + 1))
+    terms: dict = {}
+
+    def add(shift_idxs, coeff):
+        key = _unit_shift(shift_idxs, n)
+        terms[key] = terms.get(key, ring.zero) + coeff
+
+    def tpow(e):
+        return ring.var("t", e)
+
+    def upow(e):
+        return ring.var("u", e)
+
+    if kind == "macdonald_r":
+        r = spec.index
+        _check_index(r, n)
+        for I in _subsets(n, r):
+            add(I, tpow(_binom2(r)) * cross_cleared(n, I, "plus", names))
+        return QDiffOp(ring, n, terms, delta)
+
+    if kind == "macdonald_u":
+        for I in _subsets(n):
+            k = len(I)
+            c = tpow(_binom2(k)) * cross_cleared(n, I, "plus", names) * upow(k)
+            add(I, c if k % 2 == 0 else -c)
+        return QDiffOp(ring, n, terms, delta)
+
+    if kind in RAISE_KINDS or kind in LOWER_KINDS:
+        m = spec.index
+        _check_index(m, n)
+        lower = kind in LOWER_KINDS
+        minus = kind.endswith("minus")
+        symbolic = "_u_" in kind
+        for J in _subsets(n, m):
+            xfac = _xmono(ring, _comp(J, n)) if lower else _xmono(ring, J)
+            for ksz in range(m + 1):
+                for I in combinations(J, ksz):
+                    k = len(I)
+                    if not minus:
+                        cross = cross_cleared(n, I, "plus", names)
+                        if symbolic:
+                            c = upow(k) * tpow(_binom2(k)) * cross
+                        elif lower:
+                            c = tpow(_binom2(k)) * cross
+                        else:
+                            # parameter specialized to a power of t, which may
+                            # be negative: normalized() clears it afterwards
+                            c = tpow((m - n + 1) * k + _binom2(k)) * cross
+                        if k % 2:
+                            c = -c
+                        add(I, xfac * c)
+                    else:
+                        cross = cross_cleared(n, I, "minus", names)
+                        a = m - k
+                        if symbolic:
+                            c = upow(a) * tpow(_binom2(n - k)) * cross
+                        elif lower:
+                            c = tpow((n - m) * a + _binom2(a)) * cross
+                        else:
+                            c = tpow(a + _binom2(a)) * cross
+                        if a % 2:
+                            c = -c
+                        add(_comp(I, n), xfac * c)
+        den = xall * delta if lower else delta
+        return normalized(QDiffOp(ring, n, terms, den))
+
+    # generating kinds: every subset size, one power of v per element of J
+    lower = kind.startswith("lower")
+    minus = kind.endswith("minus")
+    for J in _subsets(n):
+        xfac = _xmono(ring, _comp(J, n)) if lower else _xmono(ring, J)
+        vfac = ring.var("v", len(J)) if J else ring.one
+        for ksz in range(len(J) + 1):
+            for I in combinations(J, ksz):
+                k = len(I)
+                if not minus:
+                    c = ring.var("u", k) * tpow(_binom2(k)) * cross_cleared(
+                        n, I, "plus", names
+                    )
+                    if k % 2:
+                        c = -c
+                    add(I, xfac * vfac * c)
+                else:
+                    a = len(J) - k
+                    c = ring.var("u", a) * tpow(_binom2(n - k)) * cross_cleared(
+                        n, I, "minus", names
+                    )
+                    if a % 2:
+                        c = -c
+                    add(_comp(I, n), xfac * vfac * c)
+    den = xall * delta if lower else delta
+    return QDiffOp(ring, n, terms, den)

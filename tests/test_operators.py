@@ -13,19 +13,16 @@ from macops.operators import (
     _DET_KINDS,
     _NEEDS_INDEX,
     OperatorSpec,
-    apply_column_adder,
     apply_factorized_qt,
     apply_operator,
     apply_symmetric,
-    build,
     cross_cleared,
-    dualize,
     operator_ring,
 )
 from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
 from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
 from macops.rings import QT, _positive_trail, fold_var, poly_exact_div, poly_gcd, vector_shift, xring
-from oracles import apply_determinantal, permute_x
+from oracles import apply_determinantal, build, dualize, equals, normalized, permute_x, scaled, with_global_qshift
 
 
 def P(*parts):
@@ -124,7 +121,7 @@ def test_plan_equals_the_literal_build():
         for kind in ALL_KINDS:
             names = operator_ring(n, kind).names
             for m in op_index_range(kind, n):
-                assert _plan(kind, m, n, names).equals(build(OperatorSpec(kind, m), n)), (kind, m, n)
+                assert equals(_plan(kind, m, n, names), build(OperatorSpec(kind, m), n)), (kind, m, n)
 
 
 def test_raise_zero_and_full_index():
@@ -167,7 +164,7 @@ def test_raise_on_one_gives_elementary():
 
 def test_dualize_involution():
     op = build(OperatorSpec("raise_plus", 2), 3)
-    assert dualize(dualize(op)).equals(op)
+    assert equals(dualize(dualize(op)), op)
 
 
 def test_duality_between_column_adders():
@@ -180,8 +177,8 @@ def test_duality_between_column_adders():
             sc = ring.var("t", m + _binom2(m))
             if m % 2:
                 sc = -sc
-            rhs = dualize(plus).with_global_qshift().scaled(sc)
-            assert minus.equals(rhs), (m, n)
+            rhs = scaled(with_global_qshift(dualize(plus)), sc)
+            assert equals(minus, rhs), (m, n)
 
 
 def test_determinant_route_agrees():
@@ -224,11 +221,13 @@ def test_factorized_route_agrees_at_q_equals_t():
         apply_factorized_qt("raise_plus", 2, xring(2, ("t", "u")).one)
 
 
-def adder_reference(m, lam, n, minus=False):
+ADDERS = ("raise_plus", "raise_minus")
+
+
+def adder_reference(kind, m, lam, n):
     """The column adder on m_lam through the full x-expansion."""
-    f = expand_monomial(lam, n, ring=operator_ring(n, "raise_plus"))
-    out = apply_operator(OperatorSpec("raise_minus" if minus else "raise_plus", m), f, n)
-    return to_monomial_basis(out, n)
+    f = expand_monomial(lam, n, ring=operator_ring(n, kind))
+    return to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n)
 
 
 def test_antisymmetrized_route_agrees():
@@ -238,9 +237,9 @@ def test_antisymmetrized_route_agrees():
                 if lam.length > n:
                     continue
                 f = SymPoly(n, {lam: QT.one})
-                for minus in (False, True):
-                    want = adder_reference(m, lam, n, minus)
-                    assert apply_column_adder(m, f, minus) == want, (m, n, lam.render(), minus)
+                for kind in ADDERS:
+                    want = adder_reference(kind, m, lam, n)
+                    assert apply_symmetric(kind, m, f) == want, (m, n, lam.render(), kind)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -248,9 +247,9 @@ def test_column_adder_matches_operator_on_every_monomial(n):
     for d in range(0, 5):
         for lam in partitions_of(d, max_len=n):
             for m in range(0, n + 1):
-                for minus in (False, True):
-                    got = apply_column_adder(m, SymPoly(n, {lam: QT.one}), minus)
-                    assert got == adder_reference(m, lam, n, minus), (m, lam.render(), minus)
+                for kind in ADDERS:
+                    got = apply_symmetric(kind, m, SymPoly(n, {lam: QT.one}))
+                    assert got == adder_reference(kind, m, lam, n), (m, lam.render(), kind)
 
 
 def operator_reference(kind, m, lam, n):
@@ -311,20 +310,20 @@ def test_engine_rejects_unknown_kinds_and_bad_heights():
 def test_column_adder_is_linear_over_mixed_weights():
     n = 3
     f = SymPoly(n, {P(): QT.var("q"), P(2, 1): QT.var("t", 2), P(1, 1, 1): QT.one})
-    for minus in (False, True):
+    for kind in ADDERS:
         want = {}
         for lam, c in f.coeffs.items():
-            for nu, a in apply_column_adder(2, SymPoly(n, {lam: QT.one}), minus).coeffs.items():
+            for nu, a in apply_symmetric(kind, 2, SymPoly(n, {lam: QT.one})).coeffs.items():
                 want[nu] = want.get(nu, QT.zero) + c * a
-        assert apply_column_adder(2, f, minus) == SymPoly(n, want)
+        assert apply_symmetric(kind, 2, f) == SymPoly(n, want)
 
 
 def test_column_adder_in_zero_variables_and_bad_index():
     one = SymPoly(0, {P(): QT.one})
-    assert apply_column_adder(0, one) == one
-    assert apply_column_adder(0, one, minus=True) == one
-    with pytest.raises(IndexOutOfRange):
-        apply_column_adder(3, SymPoly(2, {P(): QT.one}))
+    for kind in ADDERS:
+        assert apply_symmetric(kind, 0, one) == one
+        with pytest.raises(IndexOutOfRange):
+            apply_symmetric(kind, 3, SymPoly(2, {P(): QT.one}))
 
 
 def test_first_family_commutes():
@@ -380,13 +379,11 @@ def test_dx_u_on_constants_and_m1():
 
 
 def _fold_u_op(op, value_tpow, target_ring):
-    from macops.operators import QDiffOp
-
     terms = {
         s: fold_var(c, "u", "t", power=value_tpow).cast(target_ring)
         for s, c in op.terms.items()
     }
-    return QDiffOp(target_ring, op.nvars, terms, op.den.cast(target_ring)).normalized()
+    return normalized(QDiffOp(target_ring, op.nvars, terms, op.den.cast(target_ring)))
 
 
 def test_u_specializations_recover_named_operators():
@@ -398,17 +395,17 @@ def test_u_specializations_recover_named_operators():
         for m in range(0, n + 1):
             ku = build(OperatorSpec("raise_u_plus", m), n)
             got = _fold_u_op(ku, m - n + 1, plain)
-            assert got.equals(build(OperatorSpec("raise_plus", m), n))
+            assert equals(got, build(OperatorSpec("raise_plus", m), n))
             lu = build(OperatorSpec("raise_u_minus", m), n)
             got = _fold_u_op(lu, m - n + 1, plain)
             corr = plain.var("t", _binom2(n - m))
-            assert got.equals(build(OperatorSpec("raise_minus", m), n).scaled(corr))
+            assert equals(got, scaled(build(OperatorSpec("raise_minus", m), n), corr))
             mu = build(OperatorSpec("lower_u_plus", m), n)
             got = _fold_u_op(mu, 0, plain)
-            assert got.equals(build(OperatorSpec("lower_plus", m), n))
+            assert equals(got, build(OperatorSpec("lower_plus", m), n))
             nu = build(OperatorSpec("lower_u_minus", m), n)
             got = _fold_u_op(nu, 0, plain)
-            assert got.equals(build(OperatorSpec("lower_minus", m), n).scaled(corr))
+            assert equals(got, scaled(build(OperatorSpec("lower_minus", m), n), corr))
 
 
 def test_w_invariance_on_asymmetric_input():

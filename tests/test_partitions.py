@@ -17,7 +17,7 @@ from macops.partitions import (
     revlex_key,
 )
 from macops.rings import ALPHA, QT, Frac, Ring, frac_by_factors
-from oracles import dominance_leq
+from oracles import dominance_leq, plus_ones
 
 
 def P(*parts):
@@ -75,10 +75,10 @@ def test_partitions_of_order():
 
 
 def test_plus_minus_ones():
-    assert P(2, 1).plus_ones(3) == P(3, 2, 1)
-    assert P().plus_ones(2) == P(1, 1)
+    assert plus_ones(P(2, 1), 3) == P(3, 2, 1)
+    assert plus_ones(P(), 2) == P(1, 1)
     with pytest.raises(LengthExceedsVars):
-        P(1, 1, 1).plus_ones(2)
+        plus_ones(P(1, 1, 1), 2)
     assert P(3, 2, 1).minus_ones(3) == P(2, 1)
     assert P(2, 2).minus_ones(2) == P(1, 1)
     with pytest.raises(OutOfRange):

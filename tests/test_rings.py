@@ -142,6 +142,10 @@ def test_exact_div_laurent_dividend():
     f = R.monomial((-1, 0)) + x2  # x1^-1 + x2
     g = x1 + x2 * x2
     assert poly_exact_div(f * g, g) == f
+    # a divisor with a monomial factor: (1 + x2) / (x1 (1 + x2)) = x1^-1
+    assert poly_exact_div(1 + x2, x1 * (1 + x2)) == R.monomial((-1, 0))
+    with pytest.raises(NonExactDivision):
+        poly_exact_div(1 + x2, x1 * (1 - x2))
 
 
 def test_gcd_basic():
@@ -351,11 +355,16 @@ def laurent_pairs(draw):
 
 
 def heap_oracle(ring, f, g):
-    plain = all(x >= 0 for e in list(f) + list(g) for x in e)
+    """f / g by the heap loop alone, on the operands divided by their lowest monomials."""
+    flo, glo = [min(col) for col in zip(*f)], [min(col) for col in zip(*g)]
     try:
-        return _heap_div(Poly(ring, f), Poly(ring, g), plain)
+        quot = _heap_div(
+            {tuple(x - a for x, a in zip(e, flo)): c for e, c in f.items()},
+            {tuple(x - a for x, a in zip(e, glo)): c for e, c in g.items()},
+        )
     except NonExactDivision:
         return None
+    return {tuple(x + a - b for x, a, b in zip(e, flo, glo)): c for e, c in quot.items()}
 
 
 @settings(max_examples=150, deadline=None)
