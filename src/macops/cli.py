@@ -278,6 +278,11 @@ def _shapes_to(maxw: int, min_weight: int = 0):
         yield from partitions_of(d)
 
 
+def _check_m(suite: str, m: int | None, lo: int, n: int):
+    if m is not None and not lo <= m <= n:
+        raise OutOfRange(f"suite {suite!r} needs {lo} <= m <= n; --m {m} is outside [{lo}, {n}]")
+
+
 def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     least = 1 if suite in ("raising", "eigen", "kostka") else 0
     if maxw is not None and maxw < least:
@@ -337,6 +342,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
             }
     elif suite == "duality":
         nv = n if n is not None else 3
+        _check_m(suite, m, 0, nv)
         for lam in _shapes_to(maxw if maxw is not None else 3):
             if lam.length > nv:
                 continue
@@ -359,8 +365,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     elif suite in IDENTITY_GROUPS:
         defaults = {"e-identities": 3, "kernel": 2, "schur-action": 2}
         nv = n if n is not None else defaults[suite]
-        if suite == "kernel" and m is not None and not 1 <= m <= nv:
-            raise OutOfRange(f"suite 'kernel' needs 1 <= m <= n; --m {m} is outside [1, {nv}]")
+        _check_m(suite, m, 1 if suite == "kernel" else 0, nv)
         for name in IDENTITY_GROUPS[suite]:
             yield run_suite(name, nv, m)
     else:

@@ -24,6 +24,8 @@ from .operators import apply_symmetric
 from .partitions import Partition, c_alpha
 from .rings import ALPHA, QT, Poly, eval_var, fold_var, poly_exact_div
 
+LIMIT_ALPHAS = (1, 2, 3)
+
 
 def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
     """Scalar from removing a column of height m, in Z[a].
@@ -74,10 +76,10 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
     return SymPoly(n, out)
 
 
-def jack_check_limits(lam: Partition, n: int, alphas=(1, 2, 3)) -> dict:
-    """Differential recursion versus substitution limit at integer values."""
+def jack_check_limits(lam: Partition, n: int) -> dict:
+    """Differential recursion versus substitution limit at the integer values LIMIT_ALPHAS."""
     sym = jack_J(lam, n)
-    for alpha in alphas:
+    for alpha in LIMIT_ALPHAS:
         got = {mu: eval_var(c, "a", alpha).const_value() for mu, c in sym.coeffs.items()}
         want = dict(jack_limit_oracle(lam, n, alpha).coeffs)
         if got != want:
@@ -93,7 +95,7 @@ def jack_check_limits(lam: Partition, n: int, alphas=(1, 2, 3)) -> dict:
         "check": "jack_limit",
         "shape": lam.render(),
         "nvars": n,
-        "alphas": tuple(alphas),
+        "alphas": LIMIT_ALPHAS,
         "status": "pass",
     }
 

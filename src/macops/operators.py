@@ -13,13 +13,25 @@ the chosen subset, "minus" variants shift its complement:
     lower_u_plus/_minus     symbolic-u column removers
     lower_gen_plus/_minus   generating form of the removers
 
-Every named operator has one form: a :class:`QDiffOp` (polynomial
+Every named operator has one form, a :class:`QDiffOp` (polynomial
 coefficients times 0/1 q-shifts over one denominator) that ``_plan``
-builds collapsed.  The outer sum over subsets J is folded into an
-elementary-polynomial factor, the Vandermonde stays as a single t-shifted
-coefficient, and ``apply_operator`` ends with one exact division.  The
-printed double sum over subsets J and I, assembled literally, is the test
-oracle ``build`` in ``tests/oracles.py``.
+builds collapsed.  Three formulas are built directly, with T_I, Q_I the
+t- and q-shift of the x_i, i in I, and e_k^I = e_k without those x_i:
+
+    D_r          = Delta^-1 sum_{|I|=r} T_I(Delta) Q_I
+    raise_u_+[m] = Delta^-1 sum_{|I|<=m} (-u)^|I| T_I(Delta) x_I e_{m-|I|}^I Q_I
+    lower_u_+[m] = (Delta x1...xn)^-1 sum_{|I|<=m} (-u)^|I| T_I(Delta) e_{n-m}^I Q_I
+
+The minus kinds take the complement of I in T and Q, and the sign (-u)^(m-|I|).
+The other eleven kinds follow by the laws, b = max(0, (n-1-m) m):
+
+    macdonald_u     = sum_r (-u)^r D_r
+    raise/lower_gen = sum_m v^m raise/lower_u[m]
+    raise_+-[m]     = t^b raise_u_+-[m] at u = t^(m-n+1), over t^(b + [minus] C(n-m,2))
+    lower_+-[m]     = lower_u_+-[m] at u = 1, over t^([minus] C(n-m,2))
+
+The printed double sum over subsets J and I, assembled literally, is the
+test oracle ``build`` in ``tests/oracles.py``.
 
 Every operator the package applies to symmetric polynomials has the form
 Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
@@ -58,6 +70,7 @@ from .rings import (
     QT,
     Poly,
     Ring,
+    fold_var,
     poly_exact_div,
     vector_shift,
     xring,
@@ -75,8 +88,6 @@ MACDONALD_KINDS = ("macdonald_r", "macdonald_u")
 ALL_KINDS = MACDONALD_KINDS + RAISE_KINDS + LOWER_KINDS + GEN_KINDS
 
 _NEEDS_INDEX = frozenset(ALL_KINDS) - frozenset(GEN_KINDS) - {"macdonald_u"}
-_NEEDS_U = frozenset(k for k in ALL_KINDS if "_u_" in k or k == "macdonald_u")
-_NEEDS_V = frozenset(GEN_KINDS)
 
 
 @dataclass(frozen=True)
@@ -94,12 +105,9 @@ class OperatorSpec:
 
 
 def operator_ring(n: int, kind: str) -> Ring:
-    extra = ["q", "t"]
-    if kind in _NEEDS_U or kind in _NEEDS_V:
-        extra.append("u")
-    if kind in _NEEDS_V:
-        extra.append("v")
-    return xring(n, tuple(extra))
+    """x1..xn, q, t, then u for the symbolic and generating kinds, v for the generating ones."""
+    extra = ("u", "v") if kind in GEN_KINDS else ("u",) if "_u" in kind else ()
+    return xring(n, ("q", "t") + extra)
 
 
 def _check_index(m: int, n: int):
@@ -222,96 +230,52 @@ class QDiffOp:
 def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
     """The operator in collapsed form, over the ring with these names.
 
-    The outer sum over J is already folded into an elementary factor, and
-    any negative powers of the specialized parameter are cleared into the
-    denominator, so coefficients are honest polynomials.
+    Only D_r and the u column kinds have a formula; the other kinds apply
+    their law (module docstring) to cached plans, a specialized kind to
+    its u kind built in this ring with u added.
     """
     ring = Ring(names)
-    delta = vandermonde(n, ring)
-    xall = _xmono(ring, range(1, n + 1))
-
-    def tsd(S):
-        return _tshift_delta(n, tuple(S), names)
-
-    def esk(k, skip):
-        return elementary(k, n, ring, skip=frozenset(skip))
-
     terms: dict = {}
-    den = delta
 
-    def add(S, c):
-        key = _unit_shift(S, n)
-        terms[key] = terms.get(key, ring.zero) + c
+    def add(shift, c):
+        terms[shift] = terms.get(shift, ring.zero) + c
 
     if kind == "macdonald_r":
         for I in _subsets(n, m):
-            add(I, tsd(I))
-    elif kind == "macdonald_u":
-        for I in _subsets(n):
-            c = tsd(I) * ring.var("u", len(I))
-            add(I, c if len(I) % 2 == 0 else -c)
-    elif kind in RAISE_KINDS:
-        # plus shifts I, minus its complement; a is the sign count.  The
-        # specialized kinds scale by a power of t (negative powers cleared
-        # into the denominator by t^base), the symbolic kinds by u^a.
-        minus = kind.endswith("minus")
-        symbolic = "_u_" in kind
-        base = max(0, (n - 1 - m) * m)
+            add(_unit_shift(I, n), _tshift_delta(n, I, names))
+        return QDiffOp(ring, n, terms, vandermonde(n, ring))
+    if kind in RAISE_KINDS + LOWER_KINDS and "_u_" in kind:
+        # plus shifts I, minus its complement; a is the sign count
+        minus, lower = kind.endswith("minus"), kind.startswith("lower")
         for ksz in range(m + 1):
             for I in _subsets(n, ksz):
                 a = m - ksz if minus else ksz
                 S = _comp(I, n) if minus else I
-                if symbolic:
-                    c = ring.var("u", a)
-                else:
-                    c = ring.var("t", (m - n + 1) * a + base)
-                c = c * tsd(S) * _xmono(ring, I) * esk(m - ksz, I)
-                add(S, c if a % 2 == 0 else -c)
-        if not symbolic:
-            den = delta * ring.var("t", base + (_binom2(n - m) if minus else 0))
-    elif kind in LOWER_KINDS:
-        minus = kind.endswith("minus")
-        for ksz in range(m + 1):
-            for I in _subsets(n, ksz):
-                a = m - ksz if minus else ksz
-                S = _comp(I, n) if minus else I
-                c = tsd(S) * esk(n - m, I)
-                if "_u_" in kind:
-                    c = c * ring.var("u", a)
-                add(S, c if a % 2 == 0 else -c)
-        den = delta * xall
-        if minus:
-            den = den * ring.var("t", _binom2(n - m) if kind == "lower_minus" else 0)
-    elif kind in GEN_KINDS:
-        uv = ring.var("u") * ring.var("v")
-        for I in _subsets(n):
-            k = len(I)
-            comp = _comp(I, n)
-            if kind == "raise_gen_plus":
-                c = uv**k * tsd(I) * _xmono(ring, I)
-                for j in comp:
-                    c = c * (1 + ring.var("v") * ring.var(f"x{j}"))
-                add(I, c if k % 2 == 0 else -c)
-            elif kind == "raise_gen_minus":
-                c = ring.var("v", k) * tsd(comp) * _xmono(ring, I)
-                for j in comp:
-                    c = c * (1 - uv * ring.var(f"x{j}"))
-                add(comp, c)
-            elif kind == "lower_gen_plus":
-                c = uv**k * tsd(I)
-                for j in comp:
-                    c = c * (ring.var(f"x{j}") + ring.var("v"))
-                add(I, c if k % 2 == 0 else -c)
-            else:
-                c = ring.var("v", k) * tsd(comp)
-                for j in comp:
-                    c = c * (ring.var(f"x{j}") - uv)
-                add(comp, c)
-        if kind.startswith("lower"):
-            den = delta * xall
-    else:
+                e = elementary(n - m if lower else m - ksz, n, ring, frozenset(I))
+                c = ring.var("u", a) * _tshift_delta(n, S, names) * (e if lower else _xmono(ring, I) * e)
+                add(_unit_shift(S, n), c if a % 2 == 0 else -c)
+        den = vandermonde(n, ring)
+        return QDiffOp(ring, n, terms, den * _xmono(ring, range(1, n + 1)) if lower else den)
+    if kind == "macdonald_u" or kind in GEN_KINDS:
+        # sum_r (-u)^r D_r, or sum_m v^m times the u kind at height m
+        src = "macdonald_r" if kind == "macdonald_u" else kind.replace("gen", "u")
+        w = -ring.var("u") if kind == "macdonald_u" else ring.var("v")
+        for r in range(n + 1):
+            part = _plan(src, r, n, names)
+            for shift, c in part.terms.items():
+                add(shift, w**r * c)
+        return QDiffOp(ring, n, terms, part.den)
+    if kind not in RAISE_KINDS + LOWER_KINDS:
         raise OutOfRange(f"unknown operator kind {kind!r}")
-    return QDiffOp(ring, n, terms, den)
+    # the adders at u = t^(m-n+1), scaled by t^base, the removers at u = 1
+    lower = kind.startswith("lower")
+    src = _plan(kind.replace("_", "_u_", 1), m, n, names if "u" in names else names + ("u",))
+    base = 0 if lower else max(0, (n - 1 - m) * m)
+    scale = src.ring.var("t", base)
+    for shift, c in src.terms.items():
+        add(shift, (fold_var(c, "u", "t", 0 if lower else m - n + 1) * scale).cast(ring))
+    t_exp = base + (_binom2(n - m) if kind.endswith("minus") else 0)
+    return QDiffOp(ring, n, terms, src.den.cast(ring) * ring.var("t", t_exp))
 
 
 def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
@@ -324,13 +288,11 @@ def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
     kind = spec.kind
     if kind in _NEEDS_INDEX:
         _check_index(spec.index, n)
-    for nm in ("q", "t"):
-        f.ring.pos(nm)
-    if kind in _NEEDS_U or kind in _NEEDS_V:
-        if "u" not in f.ring.names:
-            raise SpecializationRequired(f"{kind} needs a ring with u")
-    if kind in _NEEDS_V and "v" not in f.ring.names:
-        raise SpecializationRequired(f"{kind} needs a ring with v")
+    for nm in operator_ring(0, kind).names:
+        if nm in ("q", "t"):
+            f.ring.pos(nm)
+        elif nm not in f.ring.names:
+            raise SpecializationRequired(f"{kind} needs a ring with {nm}")
     return _plan(kind, spec.index, n, f.ring.names).apply(f, raw)
 
 

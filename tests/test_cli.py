@@ -190,6 +190,15 @@ PINNED_STDOUT = {
     # from before the duality check compared images instead of operators
     ("verify", "--suite", "duality", "--n", "4", "--format", "json"):
         "b870f7c22db386375ca7408e61cc367a49cfdb8a9670100cd76359cb788ea9e9",
+    # from before the derived kinds were built from the u kinds and D_r
+    ("apply-op", "--kind", "raise_gen_minus", "--lambda", "2,1", "--nvars", "3", "--format", "json"):
+        "b26ebdc0990364d170fe64a0fe03be5ca9867c8a7f39509236db28e3eddd7aad",
+    ("apply-op", "--kind", "raise_minus", "--m", "2", "--lambda", "2,1", "--nvars", "3", "--format", "json"):
+        "42b6a293c3d4429c01b3c54ec6683a81eeeb85932e29f40434ced7bc124ceb53",
+    ("apply-op", "--kind", "macdonald_u", "--lambda", "2,1", "--nvars", "3", "--format", "json"):
+        "55b4072acb9afc946bd2af44d7cd3406b6431e3138fefe0a64a48d23282a28e8",
+    ("apply-op", "--kind", "raise_u_plus", "--m", "2", "--lambda", "2,1", "--nvars", "3", "--format", "json"):
+        "2e4b20206e506d57888b13ce4db8c2eaca44b53ed5dcf18b658a8c1f0110275e",
 }
 
 
@@ -364,6 +373,10 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
         ("--suite", "lowering", "--m", "-1"),
         ("--suite", "kernel", "--m", "9"),
         ("--suite", "kernel", "--n", "3", "--m", "4"),
+        ("--suite", "duality", "--m", "9"),
+        ("--suite", "duality", "--m", "-1"),
+        ("--suite", "e-identities", "--m", "9"),
+        ("--suite", "e-identities", "--m", "-1"),
         ("--suite", "raising", "--m", "1"),
         ("--suite", "eigen", "--m", "1"),
         ("--suite", "kostka", "--m", "1"),

@@ -104,6 +104,22 @@ def test_schur_action_failure_names_the_suite(monkeypatch, name):
         run_suite(name, 2)
 
 
+def test_generator_on_one_checks_only_the_chosen_slice(monkeypatch):
+    # a planted error in the v^1 slice of the plus adder's image on 1
+    real = ids.apply_operator
+
+    def crooked(spec, f, n, raw=False):
+        out = real(spec, f, n, raw)
+        return out + out.ring.var("v") if spec.kind == "raise_gen_plus" else out
+
+    monkeypatch.setattr(ids, "apply_operator", crooked)
+    with pytest.raises(IdentityFailed, match="^generator_on_one: plus m=1 n=3$"):
+        run_suite("generator_on_one", 3, m=1)
+    assert run_suite("generator_on_one", 3, m=2)["status"] == "pass"
+    with pytest.raises(IdentityFailed, match="^generator_on_one: plus n=3$"):
+        run_suite("generator_on_one", 3)
+
+
 @pytest.mark.parametrize("name", SINGLE + TWO_ALPHABET + SCHUR)
 def test_empty_alphabet_is_refused(name):
     with pytest.raises(OutOfRange):

@@ -10,6 +10,7 @@ from macops.errors import (
 )
 from macops.operators import (
     ALL_KINDS,
+    GEN_KINDS,
     _DET_KINDS,
     _NEEDS_INDEX,
     OperatorSpec,
@@ -117,11 +118,31 @@ def test_production_matches_built_form():
 
 def test_plan_equals_the_literal_build():
     # the collapsed form apply_operator runs is the printed subset sum
-    for n in range(0, 4):
+    for n in range(0, 5):
         for kind in ALL_KINDS:
             names = operator_ring(n, kind).names
             for m in op_index_range(kind, n):
                 assert equals(_plan(kind, m, n, names), build(OperatorSpec(kind, m), n)), (kind, m, n)
+
+
+def test_generating_kinds_sum_their_slices():
+    # D(u) = sum_r (-u)^r D_r, and each (u, v) kind is sum_m v^m times its u kind at m
+    for n in range(0, 4):
+        for kind in ("macdonald_u",) + GEN_KINDS:
+            whole = build(OperatorSpec(kind), n)
+            ring = whole.ring
+            if kind == "macdonald_u":
+                src, w = "macdonald_r", -ring.var("u")
+            else:
+                src, w = kind.replace("gen", "u"), ring.var("v")
+            den = build(OperatorSpec(src, 0), n).den.cast(ring)
+            terms = {}
+            for r in range(n + 1):
+                part = build(OperatorSpec(src, r), n)
+                assert part.den.cast(ring) == den, (kind, r, n)
+                for s, c in part.terms.items():
+                    terms[s] = terms.get(s, ring.zero) + w**r * c.cast(ring)
+            assert equals(QDiffOp(ring, n, terms, den), whole), (kind, n)
 
 
 def test_raise_zero_and_full_index():
