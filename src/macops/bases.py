@@ -381,7 +381,7 @@ def sym_to_xpoly(sym: SymPoly, ring: Ring | None = None) -> Poly:
     total = ring.zero
     for lam, c in sym.coeffs.items():
         base = expand_monomial(lam, n, ring)
-        base = base * (c.cast(ring) if isinstance(c, Poly) else c)
+        base = base * (c.subs({}, ring) if isinstance(c, Poly) else c)
         total = total + base
     return total
 

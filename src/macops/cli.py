@@ -46,8 +46,8 @@ from .operators import (
     apply_operator,
     operator_ring,
 )
-from .partitions import parse_partition, partitions_of
-from .rings import eval_var
+from .partitions import parse_partition, partitions_up_to
+from .rings import ALPHA
 
 DEFAULT_CAP = 12
 # apply-op expands x-polynomials and divides by the n!-term Vandermonde;
@@ -209,7 +209,7 @@ def cmd_jack(args) -> int:
         check = None
     sym = jack_J(lam, n)
     if val is not None:
-        sym = sym.map_coeffs(lambda c: eval_var(c, "a", val))
+        sym = sym.map_coeffs(lambda c: c.subs({"a": ALPHA.const(val)}))
     params = {"lambda": list(lam.parts), "nvars": n, "alpha": args.alpha}
     _emit_poly(
         args, "jack", params, sym, "differential_recursion", check,
@@ -273,11 +273,6 @@ def cmd_apply_op(args) -> int:
 # -- verification ---------------------------------------------------------
 
 
-def _shapes_to(maxw: int, min_weight: int = 0):
-    for d in range(min_weight, maxw + 1):
-        yield from partitions_of(d)
-
-
 def _check_m(suite: str, m: int | None, lo: int, n: int):
     if m is not None and not lo <= m <= n:
         raise OutOfRange(f"suite {suite!r} needs {lo} <= m <= n; --m {m} is outside [{lo}, {n}]")
@@ -291,7 +286,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         )
     if suite == "commute" and n is not None and n < 1:
         raise OutOfRange(f"suite 'commute' needs a pair of orders r < s <= n; --n {n} has none")
-    if suite in ("duality", "jack", "lowering") and n is not None and n < 1:
+    if suite in ("raising", "eigen", "duality", "jack", "lowering") and n is not None and n < 1:
         raise OutOfRange(
             f"suite {suite!r} needs at least one variable; --n {n} leaves only constants"
         )
@@ -299,8 +294,11 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         raise OutOfRange(f"suite {suite!r} takes no --m")
     if m is not None and m < 0 and suite == "lowering":
         raise OutOfRange(f"suite 'lowering' removes a column of height m >= 0; --m {m} is negative")
+    top = maxw if maxw is not None else 3
+    if suite == "kostka" and n is not None and n < top:
+        raise OutOfRange(f"suite 'kostka' needs n >= its top degree {top}; --n {n} is below it")
     if suite == "raising":
-        for lam in _shapes_to(maxw if maxw is not None else 4, 1):
+        for lam in partitions_up_to(maxw if maxw is not None else 4, n, 1):
             nv = n if n is not None else default_nvars(lam)
             triple_agreement(lam, nv)
             yield {
@@ -310,10 +308,8 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                 "status": "pass",
             }
     elif suite == "lowering":
-        for lam in _shapes_to(maxw if maxw is not None else 3):
+        for lam in partitions_up_to(top, n):
             nv = n if n is not None else max(lam.length + 1, 2)
-            if lam.length > nv:
-                continue
             hi = min(nv, lam.length + 1) if m is None else m
             lo = lam.length if m is None else m
             for mm in range(lo, hi + 1):
@@ -322,7 +318,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                 for kind in ("mplus", "mminus"):
                     yield lowering_verify(lam, mm, nv, kind=kind)
     elif suite == "eigen":
-        for lam in _shapes_to(maxw if maxw is not None else 3, 1):
+        for lam in partitions_up_to(top, n, 1):
             nv = n if n is not None else default_nvars(lam)
             full_eigencheck(lam, nv, macdonald_P_eigen(lam, nv).J)
             yield {
@@ -332,7 +328,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                 "status": "pass",
             }
     elif suite == "kostka":
-        for d in range(1, (maxw if maxw is not None else 3) + 1):
+        for d in range(1, top + 1):
             mat = kostka_matrix(d, nvars=n, check_duality=True)
             yield {
                 "check": "kostka",
@@ -343,22 +339,16 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     elif suite == "duality":
         nv = n if n is not None else 3
         _check_m(suite, m, 0, nv)
-        for lam in _shapes_to(maxw if maxw is not None else 3):
-            if lam.length > nv:
-                continue
+        for lam in partitions_up_to(top, nv):
             for mm in range(0, nv + 1) if m is None else [m]:
                 yield duality_verify(lam, mm, nv)
     elif suite == "commute":
         nv = n if n is not None else 3
-        for lam in _shapes_to(maxw if maxw is not None else 3):
-            if lam.length > nv:
-                continue
+        for lam in partitions_up_to(top, nv):
             yield from commute_verify(lam, nv)
     elif suite == "jack":
-        for lam in _shapes_to(maxw if maxw is not None else 3):
+        for lam in partitions_up_to(top, n):
             nv = n if n is not None else default_nvars(lam)
-            if lam.length > nv:
-                continue
             yield jack_check_limits(lam, nv)
             for mm in range(lam.length, min(nv, lam.length + 1) + 1):
                 yield jack_lowering_verify(lam, mm, nv)

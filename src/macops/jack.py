@@ -22,7 +22,7 @@ from .errors import (
 from .macdonald import conjugate_columns, macdonald_J_raising
 from .operators import apply_symmetric
 from .partitions import Partition, c_alpha
-from .rings import ALPHA, QT, Poly, eval_var, fold_var, poly_exact_div
+from .rings import ALPHA, QT, Poly, poly_exact_div
 
 LIMIT_ALPHAS = (1, 2, 3)
 
@@ -67,12 +67,12 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
     d = lam.weight
     out = {}
     for mu, c in J.coeffs.items():
-        folded = fold_var(c, "q", "t", alpha)
+        folded = c.subs({"q": QT.var("t", alpha)})
         try:
             g = poly_exact_div(folded, (QT.one - QT.var("t")) ** d)
         except NonExactDivision as exc:
             raise NotDivisible(f"(1-t)^{d} does not divide") from exc
-        out[mu] = eval_var(g, "t", 1).const_value()
+        out[mu] = g.subs({"t": QT.one}).const_value()
     return SymPoly(n, out)
 
 
@@ -80,7 +80,7 @@ def jack_check_limits(lam: Partition, n: int) -> dict:
     """Differential recursion versus substitution limit at the integer values LIMIT_ALPHAS."""
     sym = jack_J(lam, n)
     for alpha in LIMIT_ALPHAS:
-        got = {mu: eval_var(c, "a", alpha).const_value() for mu, c in sym.coeffs.items()}
+        got = {mu: c.subs({"a": ALPHA.const(alpha)}).const_value() for mu, c in sym.coeffs.items()}
         want = dict(jack_limit_oracle(lam, n, alpha).coeffs)
         if got != want:
             raise VerificationFailed(

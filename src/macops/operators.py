@@ -70,7 +70,6 @@ from .rings import (
     QT,
     Poly,
     Ring,
-    fold_var,
     poly_exact_div,
     vector_shift,
     xring,
@@ -211,7 +210,7 @@ class QDiffOp:
         checks then cross-multiply rather than divide.
         """
         if f.ring is not self.ring:
-            f = f.cast(self.ring)
+            f = f.subs({}, self.ring)
         acc = self.ring.zero
         for shift, num in self.terms.items():
             acc = acc + num * vector_shift(f, shift, "q")
@@ -271,11 +270,12 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
     lower = kind.startswith("lower")
     src = _plan(kind.replace("_", "_u_", 1), m, n, names if "u" in names else names + ("u",))
     base = 0 if lower else max(0, (n - 1 - m) * m)
-    scale = src.ring.var("t", base)
+    u = {"u": ring.var("t", 0 if lower else m - n + 1)}
+    scale = ring.var("t", base)
     for shift, c in src.terms.items():
-        add(shift, (fold_var(c, "u", "t", 0 if lower else m - n + 1) * scale).cast(ring))
+        add(shift, c.subs(u, ring) * scale)
     t_exp = base + (_binom2(n - m) if kind.endswith("minus") else 0)
-    return QDiffOp(ring, n, terms, src.den.cast(ring) * ring.var("t", t_exp))
+    return QDiffOp(ring, n, terms, src.den.subs({}, ring) * ring.var("t", t_exp))
 
 
 def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):

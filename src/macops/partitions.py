@@ -112,6 +112,11 @@ def partitions_of(d: int, max_len: int | None = None):
     return out
 
 
+def partitions_up_to(maxw: int, max_len: int | None = None, min_weight: int = 0):
+    """The partitions of min_weight..maxw with at most max_len parts, by weight, each revlex."""
+    return [lam for d in range(min_weight, maxw + 1) for lam in partitions_of(d, max_len)]
+
+
 def revlex_key(lam: Partition):
     """Sort key: ascending gives the reverse-lexicographic listing."""
     return tuple(-p for p in lam.parts)
@@ -164,7 +169,7 @@ def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
                 key = (d, arm // g, (leg + 1) // g)
                 mult[key] = mult.get(key, 0) + 1
     return tuple(
-        (Poly(QT, {(a * k, b * k): c for (k,), c in cyclotomic(d).terms.items()}), m)
+        (cyclotomic(d).subs({"x": QT.monomial((a, b))}, QT), m)
         for (d, a, b), m in mult.items()
     )
 

@@ -16,6 +16,14 @@ pair, and divisions of at least PACK_MIN_DIV_PAIRS term pairs with at
 most DENSE digits per term in the dividend's box.  Everything else runs
 the dict loop and the heap loop, which the tests keep as the oracles.
 
+Every change of variables is one monomial substitution,
+:meth:`Poly.subs`, a ring map that sends each variable to c times a
+monomial.  It carries the paper's maps: the q-shift x_i -> q x_i
+(:func:`vector_shift`), the specialized column kinds' u = t^(m-n+1) and
+u = 1, the bar involution q -> 1/q, t -> 1/t, the Kostka mirror q <-> t,
+the Jack limit's q = t^alpha and t = 1, the factors Phi_d(q^a t^b) of
+c_lambda, and the move of a polynomial into another ring by variable name.
+
 A :class:`Frac` is a reduced fraction num/den of polynomials, a value
 with no arithmetic: the monic P coefficients and the fraction a
 NonIntegralEntry message shows.
@@ -135,7 +143,7 @@ class Poly:
     def _lift(self, other):
         if isinstance(other, Poly):
             if other.ring is not self.ring:
-                raise OutOfRange("mixed rings; cast() one operand first")
+                raise OutOfRange("mixed rings; subs() one operand into the other's ring first")
             return other
         if isinstance(other, int):
             return self.ring.const(other)
@@ -220,36 +228,65 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _order_key(kv[0]))
 
-    def map_coeffs(self, fn) -> "Poly":
-        return self.ring.from_terms({e: fn(c) for e, c in self.terms.items()})
+    def subs(self, images: dict, ring: Ring | None = None) -> "Poly":
+        """The image under the ring map that sends each named variable to c y^b.
 
-    def cast(self, ring: Ring) -> "Poly":
-        """Reinterpret in another ring, matching variables by name."""
-        if ring is self.ring:
+        images maps variable names to one-term polynomials c y^b (c may be
+        0) over the target ring, by default this one; every other variable
+        goes to the variable of the same name, which the target ring must
+        have where it occurs.  A variable with exponent -k < 0 needs c^(-k)
+        in Z: c = 0 raises ZeroDivisionError, |c| > 1 NonExactDivision.
+        """
+        src = self.ring
+        if ring is None:
+            ring = src
+        same = ring is src
+        if same and not images:
             return self
-        src = self.ring.names
-        slot = []
-        for i, nm in enumerate(src):
-            if nm in ring._pos:
-                slot.append(ring._pos[nm])
-            else:
-                slot.append(-1)
-        width = len(ring.names)
+        # (slot, c, moves): x at slot goes to c times the monomial that
+        # adds the moves (target slot, exponent) to the term's exponents
+        maps = []
+        for name, img in images.items():
+            i = src.pos(name)
+            if img.ring is not ring or len(img.terms) > 1:
+                raise OutOfRange(f"image of {name!r} is not one term over {ring!r}")
+            [(b, c)] = img.terms.items() or [((0,) * len(ring), 0)]
+            b = list(b)
+            if same:
+                # the copied exponents still hold x's own
+                b[i] -= 1
+            maps.append((i, c, [(j, x) for j, x in enumerate(b) if x]))
+        # (slot, target slot): every other variable goes to its namesake,
+        # which the target ring must have where the variable occurs
+        keep = []
+        for i, nm in enumerate(() if same else src.names):
+            if nm in ring._pos and nm not in images:
+                keep.append((i, ring._pos[nm]))
+            elif nm not in images and any(e[i] for e in self.terms):
+                raise OutOfRange(f"variable {nm!r} absent from target ring")
         out: dict = {}
         for e, c in self.terms.items():
-            ne = [0] * width
-            for i, exp in enumerate(e):
-                if not exp:
+            le = list(e) if same else [0] * len(ring)
+            for i, j in keep:
+                le[j] = e[i]
+            for i, ci, moves in maps:
+                k = e[i]
+                if not k:
                     continue
-                if slot[i] < 0:
-                    raise OutOfRange(f"variable {src[i]!r} absent from target ring")
-                ne[slot[i]] = exp
-            k = tuple(ne)
-            s = out.get(k, 0) + c
+                for j, x in moves:
+                    le[j] += k * x
+                if ci != 1:
+                    if k < 0 and not ci:
+                        raise ZeroDivisionError("zero to a negative power")
+                    if k < 0 and ci != -1:
+                        raise NonExactDivision(f"{ci}^{k} is not an integer")
+                    c *= ci ** abs(k)
+            key = tuple(le)
+            s = out.get(key, 0) + c
             if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+                out[key] = s
+            elif key in out:
+                del out[key]
         return Poly(ring, out)
 
     # -- rendering -------------------------------------------------------
@@ -761,88 +798,23 @@ def gauss_binomial(m: int, r: int) -> Poly:
 # -- substitutions and shifts -------------------------------------------
 
 
-def fold_var(f: Poly, src: str, dst: str, power: int = 1) -> Poly:
-    """Substitute src := dst**power, merging exponents."""
-    vs, vd = f.ring.pos(src), f.ring.pos(dst)
-    out: dict = {}
-    for e, c in f.terms.items():
-        le = list(e)
-        le[vd] += power * le[vs]
-        le[vs] = 0
-        k = tuple(le)
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return Poly(f.ring, out)
-
-
-def eval_var(f: Poly, name: str, value: int) -> Poly:
-    """Substitute an integer for one variable; a negative power must stay integral."""
-    v = f.ring.pos(name)
-    out: dict = {}
-    for e, c in f.terms.items():
-        exp = e[v]
-        if exp < 0:
-            if not value:
-                raise ZeroDivisionError("zero to a negative power")
-            if abs(value) != 1:
-                raise NonExactDivision(f"{value}^{exp} is not an integer")
-            exp = -exp
-        c *= value**exp
-        k = e[:v] + (0,) + e[v + 1 :]
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return Poly(f.ring, out)
-
-
-def swap_vars(f: Poly, n1: str, n2: str) -> Poly:
-    a, b = f.ring.pos(n1), f.ring.pos(n2)
-    out: dict = {}
-    for e, c in f.terms.items():
-        le = list(e)
-        le[a], le[b] = le[b], le[a]
-        out[tuple(le)] = c
-    return Poly(f.ring, out)
-
-
-def negate_var_exponents(f: Poly, names: tuple[str, ...]) -> Poly:
-    """Invert the listed variables (Laurent); used by operator dualization."""
-    idx = [f.ring.pos(nm) for nm in names]
-    out: dict = {}
-    for e, c in f.terms.items():
-        le = list(e)
-        for v in idx:
-            le[v] = -le[v]
-        out[tuple(le)] = c
-    return Poly(f.ring, out)
-
-
 def vector_shift(f: Poly, svec, var: str) -> Poly:
     """Substitute x_i -> var**svec[i-1] * x_i; entries may be negative.
 
     x_i is the ring's i-th variable.  A 0/1 vector gives the q- or t-shift
     operator on a subset of the x variables.
     """
-    v = f.ring.pos(var)
-    out: dict = {}
-    for e, c in f.terms.items():
-        tot = 0
-        for s, x in zip(svec, e):
-            if s:
-                tot += s * x
-        if tot:
-            e = e[:v] + (e[v] + tot,) + e[v + 1 :]
-        s2 = out.get(e, 0) + c
-        if s2:
-            out[e] = s2
-        elif e in out:
-            del out[e]
-    return Poly(f.ring, out)
+    return f.subs(_shift_images(f.ring, tuple(svec), var))
+
+
+@lru_cache(maxsize=None)
+def _shift_images(ring: Ring, svec: Expt, var: str) -> dict:
+    """vector_shift's images x_i -> var**svec[i-1] * x_i, shared: subs only reads them."""
+    v = ring.pos(var)
+    return {
+        ring.names[i]: ring.monomial([(j == i) + s * (j == v) for j in range(len(ring))])
+        for i, s in enumerate(svec) if s
+    }
 
 
 def split_x(f: Poly, n: int) -> dict[Expt, Poly]:

@@ -30,7 +30,7 @@ from macops.operators import (
     operator_ring,
 )
 from macops.partitions import Partition
-from macops.rings import Poly, negate_var_exponents, poly_exact_div, vector_shift
+from macops.rings import Poly, poly_exact_div, vector_shift
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +191,9 @@ def dualize(op: QDiffOp) -> QDiffOp:
     Inverting shifts is part of the involution; inverting only the scalars
     does not reproduce the minus-family and fails the duality law.
     """
-    terms = {
-        tuple(-x for x in s): negate_var_exponents(p, ("q", "t"))
-        for s, p in op.terms.items()
-    }
-    den = negate_var_exponents(op.den, ("q", "t"))
+    bar = {"q": op.ring.var("q", -1), "t": op.ring.var("t", -1)}
+    terms = {tuple(-x for x in s): p.subs(bar) for s, p in op.terms.items()}
+    den = op.den.subs(bar)
     return normalized(QDiffOp(op.ring, op.nvars, terms, den))
 
 

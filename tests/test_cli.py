@@ -300,6 +300,14 @@ def test_verify_suites_pass(capsys):
     assert doc["status"] == "pass"
     assert [r["shape"] for r in doc["records"]] == ["1", "2", "1,1"]
     assert doc["witness"] is None
+    # shapes longer than --n are skipped, as the other suites skip them
+    for suite in ("raising", "eigen"):
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--n", "1", "--max-weight", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [r["shape"] for r in json.loads(out)["records"]] == ["1", "2"]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -383,6 +391,10 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
         ("--suite", "commute", "--m", "1"),
         ("--suite", "jack", "--m", "0"),
         ("--suite", "schur-action", "--m", "1"),
+        ("--suite", "raising", "--n", "0"),
+        ("--suite", "eigen", "--n", "0"),
+        ("--suite", "kostka", "--n", "2"),
+        ("--suite", "kostka", "--n", "3", "--max-weight", "4"),
     ],
 )
 def test_selections_that_check_nothing_are_refused(capsys, argv):
@@ -392,7 +404,7 @@ def test_selections_that_check_nothing_are_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if "--m" in argv:
+    if "--m" in argv or argv[1] in ("raising", "eigen", "kostka"):
         assert f"suite {argv[1]!r}" in err
 
 

@@ -22,7 +22,7 @@ from macops.operators import (
 )
 from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
 from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
-from macops.rings import QT, _positive_trail, fold_var, poly_exact_div, poly_gcd, vector_shift, xring
+from macops.rings import QT, _positive_trail, poly_exact_div, poly_gcd, vector_shift, xring
 from oracles import apply_determinantal, build, dualize, equals, normalized, permute_x, scaled, with_global_qshift
 
 
@@ -53,7 +53,7 @@ def test_spec_validation():
     with pytest.raises(OutOfRange):
         OperatorSpec("unheard_of", 1)
     with pytest.raises(OutOfRange):
-        apply_operator(OperatorSpec("raise_plus", 3), xring(2).one.cast(operator_ring(2, "raise_plus")), 2)
+        apply_operator(OperatorSpec("raise_plus", 3), xring(2).one.subs({}, operator_ring(2, "raise_plus")), 2)
 
 
 def test_needs_parameter_vars():
@@ -135,13 +135,13 @@ def test_generating_kinds_sum_their_slices():
                 src, w = "macdonald_r", -ring.var("u")
             else:
                 src, w = kind.replace("gen", "u"), ring.var("v")
-            den = build(OperatorSpec(src, 0), n).den.cast(ring)
+            den = build(OperatorSpec(src, 0), n).den.subs({}, ring)
             terms = {}
             for r in range(n + 1):
                 part = build(OperatorSpec(src, r), n)
-                assert part.den.cast(ring) == den, (kind, r, n)
+                assert part.den.subs({}, ring) == den, (kind, r, n)
                 for s, c in part.terms.items():
-                    terms[s] = terms.get(s, ring.zero) + w**r * c.cast(ring)
+                    terms[s] = terms.get(s, ring.zero) + w**r * c.subs({}, ring)
             assert equals(QDiffOp(ring, n, terms, den), whole), (kind, n)
 
 
@@ -156,8 +156,8 @@ def test_raise_zero_and_full_index():
         assert apply_operator(OperatorSpec("raise_minus", 0), f, n) == shifted
         # column adders of full height multiply by x1..xn after the
         # u = t specialization of the generating operator
-        du = apply_operator(OperatorSpec("macdonald_u"), f.cast(uring), n)
-        want = fold_var(du, "u", "t").cast(ring)
+        du = apply_operator(OperatorSpec("macdonald_u"), f.subs({}, uring), n)
+        want = du.subs({"u": ring.var("t")}, ring)
         for j in range(1, n + 1):
             want = want * ring.var(f"x{j}")
         assert apply_operator(OperatorSpec("raise_plus", n), f, n) == want
@@ -178,7 +178,7 @@ def test_raise_on_one_gives_elementary():
     for n in (1, 2, 3, 4):
         ring = operator_ring(n, "raise_plus")
         for m in range(0, n + 1):
-            want = elementary(m, n, ring=ring) * column_unit_scale(m).cast(ring)
+            want = elementary(m, n, ring=ring) * column_unit_scale(m).subs({}, ring)
             for kind in ("raise_plus", "raise_minus"):
                 assert apply_operator(OperatorSpec(kind, m), ring.one, n) == want
 
@@ -228,10 +228,10 @@ def test_factorized_route_agrees_at_q_equals_t():
                     continue
                 f = expand_monomial(lam, n, ring=ring)
                 pn, pd = apply_operator(OperatorSpec(kind), f, n, raw=True)
-                pn, pd = fold_var(pn, "q", "t"), fold_var(pd, "q", "t")
+                pn, pd = pn.subs({"q": ring.var("t")}), pd.subs({"q": ring.var("t")})
                 ft = expand_monomial(lam, n, ring=tring)
                 fn, fd = apply_factorized_qt(kind, n, ft, raw=True)
-                fn, fd = fn.cast(ring), fd.cast(ring)
+                fn, fd = fn.subs({}, ring), fd.subs({}, ring)
                 assert pn * fd == fn * pd, (kind, n, lam.render())
 
     with pytest.raises(OutOfRange):
@@ -391,20 +391,20 @@ def test_dx_u_on_constants_and_m1():
     for n in (1, 2, 3):
         ring = operator_ring(n, "macdonald_u")
         got = apply_operator(OperatorSpec("macdonald_u"), ring.one, n)
-        want = eigen_poly(P(), n).cast(ring)
+        want = eigen_poly(P(), n).subs({}, ring)
         assert got == want
     ring = operator_ring(2, "macdonald_u")
     m1 = expand_monomial(P(1), 2, ring=ring)
     got = apply_operator(OperatorSpec("macdonald_u"), m1, 2)
-    assert got == eigen_poly(P(1), 2).cast(ring) * m1
+    assert got == eigen_poly(P(1), 2).subs({}, ring) * m1
 
 
 def _fold_u_op(op, value_tpow, target_ring):
     terms = {
-        s: fold_var(c, "u", "t", power=value_tpow).cast(target_ring)
+        s: c.subs({"u": target_ring.var("t", value_tpow)}, target_ring)
         for s, c in op.terms.items()
     }
-    return normalized(QDiffOp(target_ring, op.nvars, terms, op.den.cast(target_ring)))
+    return normalized(QDiffOp(target_ring, op.nvars, terms, op.den.subs({}, target_ring)))
 
 
 def test_u_specializations_recover_named_operators():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -19,8 +20,6 @@ from macops.rings import (
     _packed_div,
     _packed_mul,
     coeff_of_power,
-    eval_var,
-    fold_var,
     frac_by_factors,
     gauss_binomial,
     pochhammer_t,
@@ -243,21 +242,29 @@ def test_gauss_binomial_symmetry_and_product():
 def test_substitute_q_to_t():
     q, t = QT.var("q"), QT.var("t")
     f = 1 - q * t
-    assert fold_var(f, "q", "t") == 1 - t * t
-    assert fold_var(f, "q", "t", 3) == 1 - t**4
+    assert f.subs({"q": t}) == 1 - t * t
+    assert f.subs({"q": t**3}) == 1 - t**4
+    # the Kostka mirror q <-> t and the bar involution q -> 1/q, t -> 1/t
+    assert (q * t * t + 3 * q).subs({"q": t, "t": q}) == q * q * t + 3 * t
+    bar = {"q": QT.var("q", -1), "t": QT.var("t", -1)}
+    assert (q * t * t - 2 * q).subs(bar) == QT.monomial((-1, -2)) - 2 * QT.var("q", -1)
     with pytest.raises(OutOfRange):
-        fold_var(f, "q", "u", 3)
+        f.subs({"q": Ring(("q", "t", "u")).var("u", 3)})
+    with pytest.raises(OutOfRange):
+        f.subs({"u": t})
+    with pytest.raises(OutOfRange):
+        f.subs({"q": 1 + t})
 
 
 def test_substitute_t_value():
     q, t = QT.var("q"), QT.var("t")
     f = (1 - t) * (1 + q)
-    assert eval_var(f, "t", 1).is_zero
-    assert eval_var(f, "t", 2) == -1 - q
-    assert eval_var(QT.var("t", -1), "t", -1) == QT.const(-1)
+    assert f.subs({"t": QT.one}).is_zero
+    assert f.subs({"t": QT.const(2)}) == -1 - q
+    assert QT.var("t", -1).subs({"t": QT.const(-1)}) == QT.const(-1)
     # coefficients stay in Z: no value or factor yields a rational one
     with pytest.raises(NonExactDivision):
-        eval_var(QT.var("t", -1), "t", 2)
+        QT.var("t", -1).subs({"t": QT.const(2)})
     with pytest.raises(TypeError):
         QT.var("q") * Fraction(1, 2)
 
@@ -266,7 +273,7 @@ def test_substitute_divide_then_t1():
     # the Jack limit's last step: exact division by (1-t)^order, then t := 1
     t = QT.var("t")
     f = (1 - t) ** 2 * (1 + t)
-    assert eval_var(poly_exact_div(f, (1 - t) ** 2), "t", 1) == QT.const(2)
+    assert poly_exact_div(f, (1 - t) ** 2).subs({"t": QT.one}) == QT.const(2)
     with pytest.raises(NonExactDivision):
         poly_exact_div(1 - t, (1 - t) ** 2)
 
@@ -275,7 +282,8 @@ def test_eval_var_zero_negative_power():
     R = xring(1, ())
     f = R.monomial((-1,))
     with pytest.raises(ZeroDivisionError):
-        eval_var(f, "x1", 0)
+        f.subs({"x1": R.zero})
+    assert R.var("x1", 2).subs({"x1": R.zero}).is_zero
 
 
 def test_vector_shift():
@@ -288,6 +296,7 @@ def test_vector_shift():
     # x_i -> q^(s_i) x_i takes x1^2 x2 to q^(2*2 - 3*1) x1^2 x2
     assert vector_shift(f, (2, -3), "q") == q * f
     assert vector_shift(x1 + q * x2, (-1, 1), "q") == R.var("q", -1) * x1 + q * q * x2
+    assert vector_shift(f, (0, 0), "q") is f
 
 
 def test_permute_and_deriv():
@@ -303,12 +312,15 @@ def test_cast_and_split():
     R2 = xring(2)
     R3 = xring(2, ("q", "t", "u"))
     f = R2.var("x1") * R2.var("q")
-    g = f.cast(R3)
+    g = f.subs({}, R3)
     assert g.ring is R3
     assert g.var_max("x1") == 1 and g.var_max("q") == 1
-    assert g.cast(R2) == f
+    assert g.subs({}, R2) == f
+    assert f.subs({}) is f
     with pytest.raises(OutOfRange):
-        R3.var("u").cast(R2)
+        R3.var("u").subs({}, R2)
+    # the u ring into one without u, at u = t^2
+    assert (R3.var("u", 3) * R3.var("x2")).subs({"u": R2.var("t", 2)}, R2) == R2.var("x2") * R2.var("t", 6)
     parts = split_x(R2.var("x1") * R2.var("q") + R2.var("x1") * R2.var("t", 2), 2)
     assert set(parts) == {(1, 0)}
     assert parts[(1, 0)] == Ring(("q", "t")).var("q") + Ring(("q", "t")).var("t", 2)
@@ -320,7 +332,7 @@ def test_fold_and_coeff_of_power():
     assert coeff_of_power(f, "u", 1) == R.var("q")
     assert coeff_of_power(f, "u", 2) == R.var("t")
     assert coeff_of_power(f, "u", 0).is_zero
-    assert fold_var(f, "u", "t", 2) == R.var("q") * R.var("t", 2) + R.var("t", 5)
+    assert f.subs({"u": R.var("t", 2)}) == R.var("q") * R.var("t", 2) + R.var("t", 5)
 
 
 def test_alpha_ring_render():
@@ -467,3 +479,52 @@ def test_packed_division_rejects_a_quotient_outside_the_box():
     assert _packed_div(f, g) is None
     with pytest.raises(NonExactDivision):
         poly_exact_div(Poly(QT, f), Poly(QT, g))
+
+
+# -- subs against evaluation at integer points ------------------------------
+
+
+@st.composite
+def substitutions(draw):
+    """Laurent f, g over y0..y(k-1); images c y^b over a target ring; a point of the target.
+
+    The target is the source ring, or the unmapped variables, z and some
+    mapped ones in a drawn order.  c is +-1 where f or g has a negative
+    power of the variable.
+    """
+    k = draw(st.integers(1, 3))
+    src = Ring(tuple(f"y{i}" for i in range(k)))
+    f, g = draw(laurent_terms(k, bits=st.just(3))), draw(laurent_terms(k, bits=st.just(3)))
+    mapped = draw(st.lists(st.sampled_from(src.names), unique=True))
+    if draw(st.booleans()):
+        tgt = src
+    else:
+        kept = draw(st.lists(st.sampled_from(mapped), unique=True)) if mapped else []
+        rest = [nm for nm in src.names if nm not in mapped]
+        tgt = Ring(draw(st.permutations(rest + kept + ["z"])))
+    images = {}
+    for nm in mapped:
+        i = src.pos(nm)
+        low = min(e[i] for e in list(f) + list(g))
+        c = draw(st.sampled_from([-1, 1]) if low < 0 else st.integers(-3, 3))
+        images[nm] = tgt.monomial(tuple(draw(st.integers(-2, 2)) for _ in tgt.names), c)
+    point = {nm: Fraction(draw(st.integers(-3, 3).filter(bool))) for nm in tgt.names}
+    return src, tgt, Poly(src, f), Poly(src, g), images, point
+
+
+def evaluate(p, point):
+    return sum((c * prod(point[nm] ** x for nm, x in zip(p.ring.names, e)) for e, c in p.terms.items()), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_subs_is_evaluation_and_a_ring_map(case):
+    src, tgt, f, g, images, point = case
+    # each source variable's value at the point: its image's, or the value of its namesake
+    values = {nm: evaluate(images[nm], point) if nm in images else point[nm] for nm in src.names}
+    event("same ring" if tgt is src else "other ring")
+    sf, sg = f.subs(images, tgt), g.subs(images, tgt)
+    assert sf.ring is tgt
+    assert evaluate(sf, point) == evaluate(f, values)
+    assert (f * g).subs(images, tgt) == sf * sg
+    assert (f + g).subs(images, tgt) == sf + sg
