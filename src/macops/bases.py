@@ -106,20 +106,19 @@ def expand_monomial(lam: Partition, n: int, ring: Ring | None = None) -> Poly:
     return Poly(ring, terms)
 
 
+def unit_vector(idxs, width: int) -> tuple[int, ...]:
+    """The 0/1 exponent vector of the given width, 1 at each (1-based) index in idxs."""
+    s = set(idxs)
+    return tuple(int(i in s) for i in range(1, width + 1))
+
+
 def elementary(k: int, n: int, ring: Ring | None = None, skip: frozenset = frozenset()) -> Poly:
     """e_k in the variables x1..xn minus the skipped (1-based) indices."""
     ring = ring or xring(n)
     avail = [i for i in range(1, n + 1) if i not in skip]
     if k < 0 or k > len(avail):
         return ring.zero
-    width = len(ring.names)
-    out = {}
-    for combo in combinations(avail, k):
-        e = [0] * width
-        for i in combo:
-            e[i - 1] = 1
-        out[tuple(e)] = 1
-    return Poly(ring, out)
+    return Poly(ring, {unit_vector(c, len(ring.names)): 1 for c in combinations(avail, k)})
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ import os
 import sys
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .bases import expand_monomial, render_coeff, to_monomial_basis
 from .errors import (
@@ -55,30 +56,33 @@ DEFAULT_CAP = 12
 # (about 10-20 s of work on a 2-core machine).
 APPLY_OP_BUDGET = 2_000_000
 
-IDENTITY_GROUPS = {
-    "e-identities": (
-        "elementary_product",
-        "elementary_u_product",
-        "elementary_u_slice",
-        "generator_on_one",
-    ),
-    "kernel": ("kernel_swap", "kernel_reduction_plus", "kernel_reduction_minus"),
-    "schur-action": (
-        "schur_action_raise",
-        "schur_action_raise_comp",
-        "schur_action_lower",
-    ),
-}
 
-VERIFY_SUITES = (
-    "raising",
-    "lowering",
-    "eigen",
-    "kostka",
-    "duality",
-    "commute",
-    "jack",
-) + tuple(IDENTITY_GROUPS)
+class Suite(NamedTuple):
+    """What one verify suite accepts; None in weights or m refuses that flag."""
+    weights: tuple[int, int] | None = (0, 3)  # first weight checked, default top weight
+    n: int | None = None  # default n; None takes one n per shape
+    m: int | None = None  # least --m
+    m_to_n: bool = False  # --m must also be at most n
+    max_n: int | None = None  # largest --n: under a minute at the default weights, 2 cores
+    n_covers_top: bool = False  # --n must be at least the top weight
+    checks: tuple[str, ...] = ()  # the identity suites of a group
+
+
+VERIFY = {
+    "raising": Suite(weights=(1, 4)),
+    "lowering": Suite(m=0),
+    "eigen": Suite(weights=(1, 3)),
+    "kostka": Suite(weights=(1, 3), n_covers_top=True),
+    "duality": Suite(n=3, m=0, m_to_n=True, max_n=5),
+    "commute": Suite(n=3, max_n=5),
+    "jack": Suite(),
+    "e-identities": Suite(weights=None, n=3, m=0, m_to_n=True, max_n=6, checks=(
+        "elementary_product", "elementary_u_product", "elementary_u_slice", "generator_on_one")),
+    "kernel": Suite(weights=None, n=2, m=1, m_to_n=True, max_n=3, checks=(
+        "kernel_swap", "kernel_reduction_plus", "kernel_reduction_minus")),
+    "schur-action": Suite(weights=None, n=2, max_n=5, checks=(
+        "schur_action_raise", "schur_action_raise_comp", "schur_action_lower")),
+}
 
 
 def _cap() -> int:
@@ -273,32 +277,25 @@ def cmd_apply_op(args) -> int:
 # -- verification ---------------------------------------------------------
 
 
-def _check_m(suite: str, m: int | None, lo: int, n: int):
-    if m is not None and not lo <= m <= n:
-        raise OutOfRange(f"suite {suite!r} needs {lo} <= m <= n; --m {m} is outside [{lo}, {n}]")
-
-
 def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
-    least = 1 if suite in ("raising", "eigen", "kostka") else 0
-    if maxw is not None and maxw < least:
-        raise OutOfRange(
-            f"suite {suite!r} checks weights from {least}; --max-weight {maxw} selects nothing"
-        )
-    if suite == "commute" and n is not None and n < 1:
-        raise OutOfRange(f"suite 'commute' needs a pair of orders r < s <= n; --n {n} has none")
-    if suite in ("raising", "eigen", "duality", "jack", "lowering") and n is not None and n < 1:
-        raise OutOfRange(
-            f"suite {suite!r} needs at least one variable; --n {n} leaves only constants"
-        )
-    if m is not None and suite in ("raising", "eigen", "kostka", "commute", "jack", "schur-action"):
-        raise OutOfRange(f"suite {suite!r} takes no --m")
-    if m is not None and m < 0 and suite == "lowering":
-        raise OutOfRange(f"suite 'lowering' removes a column of height m >= 0; --m {m} is negative")
-    top = maxw if maxw is not None else 3
-    if suite == "kostka" and n is not None and n < top:
-        raise OutOfRange(f"suite 'kostka' needs n >= its top degree {top}; --n {n} is below it")
+    row = VERIFY[suite]
+    first, top = row.weights or (None, None)
+    top = top if maxw is None else maxw
+    nv = row.n if n is None else n
+    for flag, value, lo, hi in (
+        ("--max-weight", maxw, first, None),
+        ("--n", n, top if row.n_covers_top else 1, row.max_n),
+        ("--m", m, row.m, nv if row.m_to_n else None),
+    ):
+        if value is None:
+            continue
+        if lo is None:
+            raise OutOfRange(f"suite {suite!r} takes no {flag}")
+        if value < lo or (hi is not None and value > hi):
+            bound = f"{flag} >= {lo}" if hi is None else f"{lo} <= {flag} <= {hi}"
+            raise OutOfRange(f"suite {suite!r} needs {bound}; got {flag} {value}")
     if suite == "raising":
-        for lam in partitions_up_to(maxw if maxw is not None else 4, n, 1):
+        for lam in partitions_up_to(top, n, 1):
             nv = n if n is not None else default_nvars(lam)
             triple_agreement(lam, nv)
             yield {
@@ -337,13 +334,10 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                 "status": "pass",
             }
     elif suite == "duality":
-        nv = n if n is not None else 3
-        _check_m(suite, m, 0, nv)
         for lam in partitions_up_to(top, nv):
             for mm in range(0, nv + 1) if m is None else [m]:
                 yield duality_verify(lam, mm, nv)
     elif suite == "commute":
-        nv = n if n is not None else 3
         for lam in partitions_up_to(top, nv):
             yield from commute_verify(lam, nv)
     elif suite == "jack":
@@ -352,21 +346,12 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
             yield jack_check_limits(lam, nv)
             for mm in range(lam.length, min(nv, lam.length + 1) + 1):
                 yield jack_lowering_verify(lam, mm, nv)
-    elif suite in IDENTITY_GROUPS:
-        defaults = {"e-identities": 3, "kernel": 2, "schur-action": 2}
-        nv = n if n is not None else defaults[suite]
-        _check_m(suite, m, 1 if suite == "kernel" else 0, nv)
-        for name in IDENTITY_GROUPS[suite]:
-            yield run_suite(name, nv, m)
     else:
-        raise OutOfRange(f"unknown suite {suite!r}")
+        for name in row.checks:
+            yield run_suite(name, nv, m)
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in VERIFY_SUITES:
-        raise OutOfRange(
-            f"unknown suite {args.suite!r}; choose from {', '.join(VERIFY_SUITES)}"
-        )
     if args.max_weight is not None:
         _check_cap(args.max_weight, "max weight")
     records = []
@@ -450,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     ja.set_defaults(fn=cmd_jack)
 
     ve = subs.add_parser("verify", help="run a verification suite")
-    ve.add_argument("--suite", required=True)
+    ve.add_argument("--suite", choices=VERIFY, required=True)
     ve.add_argument("--nvars", "--n", dest="nvars", type=int, default=None)
     ve.add_argument("--m", type=int, default=None)
     ve.add_argument("--max-weight", dest="max_weight", type=int, default=None)

@@ -56,8 +56,10 @@ def _kernel_sum(ring: Ring, first, second, weight):
 
 
 def kernel_F(n: int, m: int, swapped: bool = False, u_tpow: int = 0):
-    """The subset-sum kernel ratio as one cleared (numerator, denominator).
+    """The subset-sum kernel ratio times K, as one cleared (numerator, denominator).
 
+    K = prod (1 - t x_i y_k), symmetric in the two alphabets, is shared by both
+    sides of the swap identity; den is the Vandermonde of the summed alphabet alone.
     With swapped=True the roles of the alphabets are exchanged (the sum
     runs over the y variables); u_tpow shifts the u slot by a power of t,
     which is how the swap identity rescales its argument.
@@ -68,11 +70,7 @@ def kernel_F(n: int, m: int, swapped: bool = False, u_tpow: int = 0):
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
     first, second = (ys, xs) if swapped else (xs, ys)
-    t = ring.var("t")
     den = cross_named(ring, first, frozenset(), "plus")
-    for a in first:
-        for b in second:
-            den = den * (1 - t * ring.var(a) * ring.var(b))
     num = _kernel_sum(
         ring, first, second,
         lambda k: ring.var("u", k) * ring.var("t", u_tpow * k + _binom2(k)),
@@ -210,9 +208,7 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> dict:
                             )
                     lhs = lhs + (-xj * term if sgn % 2 else xj * term)
         rhs = _kernel_sum(ring, ys, xs, lambda k: ring.var("t", _binom2(k)))
-        yall = ring.one
-        for b in ys:
-            yall = yall * ring.var(b)
+        yall = _xmono(ring, range(n + 1, n + mm + 1))
         dy = cross_named(ring, ys, frozenset(), "plus")
         dx = cross_named(ring, xs, frozenset(), "plus")
         if lhs * yall * dy != rhs * dx:

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, vandermonde
+from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, unit_vector, vandermonde
 from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
@@ -132,17 +132,11 @@ def _comp(I, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if i not in s)
 
 
-def _unit_shift(idxs, n: int) -> tuple[int, ...]:
-    """The 0/1 shift vector of the (1-based) indices idxs among x1..xn."""
-    s = set(idxs)
-    return tuple(1 if i in s else 0 for i in range(1, n + 1))
+_unit_shift = unit_vector  # the shift vector of the indices idxs among x1..xn
 
 
 def _xmono(ring: Ring, idxs) -> Poly:
-    e = [0] * len(ring.names)
-    for i in idxs:
-        e[i - 1] = 1
-    return ring.monomial(tuple(e))
+    return ring.monomial(unit_vector(idxs, len(ring.names)))
 
 
 @lru_cache(maxsize=None)

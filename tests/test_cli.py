@@ -395,6 +395,15 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
         ("--suite", "eigen", "--n", "0"),
         ("--suite", "kostka", "--n", "2"),
         ("--suite", "kostka", "--n", "3", "--max-weight", "4"),
+        ("--suite", "kernel", "--max-weight", "9"),
+        ("--suite", "schur-action", "--max-weight", "1"),
+        ("--suite", "e-identities", "--max-weight", "0"),
+        # one past the largest n of each x-level suite
+        ("--suite", "kernel", "--n", "4"),
+        ("--suite", "duality", "--n", "6"),
+        ("--suite", "commute", "--n", "6"),
+        ("--suite", "schur-action", "--n", "6"),
+        ("--suite", "e-identities", "--n", "7"),
     ],
 )
 def test_selections_that_check_nothing_are_refused(capsys, argv):
@@ -404,8 +413,8 @@ def test_selections_that_check_nothing_are_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if "--m" in argv or argv[1] in ("raising", "eigen", "kostka"):
-        assert f"suite {argv[1]!r}" in err
+    assert f"suite {argv[1]!r}" in err
+    assert any(flag in err for flag in argv[2::2])
 
 
 def test_ppoly_computes_no_gcd(capsys, monkeypatch):

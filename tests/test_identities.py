@@ -59,8 +59,21 @@ def test_kernel_smallest_case():
     num, den = kernel_F(1, 1)
     ring = num.ring
     x, y, t, u = (ring.var(v) for v in ("x1", "y1", "t", "u"))
-    assert den == 1 - t * x * y
+    assert den == 1  # the kernel product is left out of both sides
     assert num == (1 - t * x * y) - u * (1 - x * y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_swap_catches_a_wrong_u_shift(monkeypatch, n):
+    # the kernel product is left out of den; the swap law must still fail
+    # when the swapped side scales its u argument by one power of t too many
+    kernel = ids.kernel_F
+    monkeypatch.setattr(
+        ids, "kernel_F",
+        lambda n, m, swapped=False, u_tpow=0: kernel(n, m, swapped, u_tpow + swapped),
+    )
+    with pytest.raises(IdentityFailed, match=f"^kernel_swap: n={n} m=1$"):
+        run_suite("kernel_swap", n)
 
 
 def test_kernel_rejects_empty_alphabets():
