@@ -51,9 +51,11 @@ from .partitions import parse_partition, partitions_up_to
 from .rings import ALPHA
 
 DEFAULT_CAP = 12
-# apply-op expands x-polynomials and divides by the n!-term Vandermonde;
-# cmd_apply_op refuses a request estimated at more term products than this
-# (about 10-20 s of work on a 2-core machine).
+# apply-op expands x-polynomials: each shift's coefficient holds a t-shifted
+# Vandermonde of n! terms, so the numerator costs about shifts x n! x (input
+# monomials) term products, while the division by Delta is linear in the
+# terms per factor.  cmd_apply_op refuses a request estimated at more term
+# products than this (a few seconds of work on a 2-core machine).
 APPLY_OP_BUDGET = 2_000_000
 
 

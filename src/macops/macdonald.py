@@ -42,8 +42,6 @@ from .rings import (
     poly_exact_div,
 )
 
-PROVENANCE_TAGS = ("eigen_oracle", "raising_kplus", "raising_kminus")
-
 
 def default_nvars(lam: Partition) -> int:
     """Working variable count: the length of the shape, but at least two."""

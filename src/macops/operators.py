@@ -70,7 +70,8 @@ from .rings import (
     QT,
     Poly,
     Ring,
-    poly_exact_div,
+    _mono_div,
+    delta_div,
     vector_shift,
     xring,
 )
@@ -181,27 +182,47 @@ def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ..
 # -- explicit normal form ------------------------------------------------
 
 
+def _delta_factor(den: Poly, n: int) -> tuple[int, tuple[int, ...]]:
+    """(sign, low) with den = sign * Delta * x^low, Delta the Vandermonde in x1..xn."""
+    if den:
+        # Delta has a term free of each x_i, so x^low is den's lowest monomial
+        low = tuple(min(col) for col in zip(*den.terms))
+        rest = Poly(den.ring, _mono_div(den.terms, low))
+        delta = vandermonde(n, den.ring)
+        if rest == delta:
+            return 1, low
+        if rest == -delta:
+            return -1, low
+    raise OutOfRange(f"denominator {den.render()} is not +-Delta times a monomial")
+
+
 class QDiffOp:
     """Sum of polynomial coefficients times q-shifts, over a common denominator.
 
     terms maps a shift vector (one integer per x variable) to its numerator
-    coefficient.
+    coefficient.  The denominator must be +-Delta times a monomial, Delta
+    the Vandermonde in x1..xn; it is factored so at construction.
     """
 
-    __slots__ = ("ring", "nvars", "terms", "den")
+    __slots__ = ("ring", "nvars", "terms", "den", "_factor")
 
     def __init__(self, ring: Ring, nvars: int, terms: dict, den: Poly):
         self.ring = ring
         self.nvars = nvars
         self.terms = {s: p for s, p in terms.items() if p}
         self.den = den
+        self._factor = _delta_factor(den, nvars)
 
     def apply(self, f: Poly, raw: bool = False):
         """Apply to f; with raw=True return (numerator, denominator) instead.
 
         The raw form exists because the symbolic-parameter lowering kinds
         do not map every symmetric polynomial to a polynomial; equality
-        checks then cross-multiply rather than divide.
+        checks then cross-multiply rather than divide.  Otherwise the
+        numerator is divided by the monomial and then by the C(n,2) linear
+        factors x_i - x_j of Delta (:func:`rings.delta_div`), each step
+        linear in the number of terms; the heap loop (``rings._heap_div``)
+        is its oracle in the tests.
         """
         if f.ring is not self.ring:
             f = f.subs({}, self.ring)
@@ -210,7 +231,7 @@ class QDiffOp:
             acc = acc + num * vector_shift(f, shift, "q")
         if raw:
             return acc, self.den
-        return poly_exact_div(acc, self.den)
+        return delta_div(acc, self.nvars, *self._factor)
 
     def __repr__(self):
         return f"<QDiffOp n={self.nvars} shifts={sorted(self.terms)}>"
@@ -329,12 +350,10 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
             g = (xj + v) * g - u * v * sh
         else:
             g = xj * sh + v * (g - u * sh)
-    den = vandermonde(n, ring)
-    if kind.startswith("lower"):
-        den = den * _xmono(ring, range(1, n + 1))
+    low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
     if raw:
-        return g, den
-    return poly_exact_div(g, den)
+        return g, vandermonde(n, ring) * ring.monomial(low)
+    return delta_div(g, n, 1, low)
 
 
 # -- symmetric operators on monomial coefficients -------------------------

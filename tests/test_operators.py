@@ -22,7 +22,7 @@ from macops.operators import (
 )
 from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
 from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
-from macops.rings import QT, _positive_trail, poly_exact_div, poly_gcd, vector_shift, xring
+from macops.rings import QT, Poly, _positive_trail, poly_exact_div, poly_gcd, vector_shift, xring
 from oracles import apply_determinantal, build, dualize, equals, normalized, permute_x, scaled, with_global_qshift
 
 
@@ -360,29 +360,65 @@ def test_first_family_commutes():
             assert rs == sr, (r, s)
 
 
-def reduced(op: QDiffOp) -> QDiffOp:
-    """Cancel the overall polynomial content shared with the denominator."""
+def reduced(op: QDiffOp) -> tuple[dict, Poly]:
+    """The terms and denominator with their common polynomial content cancelled.
+
+    A pair, not a QDiffOp: the reduced denominator is no longer the
+    Vandermonde times a monomial.
+    """
     g = op.den
     for p in op.terms.values():
         g = poly_gcd(g, p)
         if g.is_const() and abs(g.const_value()) == 1:
-            return op
+            return op.terms, op.den
     den = poly_exact_div(op.den, g)
     if _positive_trail(den) is not den:
         g = -g
         den = -den
-    return QDiffOp(op.ring, op.nvars, {s: poly_exact_div(p, g) for s, p in op.terms.items()}, den)
+    return {s: poly_exact_div(p, g) for s, p in op.terms.items()}, den
 
 
 def test_dx_build_edges():
     # r = 0 is the identity, r = n the pure global shift
-    op0 = reduced(build(OperatorSpec("macdonald_r", 0), 3))
-    assert op0.terms == {(0, 0, 0): op0.ring.one} and op0.den == op0.ring.one
-    opn = reduced(build(OperatorSpec("macdonald_r", 3), 3))
-    assert opn.terms == {(1, 1, 1): opn.ring.var("t", 3)}
-    assert opn.den == opn.ring.one
-    km0 = reduced(build(OperatorSpec("raise_minus", 0), 3))
-    assert km0.terms == {(1, 1, 1): km0.ring.one} and km0.den == km0.ring.one
+    one = operator_ring(3, "macdonald_r").one
+    assert reduced(build(OperatorSpec("macdonald_r", 0), 3)) == ({(0, 0, 0): one}, one)
+    t3 = one.ring.var("t", 3)
+    assert reduced(build(OperatorSpec("macdonald_r", 3), 3)) == ({(1, 1, 1): t3}, one)
+    assert reduced(build(OperatorSpec("raise_minus", 0), 3)) == ({(1, 1, 1): one}, one)
+
+
+def _assert_signed_delta_monomial(op: QDiffOp):
+    sign, low = op._factor
+    assert sign in (1, -1)
+    assert op.den == vandermonde(op.nvars, op.ring) * op.ring.monomial(low) * sign, op
+
+
+def test_every_denominator_is_a_signed_vandermonde_times_a_monomial():
+    # QDiffOp.apply divides through the linear factors of Delta, so every
+    # plan and every operator the oracles build must have such a den
+    for n in range(0, 4):
+        for kind in ALL_KINDS:
+            names = operator_ring(n, kind).names
+            for m in op_index_range(kind, n):
+                _assert_signed_delta_monomial(_plan(kind, m, n, names))
+                lit = build(OperatorSpec(kind, m), n)
+                t = lit.ring.var("t")
+                for op in (lit, dualize(lit), normalized(scaled(lit, t)), with_global_qshift(lit)):
+                    _assert_signed_delta_monomial(op)
+        # +-Delta over any Laurent monomial, here (x1...xn t^2)^-1
+        ring = operator_ring(n, "macdonald_r")
+        for low in ((0,) * len(ring), (-1,) * n + (0, -2)):
+            for sign in (1, -1):
+                den = vandermonde(n, ring) * ring.monomial(low) * sign
+                _assert_signed_delta_monomial(QDiffOp(ring, n, {}, den))
+
+
+def test_other_denominators_are_refused():
+    ring = operator_ring(3, "macdonald_r")
+    delta, t = vandermonde(3, ring), ring.var("t")
+    for den in (delta * (1 + t), ring.zero, 2 * delta, vandermonde(2, ring), delta * delta):
+        with pytest.raises(OutOfRange, match="not"):
+            QDiffOp(ring, 3, {(0, 0, 0): ring.one}, den)
 
 
 def test_dx_u_on_constants_and_m1():

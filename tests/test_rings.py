@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from jack_oracle import deriv
+from macops.bases import vandermonde
 from macops.errors import NonExactDivision, OutOfRange
 from macops.rings import (
     ALPHA,
@@ -20,6 +21,7 @@ from macops.rings import (
     _packed_div,
     _packed_mul,
     coeff_of_power,
+    delta_div,
     frac_by_factors,
     gauss_binomial,
     pochhammer_t,
@@ -342,7 +344,7 @@ def test_alpha_ring_render():
 
 # -- the packed kernel against the dict and heap loops ---------------------
 
-SIDE = {1: 8, 2: 5, 3: 3, 4: 2}
+SIDE = {1: 8, 2: 5, 3: 3, 4: 2, 5: 2}
 
 
 @st.composite
@@ -479,6 +481,34 @@ def test_packed_division_rejects_a_quotient_outside_the_box():
     assert _packed_div(f, g) is None
     with pytest.raises(NonExactDivision):
         poly_exact_div(Poly(QT, f), Poly(QT, g))
+
+
+# -- division by the Vandermonde against the heap loop -----------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 4), sign=st.sampled_from([1, -1]), data=st.data())
+def test_delta_division_matches_the_heap_loop(n, sign, data):
+    # f = sign Delta x^low h over x1..xn, t: h and low Laurent
+    ring = xring(n, ("t",))
+    k = len(ring)
+    h = data.draw(laurent_terms(k, bits=st.sampled_from([1, 3, 40])))
+    low = tuple(data.draw(st.integers(-3, 3)) for _ in range(k))
+    den = vandermonde(n, ring) * ring.monomial(low) * sign
+    f = Poly(ring, h) * den
+    assert delta_div(f, n, sign, low).terms == h
+    assert heap_oracle(ring, f.terms, den.terms) == h
+    assert delta_div(ring.zero, n, sign, low) == ring.zero
+    if n < 2:
+        return  # den is a unit
+    # one coefficient off by one: Delta divides no monomial
+    e = data.draw(st.sampled_from(sorted(f.terms)))
+    bumped = dict(f.terms)
+    bumped[e] += data.draw(st.sampled_from([1, -1]))
+    bumped = {e: c for e, c in bumped.items() if c}
+    assert heap_oracle(ring, bumped, den.terms) is None
+    with pytest.raises(NonExactDivision):
+        delta_div(Poly(ring, bumped), n, sign, low)
 
 
 # -- subs against evaluation at integer points ------------------------------
