@@ -70,8 +70,9 @@ from .rings import (
     QT,
     Poly,
     Ring,
+    SignedDelta,
     _mono_div,
-    delta_div,
+    poly_exact_div,
     vector_shift,
     xring,
 )
@@ -182,17 +183,17 @@ def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ..
 # -- explicit normal form ------------------------------------------------
 
 
-def _delta_factor(den: Poly, n: int) -> tuple[int, tuple[int, ...]]:
-    """(sign, low) with den = sign * Delta * x^low, Delta the Vandermonde in x1..xn."""
+def _delta_factor(den: Poly, n: int) -> SignedDelta:
+    """den as sign * Delta * x^low, Delta the Vandermonde in x1..xn."""
     if den:
         # Delta has a term free of each x_i, so x^low is den's lowest monomial
         low = tuple(min(col) for col in zip(*den.terms))
         rest = Poly(den.ring, _mono_div(den.terms, low))
         delta = vandermonde(n, den.ring)
         if rest == delta:
-            return 1, low
+            return SignedDelta(n, 1, low)
         if rest == -delta:
-            return -1, low
+            return SignedDelta(n, -1, low)
     raise OutOfRange(f"denominator {den.render()} is not +-Delta times a monomial")
 
 
@@ -201,17 +202,20 @@ class QDiffOp:
 
     terms maps a shift vector (one integer per x variable) to its numerator
     coefficient.  The denominator must be +-Delta times a monomial, Delta
-    the Vandermonde in x1..xn; it is factored so at construction.
+    the Vandermonde in x1..xn.  den keeps it expanded, for the raw form and
+    the oracles; divisor is the same value factored once, here, which is
+    the one check that every denominator has this form.  Neither is
+    reassigned after construction.
     """
 
-    __slots__ = ("ring", "nvars", "terms", "den", "_factor")
+    __slots__ = ("ring", "nvars", "terms", "den", "divisor")
 
     def __init__(self, ring: Ring, nvars: int, terms: dict, den: Poly):
         self.ring = ring
         self.nvars = nvars
         self.terms = {s: p for s, p in terms.items() if p}
         self.den = den
-        self._factor = _delta_factor(den, nvars)
+        self.divisor = _delta_factor(den, nvars)
 
     def apply(self, f: Poly, raw: bool = False):
         """Apply to f; with raw=True return (numerator, denominator) instead.
@@ -219,10 +223,11 @@ class QDiffOp:
         The raw form exists because the symbolic-parameter lowering kinds
         do not map every symmetric polynomial to a polynomial; equality
         checks then cross-multiply rather than divide.  Otherwise the
-        numerator is divided by the monomial and then by the C(n,2) linear
-        factors x_i - x_j of Delta (:func:`rings.delta_div`), each step
-        linear in the number of terms; the heap loop (``rings._heap_div``)
-        is its oracle in the tests.
+        numerator is divided by the factored divisor: by the monomial and
+        then by the C(n,2) linear factors x_i - x_j of Delta
+        (:func:`rings.poly_exact_div` on a :class:`rings.SignedDelta`), each
+        step linear in the number of terms; the heap loop
+        (``rings._heap_div``) is its oracle in the tests.
         """
         if f.ring is not self.ring:
             f = f.subs({}, self.ring)
@@ -231,7 +236,7 @@ class QDiffOp:
             acc = acc + num * vector_shift(f, shift, "q")
         if raw:
             return acc, self.den
-        return delta_div(acc, self.nvars, *self._factor)
+        return poly_exact_div(acc, self.divisor)
 
     def __repr__(self):
         return f"<QDiffOp n={self.nvars} shifts={sorted(self.terms)}>"
@@ -353,7 +358,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
     low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
     if raw:
         return g, vandermonde(n, ring) * ring.monomial(low)
-    return delta_div(g, n, 1, low)
+    return poly_exact_div(g, SignedDelta(n, 1, low))
 
 
 # -- symmetric operators on monomial coefficients -------------------------

@@ -16,9 +16,10 @@ pair, and divisions of at least PACK_MIN_DIV_PAIRS term pairs with at
 most DENSE digits per term in the dividend's box.  Everything else runs
 the dict loop and the heap loop, which the tests keep as the oracles.
 The division by +-Delta times a monomial that ends every x-level
-operator, Delta the Vandermonde, runs through the C(n,2) linear factors
-x_i - x_j of Delta (:func:`delta_div`), each a synthetic division linear
-in the number of terms; the heap loop is its oracle.
+operator, Delta the Vandermonde, is asked for with a :class:`SignedDelta`
+divisor and runs through the C(n,2) linear factors x_i - x_j of Delta
+(:func:`_linear_div`), each a synthetic division linear in the number of
+terms; the heap loop is its oracle in the tests.
 
 Every change of variables is one monomial substitution,
 :meth:`Poly.subs`, a ring map that sends each variable to c times a
@@ -41,7 +42,8 @@ from array import array
 from functools import lru_cache
 from itertools import product
 from math import gcd as _int_gcd, prod
-from operator import add, lshift, mul, sub
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import NonExactDivision, OutOfRange
 
@@ -484,7 +486,19 @@ def _packed_div(f: dict, g: dict) -> dict | None:
 # -- exact division ------------------------------------------------------
 
 
-def poly_exact_div(f: Poly, g: Poly) -> Poly:
+class SignedDelta(NamedTuple):
+    """The divisor sign * Delta * x^low, kept factored.
+
+    Delta = prod_{i<j} (x_i - x_j) over the ring's first n variables, sign
+    is +-1 and low an exponent vector over the whole ring.
+    """
+
+    n: int
+    sign: int
+    low: Expt
+
+
+def poly_exact_div(f: Poly, g: Poly | SignedDelta) -> Poly:
     """Divide ``f`` by ``g`` exactly, raising :class:`NonExactDivision`.
 
     Dense operands are divided packed (:func:`_packed_div`), which packs
@@ -494,7 +508,12 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     The units of Z[x^(+-1)] are the signed monomials, so this loses
     nothing: then no variable divides g and f has nonnegative exponents,
     so a Laurent quotient is a polynomial.
+
+    A :class:`SignedDelta` divisor is divided through the linear factors
+    of Delta instead (:func:`_linear_div`), never by the heap loop.
     """
+    if isinstance(g, SignedDelta):
+        return _delta_div(f, g)
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero:
@@ -560,66 +579,54 @@ def _heap_div(f: dict, g: dict) -> dict:
     return quot
 
 
-def delta_div(f: Poly, n: int, sign: int, low: Expt) -> Poly:
-    """f / (sign * Delta * x^low) exactly, raising :class:`NonExactDivision`.
-
-    Delta = prod_{i<j} (x_i - x_j) over the ring's first n variables, sign
-    is +-1 and low an exponent vector over the whole ring.  After the
-    monomial shift, f is divided by each x_i - x_j in turn, synthetically
-    in x_i: with F_k, Q_k the terms of f and of the quotient of degree k in
-    x_i, Q_(k-1) = F_k / x_i + x_j Q_k from the top degree of f down, and
-    at its lowest degree lo, F_lo + x_j Q_lo must vanish.  Each step is
-    linear in the number of terms, and an exact quotient stays in the box
-    of f.  The quotient comes out grouped by its degree in x_i, the
-    grouping the division by the next x_i - x_j needs.  Laurent operands
-    work as in :func:`poly_exact_div`: the degrees run down to lo, whatever
-    its sign.  The heap loop is the oracle in the tests.
-
-    An exponent vector is packed into one int of W-bit slots, each holding
-    e + 2^(W-1), so a monomial factor is one addition.  Every intermediate
-    exponent lies within 3 max|e| + 1 of 0 (e over the shifted f), below
-    2^(W-1), so the slots never carry.
-    """
-    ring = f.ring
-    if n > len(ring):
-        raise OutOfRange(f"Delta in {n} variables over {ring!r}")
-    if not f.terms:
-        return ring.zero
-    lo, hi = _box(f.terms)
-    w = max(max(abs(a - b), abs(c - b)) for a, c, b in zip(lo, hi, low)).bit_length() + 3
-    shifts = range(0, w * len(ring), w)
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    # keys carry 2^(w-1) in every slot, so each slot is a nonnegative digit
-    base = sum((half - x) << s for x, s in zip(low, shifts))
-    terms = {sum(map(lshift, e, shifts)) + base: c * sign for e, c in f.terms.items()}
+def _delta_div(f: Poly, g: SignedDelta) -> Poly:
+    """f / g: the monomial shift, then one synthetic division per factor x_i - x_j."""
+    n, sign, low = g
+    if n > len(f.ring) or len(low) != len(f.ring):
+        raise OutOfRange(f"Delta in {n} variables times x^{low} over {f.ring!r}")
+    terms = {tuple(map(sub, e, low)): c * sign for e, c in f.terms.items()}
     for i in range(n - 1):
-        si = shifts[i]
-        ui = 1 << si
-        levels: dict = {}
-        for key, c in terms.items():
-            levels.setdefault((key >> si) & mask, {})[key] = c
         for j in range(i + 1, n):
-            step = (1 << shifts[j]) - ui
-            quot: dict = {}
-            carry: dict = {}
-            lowest = min(levels)
-            for k in range(max(levels), lowest - 1, -1):
-                # carry becomes Q_(k-1) = F_k / x_i + x_j Q_k
-                carry = {key + step: c for key, c in carry.items()}
-                for key, c in levels.get(k, {}).items():
-                    key -= ui
-                    s = carry.get(key, 0) + c
-                    if s:
-                        carry[key] = s
-                    else:
-                        del carry[key]
-                if carry and k > lowest:
-                    quot[k - 1] = carry
-            if carry:
-                raise NonExactDivision(f"nonzero remainder by x{i + 1} - x{j + 1}")
-            levels = quot
-        terms = {key: c for level in levels.values() for key, c in level.items()}
-    return Poly(ring, {tuple([((key >> s) & mask) - half for s in shifts]): c for key, c in terms.items()})
+            terms = _linear_div(terms, i, j)
+    return Poly(f.ring, terms)
+
+
+def _linear_div(terms: dict, i: int, j: int) -> dict:
+    """Terms of f / (x_i - x_j), in time linear in the terms of f and of the quotient.
+
+    With x_i = u x_j, a monomial x_i^a x_j^b is u^a x_j^(a+b) and x_i - x_j
+    is x_j (u - 1).  Grouped by a, f = sum F_a u^a with the F_a free of u,
+    and its quotient by u - 1 is sum Q_(a-1) u^(a-1) with Q_(a-1) = F_a + Q_a
+    from the top a down; at the lowest a, F_a + Q_a is the remainder and
+    must vanish.  Laurent exponents need nothing more: a runs down to its
+    lowest value, whatever its sign.
+    """
+    levels: dict = {}
+    for e, c in terms.items():
+        k = list(e)
+        a = k[i]
+        k[i], k[j] = 0, k[j] + a
+        levels.setdefault(a, {})[tuple(k)] = c
+    quot: dict = {}
+    acc: dict = {}
+    lowest = min(levels, default=0)
+    for a in range(max(levels, default=0), lowest - 1, -1):
+        for k, c in levels.get(a, {}).items():
+            s = acc.get(k, 0) + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        if a == lowest:
+            break
+        # acc is Q_(a-1); u^(a-1) x_j^(a+b) / x_j is x_i^(a-1) x_j^b
+        for k, c in acc.items():
+            e = list(k)
+            e[i], e[j] = a - 1, e[j] - a
+            quot[tuple(e)] = c
+    if acc:
+        raise NonExactDivision(f"nonzero remainder by x{i + 1} - x{j + 1}")
+    return quot
 
 
 # -- gcd over Z[vars] ----------------------------------------------------

@@ -388,8 +388,8 @@ def test_dx_build_edges():
 
 
 def _assert_signed_delta_monomial(op: QDiffOp):
-    sign, low = op._factor
-    assert sign in (1, -1)
+    n, sign, low = op.divisor
+    assert n == op.nvars and sign in (1, -1)
     assert op.den == vandermonde(op.nvars, op.ring) * op.ring.monomial(low) * sign, op
 
 
@@ -419,6 +419,25 @@ def test_other_denominators_are_refused():
     for den in (delta * (1 + t), ring.zero, 2 * delta, vandermonde(2, ring), delta * delta):
         with pytest.raises(OutOfRange, match="not"):
             QDiffOp(ring, 3, {(0, 0, 0): ring.one}, den)
+
+
+def test_division_by_delta_never_enters_the_heap_or_packed_loop(monkeypatch):
+    import macops.rings as rings
+
+    def refuse(*args):
+        raise AssertionError("general division loop entered")
+
+    monkeypatch.setattr(rings, "_heap_div", refuse)
+    monkeypatch.setattr(rings, "_packed_div", refuse)
+    for n in (2, 3):
+        for kind in ("macdonald_r", "raise_plus", "lower_u_minus"):
+            ring = operator_ring(n, kind)
+            f = elementary(1, n, ring) ** 2
+            for m in op_index_range(kind, n):
+                apply_operator(OperatorSpec(kind, m), f, n)
+        tring = xring(n, ("t", "u", "v"))
+        for kind in _DET_KINDS:
+            apply_factorized_qt(kind, n, elementary(1, n, tring))
 
 
 def test_dx_u_on_constants_and_m1():

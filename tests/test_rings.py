@@ -15,13 +15,13 @@ from macops.rings import (
     Frac,
     Poly,
     Ring,
+    SignedDelta,
     _dict_mul,
     _digit_bytes,
     _heap_div,
     _packed_div,
     _packed_mul,
     coeff_of_power,
-    delta_div,
     frac_by_factors,
     gauss_binomial,
     pochhammer_t,
@@ -114,6 +114,12 @@ def test_exact_div_vandermonde_factor():
     x1, x2, x3 = (R.var(f"x{i}") for i in (1, 2, 3))
     delta = (x1 - x2) * (x1 - x3) * (x2 - x3)
     assert poly_exact_div(delta, x2 - x3) == (x1 - x2) * (x1 - x3)
+    # the factored divisor: Delta itself, and refused outside the ring
+    assert poly_exact_div(delta * x1, SignedDelta(3, 1, (1, 0, 0))) == R.one
+    with pytest.raises(OutOfRange):
+        poly_exact_div(delta, SignedDelta(4, 1, (0, 0, 0)))
+    with pytest.raises(OutOfRange):
+        poly_exact_div(delta, SignedDelta(3, 1, (0, 0)))
 
 
 def test_exact_div_failure():
@@ -495,10 +501,11 @@ def test_delta_division_matches_the_heap_loop(n, sign, data):
     h = data.draw(laurent_terms(k, bits=st.sampled_from([1, 3, 40])))
     low = tuple(data.draw(st.integers(-3, 3)) for _ in range(k))
     den = vandermonde(n, ring) * ring.monomial(low) * sign
+    g = SignedDelta(n, sign, low)
     f = Poly(ring, h) * den
-    assert delta_div(f, n, sign, low).terms == h
+    assert poly_exact_div(f, g).terms == h
     assert heap_oracle(ring, f.terms, den.terms) == h
-    assert delta_div(ring.zero, n, sign, low) == ring.zero
+    assert poly_exact_div(ring.zero, g) == ring.zero
     if n < 2:
         return  # den is a unit
     # one coefficient off by one: Delta divides no monomial
@@ -508,7 +515,7 @@ def test_delta_division_matches_the_heap_loop(n, sign, data):
     bumped = {e: c for e, c in bumped.items() if c}
     assert heap_oracle(ring, bumped, den.terms) is None
     with pytest.raises(NonExactDivision):
-        delta_div(Poly(ring, bumped), n, sign, low)
+        poly_exact_div(Poly(ring, bumped), g)
 
 
 # -- subs against evaluation at integer points ------------------------------
