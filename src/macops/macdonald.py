@@ -37,9 +37,11 @@ from .rings import (
     QT,
     Frac,
     Poly,
+    SignedDelta,
     coeff_of_power,
     frac_by_factors,
     poly_exact_div,
+    same_image,
 )
 
 
@@ -306,15 +308,17 @@ def duality_verify(lam: Partition, m: int, n: int) -> dict:
 
         raise_minus(m_lam) = (-1)^m t^(m + m(m-1)/2) q^|lam| bar(raise_plus(m_lam)),
 
-    compared cross-multiplied.
+    compared undivided (:func:`rings.same_image`).  The bar involution fixes
+    Delta, so the right side's divisor is bar(sign x^low) / scale.
     """
     ring = operator_ring(n, "raise_plus")
     f = expand_monomial(lam, n, ring=ring)
     ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
     pn, pd = apply_operator(OperatorSpec("raise_plus", m), f, n, raw=True)
-    scale = ring.var("q", lam.weight) * ring.var("t", m + _binom2(m), -1 if m % 2 else 1)
+    inv_scale = ring.var("q", -lam.weight) * ring.var("t", -m - _binom2(m), -1 if m % 2 else 1)
     bar = {"q": ring.var("q", -1), "t": ring.var("t", -1)}
-    if ln * pd.subs(bar) != scale * pn.subs(bar) * ld:
+    [(low, sign)] = (ring.monomial(pd.low, pd.sign).subs(bar) * inv_scale).terms.items()
+    if not same_image(ln, ld, pn.subs(bar), SignedDelta(n, sign, low)):
         raise VerificationFailed(f"duality m={m} on m[{lam.render()}] (n={n})")
     return {
         "check": "duality",

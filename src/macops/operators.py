@@ -14,9 +14,10 @@ the chosen subset, "minus" variants shift its complement:
     lower_gen_plus/_minus   generating form of the removers
 
 Every named operator has one form, a :class:`QDiffOp` (polynomial
-coefficients times 0/1 q-shifts over one denominator) that ``_plan``
-builds collapsed.  Three formulas are built directly, with T_I, Q_I the
-t- and q-shift of the x_i, i in I, and e_k^I = e_k without those x_i:
+coefficients times 0/1 q-shifts over one denominator +-Delta x^low, kept
+factored) that ``_plan`` builds collapsed.  Three formulas are built
+directly, with T_I, Q_I the t- and q-shift of the x_i, i in I, and
+e_k^I = e_k without those x_i:
 
     D_r          = Delta^-1 sum_{|I|=r} T_I(Delta) Q_I
     raise_u_+[m] = Delta^-1 sum_{|I|<=m} (-u)^|I| T_I(Delta) x_I e_{m-|I|}^I Q_I
@@ -71,7 +72,7 @@ from .rings import (
     Poly,
     Ring,
     SignedDelta,
-    _mono_div,
+    _add_into,
     poly_exact_div,
     vector_shift,
     xring,
@@ -134,9 +135,6 @@ def _comp(I, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if i not in s)
 
 
-_unit_shift = unit_vector  # the shift vector of the indices idxs among x1..xn
-
-
 def _xmono(ring: Ring, idxs) -> Poly:
     return ring.monomial(unit_vector(idxs, len(ring.names)))
 
@@ -144,7 +142,7 @@ def _xmono(ring: Ring, idxs) -> Poly:
 @lru_cache(maxsize=None)
 def _tshift_delta(n: int, S: tuple[int, ...], names: tuple[str, ...]) -> Poly:
     ring = Ring(names)
-    return vector_shift(vandermonde(n, ring), _unit_shift(S, n), "t")
+    return vector_shift(vandermonde(n, ring), unit_vector(S, n), "t")
 
 
 def cross_named(ring: Ring, vnames, chosen, pattern: str) -> Poly:
@@ -183,60 +181,34 @@ def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ..
 # -- explicit normal form ------------------------------------------------
 
 
-def _delta_factor(den: Poly, n: int) -> SignedDelta:
-    """den as sign * Delta * x^low, Delta the Vandermonde in x1..xn."""
-    if den:
-        # Delta has a term free of each x_i, so x^low is den's lowest monomial
-        low = tuple(min(col) for col in zip(*den.terms))
-        rest = Poly(den.ring, _mono_div(den.terms, low))
-        delta = vandermonde(n, den.ring)
-        if rest == delta:
-            return SignedDelta(n, 1, low)
-        if rest == -delta:
-            return SignedDelta(n, -1, low)
-    raise OutOfRange(f"denominator {den.render()} is not +-Delta times a monomial")
-
-
 class QDiffOp:
     """Sum of polynomial coefficients times q-shifts, over a common denominator.
 
     terms maps a shift vector (one integer per x variable) to its numerator
-    coefficient.  The denominator must be +-Delta times a monomial, Delta
-    the Vandermonde in x1..xn.  den keeps it expanded, for the raw form and
-    the oracles; divisor is the same value factored once, here, which is
-    the one check that every denominator has this form.  Neither is
-    reassigned after construction.
+    coefficient.  The denominator +-Delta x^low, Delta the Vandermonde in
+    x1..xn, is kept only factored, as the :class:`rings.SignedDelta` divisor.
     """
 
-    __slots__ = ("ring", "nvars", "terms", "den", "divisor")
+    __slots__ = ("ring", "nvars", "terms", "divisor")
 
-    def __init__(self, ring: Ring, nvars: int, terms: dict, den: Poly):
+    def __init__(self, ring: Ring, nvars: int, terms: dict, divisor: SignedDelta):
         self.ring = ring
         self.nvars = nvars
         self.terms = {s: p for s, p in terms.items() if p}
-        self.den = den
-        self.divisor = _delta_factor(den, nvars)
+        self.divisor = divisor
 
     def apply(self, f: Poly, raw: bool = False):
-        """Apply to f; with raw=True return (numerator, denominator) instead.
+        """Apply to f; with raw=True return (numerator, divisor) instead.
 
-        The raw form exists because the symbolic-parameter lowering kinds
-        do not map every symmetric polynomial to a polynomial; equality
-        checks then cross-multiply rather than divide.  Otherwise the
-        numerator is divided by the factored divisor: by the monomial and
-        then by the C(n,2) linear factors x_i - x_j of Delta
-        (:func:`rings.poly_exact_div` on a :class:`rings.SignedDelta`), each
-        step linear in the number of terms; the heap loop
-        (``rings._heap_div``) is its oracle in the tests.
+        The numerator is divided by the monomial and then by the C(n,2)
+        linear factors x_i - x_j of Delta (:func:`rings.poly_exact_div`),
+        each step linear in the number of terms.
         """
-        if f.ring is not self.ring:
-            f = f.subs({}, self.ring)
-        acc = self.ring.zero
+        acc: dict = {}
         for shift, num in self.terms.items():
-            acc = acc + num * vector_shift(f, shift, "q")
-        if raw:
-            return acc, self.den
-        return poly_exact_div(acc, self.divisor)
+            acc = _add_into(acc, (num * vector_shift(f, shift, "q")).terms)
+        acc = Poly(self.ring, acc)
+        return (acc, self.divisor) if raw else poly_exact_div(acc, self.divisor)
 
     def __repr__(self):
         return f"<QDiffOp n={self.nvars} shifts={sorted(self.terms)}>"
@@ -261,8 +233,8 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
 
     if kind == "macdonald_r":
         for I in _subsets(n, m):
-            add(_unit_shift(I, n), _tshift_delta(n, I, names))
-        return QDiffOp(ring, n, terms, vandermonde(n, ring))
+            add(unit_vector(I, n), _tshift_delta(n, I, names))
+        return QDiffOp(ring, n, terms, SignedDelta(n, 1, (0,) * len(ring)))
     if kind in RAISE_KINDS + LOWER_KINDS and "_u_" in kind:
         # plus shifts I, minus its complement; a is the sign count
         minus, lower = kind.endswith("minus"), kind.startswith("lower")
@@ -272,9 +244,9 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
                 S = _comp(I, n) if minus else I
                 e = elementary(n - m if lower else m - ksz, n, ring, frozenset(I))
                 c = ring.var("u", a) * _tshift_delta(n, S, names) * (e if lower else _xmono(ring, I) * e)
-                add(_unit_shift(S, n), c if a % 2 == 0 else -c)
-        den = vandermonde(n, ring)
-        return QDiffOp(ring, n, terms, den * _xmono(ring, range(1, n + 1)) if lower else den)
+                add(unit_vector(S, n), c if a % 2 == 0 else -c)
+        low = unit_vector(range(1, n + 1) if lower else (), len(ring))
+        return QDiffOp(ring, n, terms, SignedDelta(n, 1, low))
     if kind == "macdonald_u" or kind in GEN_KINDS:
         # sum_r (-u)^r D_r, or sum_m v^m times the u kind at height m
         src = "macdonald_r" if kind == "macdonald_u" else kind.replace("gen", "u")
@@ -283,7 +255,7 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
             part = _plan(src, r, n, names)
             for shift, c in part.terms.items():
                 add(shift, w**r * c)
-        return QDiffOp(ring, n, terms, part.den)
+        return QDiffOp(ring, n, terms, part.divisor)
     if kind not in RAISE_KINDS + LOWER_KINDS:
         raise OutOfRange(f"unknown operator kind {kind!r}")
     # the adders at u = t^(m-n+1), scaled by t^base, the removers at u = 1
@@ -294,16 +266,18 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
     scale = ring.var("t", base)
     for shift, c in src.terms.items():
         add(shift, c.subs(u, ring) * scale)
-    t_exp = base + (_binom2(n - m) if kind.endswith("minus") else 0)
-    return QDiffOp(ring, n, terms, src.den.subs({}, ring) * ring.var("t", t_exp))
+    # u is the last name of src's ring, if not of this one: low drops its entry
+    low = list(src.divisor.low[: len(ring)])
+    low[ring.pos("t")] += base + (_binom2(n - m) if kind.endswith("minus") else 0)
+    return QDiffOp(ring, n, terms, src.divisor._replace(low=tuple(low)))
 
 
 def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
     """Apply a named operator to an x-polynomial, exactly.
 
-    raw=True skips the final division and returns (numerator, denominator);
-    needed when a symbolic-parameter lowering kind lands outside the
-    polynomial ring and only cross-multiplied comparisons make sense.
+    raw=True skips the final division and returns (numerator, divisor); a
+    symbolic-parameter lowering kind can land outside the polynomial ring,
+    and raw images compare by :func:`rings.same_image`.
     """
     kind = spec.kind
     if kind in _NEEDS_INDEX:
@@ -333,6 +307,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
 
     The ring of f must use t for the shift variable (no q present); each
     factor is a single-variable two-term operator acting on Delta * f.
+    raw=True returns (numerator, divisor) as :func:`apply_operator` does.
     """
     if kind not in _DET_KINDS:
         raise OutOfRange(f"no factorized form for {kind!r}")
@@ -344,7 +319,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
     g = f * vandermonde(n, ring)
     for j in range(1, n + 1):
         xj = ring.var(f"x{j}")
-        sh = vector_shift(g, _unit_shift((j,), n), "t")
+        sh = vector_shift(g, unit_vector((j,), n), "t")
         if kind == "macdonald_u":
             g = g - u * sh
         elif kind == "raise_gen_plus":
@@ -356,9 +331,8 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
         else:
             g = xj * sh + v * (g - u * sh)
     low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
-    if raw:
-        return g, vandermonde(n, ring) * ring.monomial(low)
-    return poly_exact_div(g, SignedDelta(n, 1, low))
+    divisor = SignedDelta(n, 1, low)
+    return (g, divisor) if raw else poly_exact_div(g, divisor)
 
 
 # -- symmetric operators on monomial coefficients -------------------------

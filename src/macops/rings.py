@@ -169,14 +169,7 @@ class Poly:
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        out = dict(big)
-        for e, c in small.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Poly(self.ring, out)
+        return Poly(self.ring, _add_into(dict(big), small))
 
     __radd__ = __add__
 
@@ -344,6 +337,19 @@ DENSE = 4
 _CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
+def _add_into(acc: dict, terms: dict) -> dict:
+    """acc + terms, summed in place into acc, or into a copy of terms if that is larger."""
+    if len(terms) > len(acc):
+        acc, terms = dict(terms), acc
+    for e, c in terms.items():
+        s = acc.get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
 def _dict_mul(a: dict, b: dict) -> dict:
     """Terms of the product by the schoolbook loop over term pairs."""
     if len(a) < len(b):
@@ -496,6 +502,18 @@ class SignedDelta(NamedTuple):
     n: int
     sign: int
     low: Expt
+
+
+def same_image(a: Poly, da: SignedDelta, b: Poly, db: SignedDelta) -> bool:
+    """Whether a / da equals b / db, two raw images over one Delta.
+
+    a/(s_a Delta x^alpha) = b/(s_b Delta x^beta) iff s_a s_b x^(beta - alpha) a
+    = b: one monomial shift, no polynomial product.
+    """
+    if a.ring is not b.ring or da.n != db.n:
+        raise OutOfRange(f"images over Delta in {da.n} and {db.n} variables, or mixed rings")
+    sign = da.sign * db.sign
+    return {e: c * sign for e, c in _mono_div(a.terms, tuple(map(sub, da.low, db.low))).items()} == b.terms
 
 
 def poly_exact_div(f: Poly, g: Poly | SignedDelta) -> Poly:

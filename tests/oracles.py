@@ -5,14 +5,15 @@ permutations (the bialternant numerator, which the package reads off
 Kostka numbers instead), the operator-entry determinant route of the
 generating operators, the printed subset sums of the named operators
 assembled literally (``build``) with the operator algebra that compares
-them (``dualize``, ``equals`` and friends), adding a column to a
-partition, and the dominance order on partitions.
+them (``dualize``, ``equals`` and friends), the expansion and factoring
+of a divisor +-Delta x^low (``expand``, ``_delta_factor``), adding a
+column to a partition, and the dominance order on partitions.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from macops.bases import vandermonde
+from macops.bases import unit_vector, vandermonde
 from macops.errors import LengthExceedsVars, OutOfRange
 from macops.operators import (
     _DET_KINDS,
@@ -24,13 +25,12 @@ from macops.operators import (
     _check_index,
     _comp,
     _subsets,
-    _unit_shift,
     _xmono,
     cross_cleared,
     operator_ring,
 )
 from macops.partitions import Partition
-from macops.rings import Poly, poly_exact_div, vector_shift
+from macops.rings import Poly, SignedDelta, _mono_div, poly_exact_div, same_image, vector_shift
 
 
 @lru_cache(maxsize=None)
@@ -85,13 +85,14 @@ def bialternant(vec, n: int, ring) -> Poly:
     return Poly(ring, {tuple(x + shift if i < n else x for i, x in enumerate(e)): c for e, c in quo.terms.items()})
 
 
-def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
-    """Apply via the operator-entry determinant expansion.
+def apply_determinantal(kind: str, n: int, f: Poly):
+    """Apply via the operator-entry determinant expansion, undivided.
 
     Entries in one Leibniz product act on distinct variables and commute;
     each permutation term is an n-fold composition applied to f.  The
     lower kinds use entries pre-cleared by one power of x_j so everything
-    stays polynomial until the final division.
+    stays polynomial.  Returns (numerator, divisor), as
+    ``apply_operator(..., raw=True)`` does.
     """
     if kind not in _DET_KINDS:
         raise OutOfRange(f"no determinant form for {kind!r}")
@@ -104,7 +105,7 @@ def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
         d = n - i
         xj = ring.var(f"x{j}")
         td = ring.var("t", d)
-        shifted = vector_shift(g, _unit_shift((j,), n), "q")
+        shifted = vector_shift(g, unit_vector((j,), n), "q")
         if kind == "macdonald_u":
             return xj**d * (g - u * td * shifted)
         if kind == "raise_gen_plus":
@@ -121,12 +122,7 @@ def apply_determinantal(kind: str, n: int, f: Poly, raw: bool = False):
         for j in range(1, n + 1):
             g = entry(perm[j - 1], j, g)
         acc = acc + (g if sign > 0 else -g)
-    den = vandermonde(n, ring)
-    if kind.startswith("lower"):
-        den = den * _xmono(ring, range(1, n + 1))
-    if raw:
-        return acc, den
-    return poly_exact_div(acc, den)
+    return acc, SignedDelta(n, 1, unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring)))
 
 
 def plus_ones(lam: Partition, m: int) -> Partition:
@@ -153,36 +149,67 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
 # -- the operators as printed, and their algebra ---------------------------
 
 
+def expand(d: SignedDelta, ring) -> Poly:
+    """The divisor sign * Delta * x^low as a polynomial of the ring."""
+    return vandermonde(d.n, ring) * ring.monomial(d.low) * d.sign
+
+
+def _delta_factor(den: Poly, n: int) -> SignedDelta:
+    """den as sign * Delta * x^low, Delta the Vandermonde in x1..xn."""
+    if den:
+        # Delta has a term free of each x_i, so x^low is den's lowest monomial
+        low = tuple(min(col) for col in zip(*den.terms))
+        rest = Poly(den.ring, _mono_div(den.terms, low))
+        delta = vandermonde(n, den.ring)
+        if rest == delta:
+            return SignedDelta(n, 1, low)
+        if rest == -delta:
+            return SignedDelta(n, -1, low)
+    raise OutOfRange(f"denominator {den.render()} is not +-Delta times a monomial")
+
+
+def divisor_subs(d: SignedDelta, ring, images: dict, target) -> SignedDelta:
+    """d under a monomial substitution that fixes x1..xn: only c x^low moves.
+
+    images and target are those of ``Poly.subs``; this carries q = t, the
+    bar involution and the move into another ring by variable name.
+    """
+    [(low, c)] = ring.monomial(d.low).subs(images, target).terms.items()
+    return SignedDelta(d.n, d.sign * c, low)
+
+
 def scaled(op: QDiffOp, c) -> QDiffOp:
-    return QDiffOp(op.ring, op.nvars, {s: p * c for s, p in op.terms.items()}, op.den)
+    return QDiffOp(op.ring, op.nvars, {s: p * c for s, p in op.terms.items()}, op.divisor)
 
 
 def with_global_qshift(op: QDiffOp) -> QDiffOp:
     """Compose on the right with the shift of every x variable."""
-    return QDiffOp(op.ring, op.nvars, {tuple(x + 1 for x in s): p for s, p in op.terms.items()}, op.den)
+    return QDiffOp(op.ring, op.nvars, {tuple(x + 1 for x in s): p for s, p in op.terms.items()}, op.divisor)
 
 
 def normalized(op: QDiffOp) -> QDiffOp:
     """Clear negative q,t exponents by scaling numerators and denominator."""
-    polys = list(op.terms.values()) + [op.den]
-    scale = op.ring.one
+    ring, (n, sign, low) = op.ring, op.divisor
+    scale = [0] * len(ring)
     for nm in ("q", "t"):
-        low = min(p.var_min(nm) for p in polys)
-        if low < 0:
-            scale = scale * op.ring.var(nm, -low)
-    if scale == op.ring.one:
+        v = ring.pos(nm)
+        scale[v] = -min([p.var_min(nm) for p in op.terms.values()] + [low[v], 0])
+    if not any(scale):
         return op
-    return QDiffOp(op.ring, op.nvars, {s: p * scale for s, p in op.terms.items()}, op.den * scale)
+    mono = ring.monomial(scale)
+    terms = {s: p * mono for s, p in op.terms.items()}
+    return QDiffOp(ring, n, terms, SignedDelta(n, sign, tuple(a + b for a, b in zip(low, scale))))
 
 
 def equals(a: QDiffOp, b: QDiffOp) -> bool:
-    """The same operator: equal shift by shift, cross-multiplied by the denominators."""
+    """The same operator: equal shift by shift, over each one's divisor."""
     if a.ring is not b.ring or a.nvars != b.nvars:
         return False
-    for s in set(a.terms) | set(b.terms):
-        if a.terms.get(s, a.ring.zero) * b.den != b.terms.get(s, b.ring.zero) * a.den:
-            return False
-    return True
+    zero = a.ring.zero
+    return all(
+        same_image(a.terms.get(s, zero), a.divisor, b.terms.get(s, zero), b.divisor)
+        for s in set(a.terms) | set(b.terms)
+    )
 
 
 def dualize(op: QDiffOp) -> QDiffOp:
@@ -193,8 +220,7 @@ def dualize(op: QDiffOp) -> QDiffOp:
     """
     bar = {"q": op.ring.var("q", -1), "t": op.ring.var("t", -1)}
     terms = {tuple(-x for x in s): p.subs(bar) for s, p in op.terms.items()}
-    den = op.den.subs(bar)
-    return normalized(QDiffOp(op.ring, op.nvars, terms, den))
+    return normalized(QDiffOp(op.ring, op.nvars, terms, divisor_subs(op.divisor, op.ring, bar, op.ring)))
 
 
 def build(spec: OperatorSpec, n: int) -> QDiffOp:
@@ -211,7 +237,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
     terms: dict = {}
 
     def add(shift_idxs, coeff):
-        key = _unit_shift(shift_idxs, n)
+        key = unit_vector(shift_idxs, n)
         terms[key] = terms.get(key, ring.zero) + coeff
 
     def tpow(e):
@@ -225,14 +251,14 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
         _check_index(r, n)
         for I in _subsets(n, r):
             add(I, tpow(_binom2(r)) * cross_cleared(n, I, "plus", names))
-        return QDiffOp(ring, n, terms, delta)
+        return QDiffOp(ring, n, terms, _delta_factor(delta, n))
 
     if kind == "macdonald_u":
         for I in _subsets(n):
             k = len(I)
             c = tpow(_binom2(k)) * cross_cleared(n, I, "plus", names) * upow(k)
             add(I, c if k % 2 == 0 else -c)
-        return QDiffOp(ring, n, terms, delta)
+        return QDiffOp(ring, n, terms, _delta_factor(delta, n))
 
     if kind in RAISE_KINDS or kind in LOWER_KINDS:
         m = spec.index
@@ -271,7 +297,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
                             c = -c
                         add(_comp(I, n), xfac * c)
         den = xall * delta if lower else delta
-        return normalized(QDiffOp(ring, n, terms, den))
+        return normalized(QDiffOp(ring, n, terms, _delta_factor(den, n)))
 
     # generating kinds: every subset size, one power of v per element of J
     lower = kind.startswith("lower")
@@ -298,4 +324,4 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
                         c = -c
                     add(_comp(I, n), xfac * vfac * c)
     den = xall * delta if lower else delta
-    return QDiffOp(ring, n, terms, den)
+    return QDiffOp(ring, n, terms, _delta_factor(den, n))

@@ -26,8 +26,8 @@ from macops.operators import (
     operator_ring,
 )
 from macops.partitions import Partition, partitions_of
-from macops.rings import Poly, QT, xring
-from oracles import apply_determinantal
+from macops.rings import Poly, QT, same_image, xring
+from oracles import apply_determinantal, divisor_subs
 
 
 def _default_n(lam: Partition) -> int:
@@ -108,6 +108,7 @@ def test_criterion_05_identity_suites():
 
 
 def test_criterion_06_determinantal_and_factorized_routes():
+    cases = 0
     for n in range(1, 5):
         for kind in _DET_KINDS:
             ring = operator_ring(n, kind)
@@ -119,13 +120,17 @@ def test_criterion_06_determinantal_and_factorized_routes():
                 for lam in partitions_of(d, max_len=n):
                     f = expand_monomial(lam, n, ring=ring)
                     pn, pd = apply_operator(OperatorSpec(kind), f, n, raw=True)
-                    dn, dd = apply_determinantal(kind, n, f, raw=True)
-                    assert dn * pd == pn * dd, (kind, n, lam.render())
-                    qn, qd = pn.subs({"q": ring.var("t")}), pd.subs({"q": ring.var("t")})
+                    dn, dd = apply_determinantal(kind, n, f)
+                    assert same_image(dn, dd, pn, pd), (kind, n, lam.render())
+                    at_qt = {"q": ring.var("t")}
+                    qn, qd = pn.subs(at_qt), divisor_subs(pd, ring, at_qt, ring)
                     ft = expand_monomial(lam, n, ring=tring)
                     fn, fd = apply_factorized_qt(kind, n, ft, raw=True)
-                    fn, fd = fn.subs({}, ring), fd.subs({}, ring)
-                    assert qn * fd == fn * qd, (kind, n, lam.render())
+                    fn, fd = fn.subs({}, ring), divisor_subs(fd, tring, {}, ring)
+                    assert same_image(qn, qd, fn, fd), (kind, n, lam.render())
+                    cases += 1
+    # 5 kinds times the 37 (n, lam) with |lam| <= 4 and n = 1..4
+    assert cases == 185
 
 
 def test_criterion_07_lowering_theorem():

@@ -199,6 +199,11 @@ PINNED_STDOUT = {
         "55b4072acb9afc946bd2af44d7cd3406b6431e3138fefe0a64a48d23282a28e8",
     ("apply-op", "--kind", "raise_u_plus", "--m", "2", "--lambda", "2,1", "--nvars", "3", "--format", "json"):
         "2e4b20206e506d57888b13ce4db8c2eaca44b53ed5dcf18b658a8c1f0110275e",
+    # from before the lowering generators' images were divided by Delta
+    ("verify", "--suite", "schur-action", "--n", "3", "--format", "json"):
+        "3dde3cb902f1d4270631144ccecb49df2cdedb20f220d444f2061bbd68fa451e",
+    ("verify", "--suite", "schur-action", "--n", "4", "--format", "json"):
+        "651a0bdfad9c307935c9eedb71c9c74790648622f3f96470731de2538941fbc6",
 }
 
 

@@ -27,11 +27,12 @@ from macops.rings import (
     pochhammer_t,
     poly_exact_div,
     poly_gcd,
+    same_image,
     split_x,
     vector_shift,
     xring,
 )
-from oracles import permute_x
+from oracles import expand, permute_x
 
 
 def qt(expr_terms):
@@ -516,6 +517,48 @@ def test_delta_division_matches_the_heap_loop(n, sign, data):
     assert heap_oracle(ring, bumped, den.terms) is None
     with pytest.raises(NonExactDivision):
         poly_exact_div(Poly(ring, bumped), g)
+
+
+# -- raw images over one Delta, against cross-multiplying ---------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 4), data=st.data())
+def test_same_image_matches_cross_multiplying_the_expanded_divisors(n, data):
+    # a / da against b / db, both over Delta in x1..xn times Laurent monomials
+    ring = xring(n, ("t",))
+    k = len(ring)
+
+    def divisor():
+        low = tuple(data.draw(st.integers(-3, 3)) for _ in range(k))
+        return SignedDelta(n, data.draw(st.sampled_from([1, -1])), low)
+
+    def crossed(a, da, b, db):
+        return a * expand(db, ring) == b * expand(da, ring)
+
+    a = Poly(ring, data.draw(laurent_terms(k, bits=st.sampled_from([1, 3, 40]))))
+    da, db = divisor(), divisor()
+    c = Poly(ring, data.draw(laurent_terms(k, bits=st.just(1))))
+    assert same_image(a, da, c, db) == crossed(a, da, c, db)
+    # the image of a rewritten over db: b = s_a s_b x^(beta - alpha) a
+    b = a * ring.monomial(tuple(y - x for x, y in zip(da.low, db.low)), da.sign * db.sign)
+    assert same_image(a, da, b, db) and crossed(a, da, b, db)
+    assert same_image(b, db, a, da)
+    # one sign flipped, one entry of low shifted, one coefficient changed
+    i = data.draw(st.integers(0, k - 1))
+    shifted = list(db.low)
+    shifted[i] += data.draw(st.sampled_from([1, -1]))
+    e = data.draw(st.sampled_from(sorted(b.terms)))
+    bumped = dict(b.terms)
+    bumped[e] += data.draw(st.sampled_from([1, -1]))
+    for b2, db2 in (
+        (b, db._replace(sign=-db.sign)),
+        (b, db._replace(low=tuple(shifted))),
+        (ring.from_terms(bumped), db),
+    ):
+        assert not same_image(a, da, b2, db2) and not crossed(a, da, b2, db2)
+    with pytest.raises(OutOfRange):
+        same_image(a, da, b, SignedDelta(n + 1, db.sign, db.low))
 
 
 # -- subs against evaluation at integer points ------------------------------
