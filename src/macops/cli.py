@@ -72,7 +72,7 @@ class Suite(NamedTuple):
 
 VERIFY = {
     "raising": Suite(weights=(1, 4)),
-    "lowering": Suite(m=0),
+    "lowering": Suite(m=0, m_to_n=True),
     "eigen": Suite(weights=(1, 3)),
     "kostka": Suite(weights=(1, 3), n_covers_top=True),
     "duality": Suite(n=3, m=0, m_to_n=True, max_n=5),

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystem,
     VerificationFailed,
 )
-from .operators import OperatorSpec, _binom2, _schur_rows, apply_operator, apply_symmetric, operator_ring
+from .operators import OperatorSpec, _binom2, _columns, _targets, apply_operator, apply_symmetric, operator_ring
 from .partitions import (
     Partition,
     c_integral,
@@ -84,14 +84,16 @@ def _d1_action(d: int, n: int):
     """Matrix of the first difference operator on the weight-d monomial basis.
 
     Returns (shapes, entries) with entries[(nu, mu)] the coefficient of
-    m_nu in the image of m_mu; only nonzero entries are stored.  One pass
-    of the engine over the targets gives every column's Schur coefficients.
+    m_nu in the image of m_mu; only nonzero entries are stored.  The Schur
+    columns are those :func:`operators.apply_symmetric` reads for
+    ("macdonald_r", 1, n), cached for the life of the process: whichever
+    caller comes first runs the engine's pass for the columns still missing.
     """
     shapes = tuple(partitions_of(d, max_len=n))
-    rows = _schur_rows("macdonald_r", 1, n, d, {mu.parts + (0,) * (n - mu.length): mu for mu in shapes})
+    targets = _targets(0, 1, n, d)
     entries = {}
-    for mu in shapes:
-        image = schur_to_monomial({lam: row[mu] for lam, _, row in rows if mu in row}, n)
+    for mu, col in zip(shapes, _columns("macdonald_r", 1, n, d, shapes)):
+        image = schur_to_monomial({lam: col[v] for lam, v in targets if v in col}, n)
         entries.update(((nu, mu), c) for nu, c in image.coeffs.items())
     return shapes, entries
 

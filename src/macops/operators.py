@@ -54,7 +54,10 @@ Vandermonde:
 They build J (the adders), check the column-removal law (the removers)
 and the eigen-equations (D_r = macdonald_r), and run the Jack limit.
 ``apply_operator`` and the x-level Jack operators in the tests are their
-references.
+references.  What the pass reads depends on (kind, m, n) and the input
+m_nu only, never on F's coefficients, so ``_packed_factor`` keeps one
+entry per (kind, m, n) for the life of the process: the phi table and
+the Schur column of each m_nu read so far.
 """
 
 from __future__ import annotations
@@ -365,37 +368,46 @@ def _unpacker(k: int):
 
 @lru_cache(maxsize=None)
 def _packed_factor(kind: str, m: int, n: int):
+    """(kind, m, n)'s cache entry: the phi table and {nu: Schur column of m_nu}."""
     phi = _FORMS[kind][1]
-    return lru_cache(maxsize=None)(
+    table = lru_cache(maxsize=None)(
         lambda i, b: tuple((_pack(e), c) for e, c in phi(m, n, i + 1, b).terms.items())
     )
+    return table, {}
 
 
-def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> list:
-    """Schur coefficients of the kind's images of the m_nu in inputs, all of weight d.
+@lru_cache(maxsize=None)
+def _targets(shift: int, m: int, n: int, d: int) -> tuple:
+    """(mu, v = mu + delta) for each mu of weight d + shift m; for shift -1 also (None, v) with v_n = -1."""
+    delta = tuple(range(n - 1, -1, -1))
+    w = d + shift * m
+    targets = [(mu, mu, 0) for mu in partitions_of(w, max_len=n)] if w >= 0 else []
+    if shift < 0 and n:
+        targets += [(None, kap, 1) for kap in partitions_of(d - m + n, max_len=n - 1)]
+    return tuple((mu, tuple(p + s - off for p, s in zip(lam.parts + (0,) * (n - lam.length), delta)))
+                 for mu, lam, off in targets)
 
-    inputs maps nu's exponent tuple, padded to n parts, to nu.  Returns a
-    list of (mu, v, {nu: the coefficient of s_mu in the image of m_nu}),
-    v = mu + delta, with the extra factor of the minus kinds left out; for
-    s = -1 it also holds (None, v, ...) for each v with v_n = -1, the
-    poles.  By the bialternant formula the coefficient at mu is that of
+
+def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> dict:
+    """Schur columns of the kind's images of the m_nu in inputs, all of weight d.
+
+    inputs maps nu's exponent tuple, padded to n parts, to nu.  Returns
+    {nu: {v: the coefficient of s_mu in the image of m_nu}} over the
+    targets (mu, v) of :func:`_targets`, with the extra factor of the minus
+    kinds left out; a nonzero entry at a pole (mu None) is a pole of the
+    image.  By the bialternant formula the coefficient at mu is that of
     x^(mu+delta) in A(x^delta e_m(psi) m_nu): each rearrangement u of
     mu + delta is read once, and every m-subset S of the variables, with
     exponent c = u - delta - s 1_S, adds sign(u) prod_S phi_i(c_i) to the
     input nu that c rearranges.
     """
     shift, _, ring = _FORMS[kind]
-    table, unpack = _packed_factor(kind, m, n), _unpacker(len(ring.names))
+    table, unpack = _packed_factor(kind, m, n)[0], _unpacker(len(ring.names))
     delta = tuple(range(n - 1, -1, -1))
     low, high = min(shift, 0), max(shift, 0)
-    # (mu, v = mu + delta); for shift -1 also (None, v) with v_n = -1
-    w = d + shift * m
-    targets = [(mu, mu, 0) for mu in partitions_of(w, max_len=n)] if w >= 0 else []
-    if shift < 0 and n:
-        targets += [(None, kap, 1) for kap in partitions_of(d - m + n, max_len=n - 1)]
-    rows, products = [], {}  # products: ((i, c_i) for i in S) -> prod_S phi_i(c_i)
-    for mu, lam, off in targets:
-        v = tuple(p + s - off for p, s in zip(lam.parts + (0,) * (n - lam.length), delta))
+    cols: dict = {nu: {} for nu in inputs.values()}
+    products: dict = {}  # ((i, c_i) for i in S) -> prod_S phi_i(c_i)
+    for _, v in _targets(shift, m, n, d):
         acc: dict = {}
         for u, sign in signed_arrangements(v, lambda i, x: x - delta[i] >= low):
             b = [x - s for x, s in zip(u, delta)]
@@ -424,18 +436,30 @@ def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> list:
                 total = acc.setdefault(nu, {})
                 for e, x in terms:
                     total[e] = total.get(e, 0) + sign * x
-        row = {nu: Poly(ring, {unpack(e): x for e, x in total.items() if x}) for nu, total in acc.items()}
-        rows.append((mu, v, {nu: c for nu, c in row.items() if c}))
-    return rows
+        for nu, total in acc.items():
+            if c := Poly(ring, {unpack(e): x for e, x in total.items() if x}):
+                cols[nu][v] = c
+    return cols
+
+
+def _columns(kind: str, m: int, n: int, d: int, nus) -> list:
+    """The cached Schur column of each m_nu in nus, all of weight d; one pass reads those missing."""
+    cols = _packed_factor(kind, m, n)[1]
+    missing = {nu.parts + (0,) * (n - nu.length): nu for nu in nus if nu not in cols}
+    if missing:
+        cols.update(_schur_rows(kind, m, n, d, missing))
+    return [cols[nu] for nu in nus]
 
 
 def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
     """The kind's e_m(psi) operator (module docstring) on F, exactly.
 
     The Schur coefficient of the image at mu is the sum over the inputs nu
-    of F_nu times that of m_nu's image (:func:`_schur_rows`), one product
-    per (mu, nu).  For s = -1 a nonzero coefficient at a v with v_n = -1
-    is a pole at x_i = 0 and raises NonExactDivision.
+    of F_nu times that of m_nu's image, one product per (mu, nu).  The
+    columns come from the (kind, m, n) cache entry; per weight, one pass
+    of :func:`_schur_rows` reads only the m_nu of F not yet cached.  For
+    s = -1 a nonzero coefficient at a v with v_n = -1 is a pole at
+    x_i = 0 and raises NonExactDivision.
     """
     if kind not in _FORMS:
         raise OutOfRange(f"{kind} has no coefficient-level form")
@@ -446,12 +470,15 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
         raise OutOfRange(f"{kind} needs coefficients in {ring!r}")
     schur = {}
     for d in sorted({lam.weight for lam in F.coeffs}):
-        inputs = {lam.parts + (0,) * (n - lam.length): lam for lam in F.coeffs if lam.weight == d}
-        for mu, v, row in _schur_rows(kind, m, n, d, inputs):
+        coeffs = [(nu, c) for nu, c in F.coeffs.items() if nu.weight == d]
+        cols = _columns(kind, m, n, d, [nu for nu, _ in coeffs])
+        for mu, v in _targets(shift, m, n, d):
             acc: dict = {}
-            for nu, c in row.items():
-                for e, x in (F.coeffs[nu] * c).terms.items():
-                    acc[e] = acc.get(e, 0) + x
+            for (nu, f), col in zip(coeffs, cols):
+                c = col.get(v)
+                if c is not None:
+                    for e, x in (f * c).terms.items():
+                        acc[e] = acc.get(e, 0) + x
             c_mu = ring.from_terms(acc)
             if c_mu and mu is None:
                 raise NonExactDivision(f"image has a pole: x^{v} in the numerator has {c_mu.render()}")

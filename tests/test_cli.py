@@ -384,6 +384,7 @@ def test_identity_groups_refuse_zero_variables(capsys, suite):
         ("--suite", "jack", "--n", "0"),
         ("--suite", "lowering", "--n", "0"),
         ("--suite", "lowering", "--m", "-1"),
+        ("--suite", "lowering", "--n", "1", "--m", "2"),
         ("--suite", "kernel", "--m", "9"),
         ("--suite", "kernel", "--n", "3", "--m", "4"),
         ("--suite", "duality", "--m", "9"),

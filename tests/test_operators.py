@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macops.bases import SymPoly, elementary, expand_monomial, to_monomial_basis, vandermonde
 from macops.errors import (
@@ -343,6 +344,91 @@ def test_engine_refuses_exactly_where_the_operator_leaves_polynomials(monkeypatc
                         assert apply_symmetric("lower_u_plus", m, f) == want, (m, lam.render())
     ops._packed_factor.cache_clear()
     assert refused > 0
+
+
+# every engine kind, plus the u remover planted as in the test above, whose
+# images of m_lam can have poles
+_POLE_FORM = (-1, lambda m, n, i, b: QTU.one - QTU.monomial((b, n - i, 1)), QTU)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engine_results_do_not_depend_on_cache_history(data):
+    import macops.operators as ops
+
+    kind = data.draw(st.sampled_from(sorted(ops._FORMS) + ["lower_u_plus"]))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, n))
+    ring = _POLE_FORM[2] if kind == "lower_u_plus" else ops._FORMS[kind][2]
+    shapes = [lam for d in range(5) for lam in partitions_of(d, max_len=n)]
+
+    coeffs = st.builds(ring.monomial, st.tuples(*[st.integers(0, 2)] * len(ring.names)), st.integers(-3, 3).filter(bool))
+
+    def draw_f():
+        chosen = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4, unique=True))
+        return SymPoly(n, {lam: data.draw(coeffs) for lam in chosen})
+
+    def outcome(f, clear=True):
+        if clear:
+            ops._packed_factor.cache_clear()
+        try:
+            return apply_symmetric(kind, m, f)
+        except NonExactDivision as err:
+            return str(err)
+
+    f, warm = draw_f(), draw_f()
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "lower_u_plus":
+            mp.setitem(ops._FORMS, kind, _POLE_FORM)
+        try:
+            cold = outcome(f)
+            assert outcome(f, clear=False) == cold  # its own columns cached
+            outcome(warm)
+            assert outcome(f, clear=False) == cold  # another F's columns cached
+            images = {lam: outcome(SymPoly(n, {lam: ring.one})) for lam in f.coeffs}
+        finally:
+            ops._packed_factor.cache_clear()
+    if all(isinstance(image, SymPoly) for image in images.values()):
+        want = {}
+        for lam, c in f.coeffs.items():
+            for nu, a in images[lam].coeffs.items():
+                want[nu] = want.get(nu, ring.zero) + c * a
+        assert cold == SymPoly(n, want)
+
+
+def test_engine_reads_each_column_once_and_only_for_inputs_present(capsys, monkeypatch):
+    import macops.cli as cli
+    import macops.macdonald as mac
+    import macops.operators as ops
+
+    passes, present = [], []
+    real_rows, real_apply = ops._schur_rows, ops.apply_symmetric
+
+    def rows(kind, m, n, d, inputs):
+        passes.append(set(inputs.values()))
+        assert set(inputs.values()) <= present[-1], (kind, m, n, d)
+        return real_rows(kind, m, n, d, inputs)
+
+    def apply(kind, m, f):
+        present.append(set(f.coeffs))
+        return real_apply(kind, m, f)
+
+    monkeypatch.setattr(ops, "_schur_rows", rows)
+    monkeypatch.setattr(mac, "apply_symmetric", apply)
+    ops._packed_factor.cache_clear()
+    first = mac.macdonald_J_raising(P(2, 2), 4)
+    assert passes and not any({P(4), P(3, 1)} & nu for nu in passes)
+    passes.clear()
+    assert mac.macdonald_J_raising(P(2, 2), 4).J == first.J
+    assert passes == []
+    for via in ("kplus", "kminus"):
+        ops._packed_factor.cache_clear()
+        args = ("--lambda", "3,2,1", "--nvars", "5", "--via", via)
+        assert cli.main(["jpoly", *args]) == 0
+        passes.clear()
+        assert cli.main(["ppoly", *args]) == 0
+        assert passes == [], via
+    capsys.readouterr()
 
 
 def test_engine_rejects_unknown_kinds_and_bad_heights():
