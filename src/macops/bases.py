@@ -27,7 +27,7 @@ from .errors import (
     OutOfRange,
     VerificationFailed,
 )
-from .partitions import Partition, partitions_of, revlex_key
+from .partitions import Partition, column_unit_scale, partitions_of, revlex_key
 from .rings import (
     QT,
     Frac,
@@ -429,9 +429,7 @@ def _class_weights(d: int):
     """
     labels = tuple(partitions_of(d))
     t = QT.var("t")
-    tt = QT.one
-    for i in range(1, d + 1):
-        tt = tt * (1 - t**i)
+    tt = column_unit_scale(d)
     weights = {}
     for rho in labels:
         z, den = 1, QT.one

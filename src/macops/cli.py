@@ -65,7 +65,7 @@ class Suite(NamedTuple):
     n: int | None = None  # default n; None takes one n per shape
     m: int | None = None  # least --m
     m_to_n: bool = False  # --m must also be at most n
-    max_n: int | None = None  # largest --n: under a minute at the default weights, 2 cores
+    max_n: int | None = None  # largest --n: under a minute at every admitted weight, 2 cores
     n_covers_top: bool = False  # --n must be at least the top weight
     checks: tuple[str, ...] = ()  # the identity suites of a group
 

@@ -51,8 +51,8 @@ Vandermonde:
     jack_raise    +1   a b + m - i + 1            Z[a]     -
     jack_lower    -1   a b + n - i                Z[a]     -
 
-They build J (the adders), check the column-removal law (the removers)
-and the eigen-equations (D_r = macdonald_r), and run the Jack limit.
+They build J and check duality (the adders), the column-removal law (the
+removers), the eigen-equations and commutation (D_r), and run the Jack limit.
 ``apply_operator`` and the x-level Jack operators in the tests are their
 references.  What the pass reads depends on (kind, m, n) and the input
 m_nu only, never on F's coefficients, so ``_packed_factor`` keeps one
@@ -278,9 +278,9 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
 def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
     """Apply a named operator to an x-polynomial, exactly.
 
-    raw=True skips the final division and returns (numerator, divisor); a
-    symbolic-parameter lowering kind can land outside the polynomial ring,
-    and raw images compare by :func:`rings.same_image`.
+    raw=True skips the final division and returns (numerator, divisor),
+    since a symbolic-parameter lowering kind can land outside the
+    polynomial ring.
     """
     kind = spec.kind
     if kind in _NEEDS_INDEX:

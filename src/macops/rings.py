@@ -504,18 +504,6 @@ class SignedDelta(NamedTuple):
     low: Expt
 
 
-def same_image(a: Poly, da: SignedDelta, b: Poly, db: SignedDelta) -> bool:
-    """Whether a / da equals b / db, two raw images over one Delta.
-
-    a/(s_a Delta x^alpha) = b/(s_b Delta x^beta) iff s_a s_b x^(beta - alpha) a
-    = b: one monomial shift, no polynomial product.
-    """
-    if a.ring is not b.ring or da.n != db.n:
-        raise OutOfRange(f"images over Delta in {da.n} and {db.n} variables, or mixed rings")
-    sign = da.sign * db.sign
-    return {e: c * sign for e, c in _mono_div(a.terms, tuple(map(sub, da.low, db.low))).items()} == b.terms
-
-
 def poly_exact_div(f: Poly, g: Poly | SignedDelta) -> Poly:
     """Divide ``f`` by ``g`` exactly, raising :class:`NonExactDivision`.
 

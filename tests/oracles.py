@@ -6,14 +6,18 @@ Kostka numbers instead), the operator-entry determinant route of the
 generating operators, the printed subset sums of the named operators
 assembled literally (``build``) with the operator algebra that compares
 them (``dualize``, ``equals`` and friends), the expansion and factoring
-of a divisor +-Delta x^low (``expand``, ``_delta_factor``), adding a
-column to a partition, and the dominance order on partitions.
+of a divisor +-Delta x^low (``expand``, ``_delta_factor``), the comparison
+of two raw images over it (``same_image``), the duality and commutation
+laws checked by applying the x-level operators (``duality_by_application``,
+``commute_by_application``), adding a column to a partition, and the
+dominance order on partitions.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import sub
 
-from macops.bases import unit_vector, vandermonde
+from macops.bases import expand_monomial, unit_vector, vandermonde
 from macops.errors import LengthExceedsVars, OutOfRange
 from macops.operators import (
     _DET_KINDS,
@@ -26,11 +30,12 @@ from macops.operators import (
     _comp,
     _subsets,
     _xmono,
+    apply_operator,
     cross_cleared,
     operator_ring,
 )
 from macops.partitions import Partition
-from macops.rings import Poly, SignedDelta, _mono_div, poly_exact_div, same_image, vector_shift
+from macops.rings import Poly, SignedDelta, _mono_div, poly_exact_div, vector_shift
 
 
 @lru_cache(maxsize=None)
@@ -201,6 +206,18 @@ def normalized(op: QDiffOp) -> QDiffOp:
     return QDiffOp(ring, n, terms, SignedDelta(n, sign, tuple(a + b for a, b in zip(low, scale))))
 
 
+def same_image(a: Poly, da: SignedDelta, b: Poly, db: SignedDelta) -> bool:
+    """Whether a / da equals b / db, two raw images over one Delta.
+
+    a/(s_a Delta x^alpha) = b/(s_b Delta x^beta) iff s_a s_b x^(beta - alpha) a
+    = b: one monomial shift, no polynomial product.
+    """
+    if a.ring is not b.ring or da.n != db.n:
+        raise OutOfRange(f"images over Delta in {da.n} and {db.n} variables, or mixed rings")
+    sign = da.sign * db.sign
+    return {e: c * sign for e, c in _mono_div(a.terms, tuple(map(sub, da.low, db.low))).items()} == b.terms
+
+
 def equals(a: QDiffOp, b: QDiffOp) -> bool:
     """The same operator: equal shift by shift, over each one's divisor."""
     if a.ring is not b.ring or a.nvars != b.nvars:
@@ -325,3 +342,34 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
                     add(_comp(I, n), xfac * vfac * c)
     den = xall * delta if lower else delta
     return QDiffOp(ring, n, terms, _delta_factor(den, n))
+
+
+# -- the operator laws by application to x-polynomials ----------------------
+
+
+def duality_by_application(lam: Partition, m: int, n: int) -> bool:
+    """``macdonald.duality_verify``'s law on the expanded m_lam, through ``apply_operator``.
+
+    Compared undivided by :func:`same_image`: the bar involution fixes
+    Delta, so the right side's divisor is bar(sign x^low) / scale.
+    """
+    ring = operator_ring(n, "raise_plus")
+    f = expand_monomial(lam, n, ring=ring)
+    ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
+    pn, pd = apply_operator(OperatorSpec("raise_plus", m), f, n, raw=True)
+    inv_scale = ring.var("q", -lam.weight) * ring.var("t", -m - _binom2(m), -1 if m % 2 else 1)
+    bar = {"q": ring.var("q", -1), "t": ring.var("t", -1)}
+    [(low, sign)] = (ring.monomial(pd.low, pd.sign).subs(bar) * inv_scale).terms.items()
+    return same_image(ln, ld, pn.subs(bar), SignedDelta(n, sign, low))
+
+
+def commute_by_application(lam: Partition, n: int) -> dict:
+    """{(r, s): whether D_r D_s = D_s D_r on the expanded m_lam}, every r < s."""
+    ring = operator_ring(n, "macdonald_r")
+    f = expand_monomial(lam, n, ring=ring)
+    images = [apply_operator(OperatorSpec("macdonald_r", r), f, n) for r in range(n + 1)]
+    return {
+        (r, s): apply_operator(OperatorSpec("macdonald_r", r), images[s], n)
+        == apply_operator(OperatorSpec("macdonald_r", s), images[r], n)
+        for r, s in combinations(range(n + 1), 2)
+    }

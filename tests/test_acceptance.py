@@ -26,8 +26,14 @@ from macops.operators import (
     operator_ring,
 )
 from macops.partitions import Partition, partitions_of
-from macops.rings import Poly, QT, same_image, xring
-from oracles import apply_determinantal, divisor_subs
+from macops.rings import Poly, QT, xring
+from oracles import (
+    apply_determinantal,
+    commute_by_application,
+    divisor_subs,
+    duality_by_application,
+    same_image,
+)
 
 
 def _default_n(lam: Partition) -> int:
@@ -151,6 +157,7 @@ def test_criterion_08_duality_by_application():
                 for m in range(0, n + 1):
                     rep = duality_verify(mu, m, n)
                     assert rep["status"] == "pass", (mu.render(), m, n)
+                    assert duality_by_application(mu, m, n), (mu.render(), m, n)
                     checks += 1
     # (shapes of weight <= 3 fitting n variables) * (n + 1) heights: 4*2 + 6*3 + 7*4
     assert checks == 54
@@ -175,8 +182,11 @@ def test_criterion_10_operator_commutativity():
     for n in range(1, 4):
         for d in range(0, 4):
             for mu in partitions_of(d, max_len=n):
-                for rep in commute_verify(mu, n):
-                    assert rep["status"] == "pass", (mu.render(), n)
-                    checks += 1
+                reps = list(commute_verify(mu, n))
+                assert all(rep["status"] == "pass" for rep in reps), (mu.render(), n)
+                by_application = commute_by_application(mu, n)
+                assert [(rep["r"], rep["s"]) for rep in reps] == list(by_application)
+                assert all(by_application.values()), (mu.render(), n, by_application)
+                checks += len(reps)
     # (shapes of weight <= 3 fitting n variables) * (pairs r < s in 0..n): 4*1 + 6*3 + 7*6
     assert checks == 64

@@ -204,6 +204,18 @@ PINNED_STDOUT = {
         "3dde3cb902f1d4270631144ccecb49df2cdedb20f220d444f2061bbd68fa451e",
     ("verify", "--suite", "schur-action", "--n", "4", "--format", "json"):
         "651a0bdfad9c307935c9eedb71c9c74790648622f3f96470731de2538941fbc6",
+    # from before duality and commute ran on the coefficient engine
+    ("verify", "--suite", "commute", "--n", "4", "--format", "json"):
+        "f5507b27726be568f7aaa948d9930d38939bd90b04dfcbe014ddc68a92c6c320",
+    ("verify", "--suite", "duality", "--n", "5", "--format", "json"):
+        "3c899c0ac7e58930bac4693ac169abb4880d4c9a6be242f2851168be80c48387",
+    ("verify", "--suite", "commute", "--n", "5", "--format", "json"):
+        "e73a1e9247160d4ec95e0a8006a2bfc8222a82feafe5b32be2d1534065e56d58",
+    # the kostka and jack branches of verify, which no other test runs
+    ("verify", "--suite", "kostka", "--max-weight", "2", "--format", "json"):
+        "8aee2bdbdd3c955b9a4a2be8bda7f9630963cd75977d458798f5fcd64bb3e4d3",
+    ("verify", "--suite", "jack", "--max-weight", "2", "--format", "json"):
+        "79944dd8dda5886d2950e14a8c9efbad2737ed0018016937222c3373d6f13a07",
 }
 
 
@@ -447,41 +459,47 @@ def test_duality_mismatch_exits_one(capsys, monkeypatch):
     from macops.errors import VerificationFailed
     from macops.partitions import Partition
 
-    real = mac.apply_operator
+    real = mac.apply_symmetric
 
-    def crooked(spec, f, n, raw=False):
+    def crooked(kind, m, F):
         # doubles every image of the plus adder
-        num, den = real(spec, f, n, raw)
-        return (num * 2, den) if spec.kind == "raise_plus" else (num, den)
+        out = real(kind, m, F)
+        return out.map_coeffs(lambda c: c * 2) if kind == "raise_plus" else out
 
-    monkeypatch.setattr(mac, "apply_operator", crooked)
-    with pytest.raises(VerificationFailed, match=r"^duality m=0 on m\[0\] \(n=1\)$"):
+    monkeypatch.setattr(mac, "apply_symmetric", crooked)
+    with pytest.raises(
+        VerificationFailed, match=r"^duality m=0 on m\[0\] \(n=1\) at m\[0\]: minus 1, dual_plus 2$"
+    ):
         mac.duality_verify(Partition(()), 0, 1)
     code, out, _ = run(capsys, "verify", "--suite", "duality", "--max-weight", "0")
     assert code == 1
-    assert out.endswith("FAIL: duality m=0 on m[0] (n=3)\n")
+    assert out.endswith("FAIL: duality m=0 on m[0] (n=3) at m[0]: minus 1, dual_plus 2\n")
 
 
 def test_commute_mismatch_exits_one(capsys, monkeypatch):
     import macops.macdonald as mac
+    from macops.bases import SymPoly
     from macops.errors import VerificationFailed
     from macops.partitions import Partition
+    from macops.rings import QT
 
-    real = mac.apply_operator
+    real, one = mac.apply_symmetric, Partition((1,))
 
-    def crooked(spec, f, n, raw=False):
-        # adds e_1 to every image of the order-0 operator, the identity
-        out = real(spec, f, n, raw)
-        if spec.index == 0:
-            out = out + sum((f.ring.var(f"x{i}") for i in range(1, n + 1)), f.ring.zero)
+    def crooked(kind, m, F):
+        # adds m[1] to every image of the order-0 operator, the identity
+        out = real(kind, m, F)
+        if m == 0:
+            out = SymPoly(F.nvars, {**out.coeffs, one: out.coeffs.get(one, QT.zero) + 1})
         return out
 
-    monkeypatch.setattr(mac, "apply_operator", crooked)
-    with pytest.raises(VerificationFailed, match=r"^commutator \[0,1\] on m\[0\] \(n=1\)$"):
+    monkeypatch.setattr(mac, "apply_symmetric", crooked)
+    with pytest.raises(
+        VerificationFailed, match=r"^commutator \[0,1\] on m\[0\] \(n=1\) at m\[1\]: rs 1, sr q$"
+    ):
         list(mac.commute_verify(Partition(()), 1))
     code, out, _ = run(capsys, "verify", "--suite", "commute", "--max-weight", "0")
     assert code == 1
-    assert out.endswith("FAIL: commutator [0,1] on m[0] (n=3)\n")
+    assert out.endswith("FAIL: commutator [0,1] on m[0] (n=3) at m[1]: rs 1, sr 1 + t + q*t^2\n")
 
 
 def test_invalid_inputs_exit_two(capsys):

@@ -27,12 +27,11 @@ from macops.rings import (
     pochhammer_t,
     poly_exact_div,
     poly_gcd,
-    same_image,
     split_x,
     vector_shift,
     xring,
 )
-from oracles import expand, permute_x
+from oracles import expand, permute_x, same_image
 
 
 def qt(expr_terms):
