@@ -4,7 +4,10 @@ Every suite assembles both sides from scratch (no shared code path with
 the production engine where that would make the check circular), clears
 the divided-difference and kernel denominators, and compares polynomials
 term by term.  Two-alphabet suites work in a combined ring with the x
-and y alphabets side by side.
+and y alphabets side by side, and build every kernel term, on either
+side, through one helper (``_kernel_term``).  A suite raises
+IdentityFailed at its first failing case and returns nothing;
+:func:`run_suite` writes the record of a suite that passed.
 """
 
 from __future__ import annotations
@@ -33,24 +36,28 @@ def xyring(n: int, m: int, extra: tuple[str, ...] = ("t", "u")) -> Ring:
     return Ring(names + extra)
 
 
-def _kernel_sum(ring: Ring, first, second, weight):
-    """Signed sum over subsets S of the first alphabet of the kernel terms.
+def _kernel_term(ring: Ring, scale, first, second, shifted):
+    """scale times the crossing product of shifted, a subset of first, times the kernel factors.
 
-    Each term is weight(|S|) times the crossing product of S, times
-    (1 - a b) for a in S and (1 - t a b) for a outside S, over every a in
-    first and b in second.
+    The factors are (1 - a b) for a in shifted and (1 - t a b) for a
+    outside it, over every a in first and b in second.
     """
     t = ring.var("t")
+    term = scale * cross_named(ring, first, shifted, "plus")
+    for a in first:
+        fa = ring.var(a)
+        for b in second:
+            fb = ring.var(b)
+            term = term * ((1 - fa * fb) if a in shifted else (1 - t * fa * fb))
+    return term
+
+
+def _kernel_sum(ring: Ring, first, second, weight):
+    """Signed sum over subsets S of the first alphabet of weight(|S|) times S's kernel term."""
     acc = ring.zero
     for k in range(len(first) + 1):
         for S in combinations(first, k):
-            chosen = frozenset(S)
-            term = weight(k) * cross_named(ring, first, chosen, "plus")
-            for a in first:
-                fa = ring.var(a)
-                for b in second:
-                    fb = ring.var(b)
-                    term = term * ((1 - fa * fb) if a in chosen else (1 - t * fa * fb))
+            term = _kernel_term(ring, weight(k), first, second, frozenset(S))
             acc = acc + (-term if k % 2 else term)
     return acc
 
@@ -85,7 +92,7 @@ def _fail(name: str, detail: str):
     raise IdentityFailed(f"{name}: {detail}")
 
 
-def suite_elementary_product(n: int, m: int | None = None) -> dict:
+def suite_elementary_product(n: int, m: int | None = None) -> None:
     """Both column adders applied to 1 give the scaled elementary polynomial."""
     ring = xring(n)
     ms = range(0, n + 1) if m is None else [m]
@@ -95,10 +102,9 @@ def suite_elementary_product(n: int, m: int | None = None) -> dict:
             got = apply_operator(OperatorSpec(kind, mm), ring.one, n)
             if got != want:
                 _fail("elementary_product", f"kind={kind} m={mm} n={n}")
-    return {"suite": "elementary_product", "nvars": n, "status": "pass"}
 
 
-def suite_elementary_u_product(n: int, m: int | None = None) -> dict:
+def suite_elementary_u_product(n: int, m: int | None = None) -> None:
     """The u-parameter column adders applied to 1.
 
     The minus case is checked in two printed variants: the one with the
@@ -134,10 +140,9 @@ def suite_elementary_u_product(n: int, m: int | None = None) -> dict:
                     acc = acc + (-xj * c if a % 2 else xj * c)
         if acc != e_m * pochhammer_t(u, mm) * delta:
             _fail("elementary_u_product", f"minus variant m={mm} n={n}")
-    return {"suite": "elementary_u_product", "nvars": n, "status": "pass"}
 
 
-def suite_elementary_u_slice(n: int, m: int | None = None) -> dict:
+def suite_elementary_u_slice(n: int, m: int | None = None) -> None:
     """Fixed-subset-size slices of the u-product identities."""
     ring = xring(n)
     delta = vandermonde(n, ring)
@@ -157,10 +162,9 @@ def suite_elementary_u_slice(n: int, m: int | None = None) -> dict:
                         "elementary_u_slice",
                         f"pattern={pattern} m={mm} r={r} n={n}",
                     )
-    return {"suite": "elementary_u_slice", "nvars": n, "status": "pass"}
 
 
-def suite_kernel_swap(n: int, m: int | None = None) -> dict:
+def suite_kernel_swap(n: int, m: int | None = None) -> None:
     """Alphabet exchange for the kernel ratio, with the scaled u argument."""
     ms = range(1, n + 1) if m is None else [m]
     for mm in ms:
@@ -170,20 +174,18 @@ def suite_kernel_swap(n: int, m: int | None = None) -> dict:
         poch = pochhammer_t(ring.var("u"), n - mm)
         if lnum * rden != poch * rnum * lden:
             _fail("kernel_swap", f"n={n} m={mm}")
-    return {"suite": "kernel_swap", "nvars": n, "status": "pass"}
 
 
-def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> dict:
+def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> None:
     """The m-column adder acting on the kernel equals a pure y-side sum.
 
     The plus adder shifts the chosen x variables and the minus adder their
-    complement, so the kernel factor that carries t swaps sides.
+    complement, so a minus term is the kernel term of the complement (the
+    "minus" crossing pattern of a set is the "plus" one of its complement).
     """
     ms = range(1, n + 1) if m is None else [m]
-    pattern = "minus" if minus else "plus"
     for mm in ms:
         ring = xyring(n, mm, extra=("t",))
-        t = ring.var("t")
         xs = [f"x{i}" for i in range(1, n + 1)]
         ys = [f"y{k}" for k in range(1, mm + 1)]
         lhs = ring.zero
@@ -198,14 +200,8 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> dict:
                     else:
                         sgn = k
                         tpow = (mm - n + 1) * k + _binom2(k)
-                    term = ring.var("t", tpow) * cross_named(ring, xs, chosen, pattern)
-                    for a in xs:
-                        fa = ring.var(a)
-                        for b in ys:
-                            fb = ring.var(b)
-                            term = term * (
-                                (1 - t * fa * fb) if (a in chosen) == minus else (1 - fa * fb)
-                            )
+                    shifted = frozenset(xs) - chosen if minus else chosen
+                    term = _kernel_term(ring, ring.var("t", tpow), xs, ys, shifted)
                     lhs = lhs + (-xj * term if sgn % 2 else xj * term)
         rhs = _kernel_sum(ring, ys, xs, lambda k: ring.var("t", _binom2(k)))
         yall = _xmono(ring, range(n + 1, n + mm + 1))
@@ -213,24 +209,23 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> dict:
         dx = cross_named(ring, xs, frozenset(), "plus")
         if lhs * yall * dy != rhs * dx:
             _fail(name, f"n={n} m={mm}")
-    return {"suite": name, "nvars": n, "status": "pass"}
 
 
-def suite_kernel_reduction_plus(n: int, m: int | None = None) -> dict:
+def suite_kernel_reduction_plus(n: int, m: int | None = None) -> None:
     """The plus adder on the kernel.
 
     Neither side involves q; this is the pivot that lets every raising
     statement be checked at q = t only.
     """
-    return _kernel_reduction("kernel_reduction_plus", n, m, minus=False)
+    _kernel_reduction("kernel_reduction_plus", n, m, minus=False)
 
 
-def suite_kernel_reduction_minus(n: int, m: int | None = None) -> dict:
+def suite_kernel_reduction_minus(n: int, m: int | None = None) -> None:
     """Minus-adder version; the kernel factors ride on the complement."""
-    return _kernel_reduction("kernel_reduction_minus", n, m, minus=True)
+    _kernel_reduction("kernel_reduction_minus", n, m, minus=True)
 
 
-def _schur_action(name: str, n: int, kinds) -> dict:
+def _schur_action(name: str, n: int, kinds) -> None:
     """(u,v) generators on Schur polynomials at q = t.
 
     Raising kinds add a box to each selected row and lowering kinds remove
@@ -262,25 +257,24 @@ def _schur_action(name: str, n: int, kinds) -> dict:
             if got != want:
                 where = f"kind={kind} " if len(kinds) > 1 else ""
                 _fail(name, f"{where}shape={lam.render()} n={n}")
-    return {"suite": name, "nvars": n, "status": "pass"}
 
 
-def suite_schur_action_raise(n: int, m: int | None = None) -> dict:
+def suite_schur_action_raise(n: int, m: int | None = None) -> None:
     """Action of the (u,v) adder on Schur polynomials at q = t."""
-    return _schur_action("schur_action_raise", n, ("raise_gen_plus",))
+    _schur_action("schur_action_raise", n, ("raise_gen_plus",))
 
 
-def suite_schur_action_raise_comp(n: int, m: int | None = None) -> dict:
+def suite_schur_action_raise_comp(n: int, m: int | None = None) -> None:
     """Same for the complement-shift adder."""
-    return _schur_action("schur_action_raise_comp", n, ("raise_gen_minus",))
+    _schur_action("schur_action_raise_comp", n, ("raise_gen_minus",))
 
 
-def suite_schur_action_lower(n: int, m: int | None = None) -> dict:
+def suite_schur_action_lower(n: int, m: int | None = None) -> None:
     """Both lowering generators on Schur polynomials at q = t."""
-    return _schur_action("schur_action_lower", n, ("lower_gen_plus", "lower_gen_minus"))
+    _schur_action("schur_action_lower", n, ("lower_gen_plus", "lower_gen_minus"))
 
 
-def suite_generator_on_one(n: int, m: int | None = None) -> dict:
+def suite_generator_on_one(n: int, m: int | None = None) -> None:
     """The (u,v) adders on 1: the generating series of the u-products, or its v^m slice."""
     ring = xring(n, ("q", "t", "u", "v"))
     u, v = ring.var("u"), ring.var("v")
@@ -301,7 +295,6 @@ def suite_generator_on_one(n: int, m: int | None = None) -> dict:
             got, want = coeff_of_power(got, "v", m), coeff_of_power(want, "v", m)
         if got != want:
             _fail("generator_on_one", f"{sign} n={n}" if m is None else f"{sign} m={m} n={n}")
-    return {"suite": "generator_on_one", "nvars": n, "status": "pass"}
 
 
 SUITES = {
@@ -319,9 +312,10 @@ SUITES = {
 
 
 def run_suite(name: str, n: int, m: int | None = None) -> dict:
-    """Run one suite; every suite needs at least one variable to check anything."""
+    """Run one suite and return its record; every suite needs at least one variable."""
     if name not in SUITES:
         raise OutOfRange(f"unknown suite {name!r}")
     if n < 1:
         raise OutOfRange(f"need at least one variable, got n={n}")
-    return SUITES[name](n, m)
+    SUITES[name](n, m)
+    return {"suite": name, "nvars": n, "status": "pass"}

@@ -4,7 +4,8 @@ Setting q to an integer power of t and letting t tend to 1 turns the
 q-shift operators into first-order differential operators, the jack
 kinds of the coefficient engine in ``operators`` (exact coefficients in
 Z[a], with a the limit parameter).  This module builds the one-parameter
-polynomials by the same column recursion as the two-parameter family and
+polynomials by the column recursion of the two-parameter family
+(:func:`macdonald.column_recursion` with the jack_raise adder) and
 cross-checks them against the substitution limit of the two-parameter
 integral forms.
 """
@@ -12,14 +13,8 @@ integral forms.
 from __future__ import annotations
 
 from .bases import SymPoly, assert_agree
-from .errors import (
-    LengthExceedsVars,
-    NonExactDivision,
-    NotDivisible,
-    OutOfRange,
-    VerificationFailed,
-)
-from .macdonald import conjugate_columns, macdonald_J_raising
+from .errors import NonExactDivision, NotDivisible, OutOfRange, VerificationFailed
+from .macdonald import column_recursion, macdonald_J_raising
 from .operators import apply_symmetric
 from .partitions import Partition, c_alpha
 from .rings import ALPHA, QT, Poly, poly_exact_div
@@ -45,12 +40,7 @@ def jack_lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
 
 def jack_J(lam: Partition, n: int) -> SymPoly:
     """The one-parameter polynomial by the column recursion, in Z[a]."""
-    if lam.length > n:
-        raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
-    f = SymPoly(n, {Partition(()): ALPHA.one})
-    for m in conjugate_columns(lam):
-        f = apply_symmetric("jack_raise", m, f)
-    return f
+    return column_recursion("jack_raise", lam, n)
 
 
 def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:

@@ -3,12 +3,13 @@
 Two independent construction routes feed each other's checks.  The eigen
 oracle solves the triangular linear system cut out by the first difference
 operator on a single weight space; the raising recursion builds the
-integral form column by column.  Exact agreement of the two (and of the
-plus and minus column adders with each other) is the core correctness
-gate of the whole package.  Every check here, duality and commutation
-included, runs on monomial coefficients through the engine that builds J
-(:func:`operators.apply_symmetric`); the x-level operator forms check it
-from the tests (``tests/oracles.py``).
+integral form column by column (:func:`column_recursion`, which also
+builds the Jack limit from its own adder).  Exact agreement of the two
+(and of the plus and minus column adders with each other) is the core
+correctness gate of the whole package.  Every check here, duality and
+commutation included, runs on monomial coefficients through the engine
+that builds J (:func:`operators.apply_symmetric`); the x-level operator
+forms check it from the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,17 +21,10 @@ from itertools import combinations
 from .bases import SymPoly, assert_agree, change_basis, schur_to_monomial
 from .errors import (LengthExceedsVars, NegativeExponent, NonExactDivision, NonIntegralEntry,
                      OutOfRange, SingularSystem, VerificationFailed)
-from .operators import _binom2, _columns, _targets, apply_symmetric
-from .partitions import (
-    Partition,
-    c_integral,
-    c_integral_factors,
-    eigen_poly,
-    eigenvalue_first,
-    lowering_coeff,
-    partitions_of,
-)
-from .rings import QT, Frac, Poly, coeff_of_power, frac_by_factors, poly_exact_div
+from .operators import _FORMS, _binom2, _columns, _targets, apply_symmetric
+from .partitions import (Partition, c_integral, c_integral_factors, eigenvalue, lowering_coeff,
+                         partitions_of)
+from .rings import QT, Frac, Poly, frac_by_factors, poly_exact_div
 
 
 def default_nvars(lam: Partition) -> int:
@@ -99,7 +93,7 @@ def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
     if n == 0:
         return MacdonaldResult(lam, 0, SymPoly(0, {lam: QT.one}), "eigen_oracle")
     shapes, entries = _d1_action(lam.weight, n)
-    top = eigenvalue_first(lam, n)
+    top = eigenvalue(lam, n, 1)
     coeffs: dict[Partition, Poly] = {lam: c_integral(lam)}
     below = False
     for nu in shapes:
@@ -115,7 +109,7 @@ def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
                 rhs = rhs + u * a
         if rhs.is_zero:
             continue
-        gap = top - eigenvalue_first(nu, n)
+        gap = top - eigenvalue(nu, n, 1)
         if gap.is_zero:
             raise SingularSystem(
                 f"repeated eigenvalue between {lam.render()} and {nu.render()}"
@@ -131,15 +125,14 @@ def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
-    """Assert the generating eigen-equation, symbolic in u, on coefficients.
+    """Assert D_r J = e_r(q^lam_i t^(n-i)) J for every order r = 0..n.
 
-    Its u^r part is D_r J = e_r(q^lam_i t^(n-i)) J, checked for every
-    order r = 0..n with the operators run on monomial coefficients; a
-    failure names the order and the first m_mu that differs.
+    The eigenvalue is :func:`partitions.eigenvalue` and the operators run
+    on monomial coefficients; a failure names the order and the first m_mu
+    that differs.
     """
-    series = eigen_poly(lam, n)
     for r in range(n + 1):
-        ev = coeff_of_power(series, "u", r).subs({}, QT) * (-1) ** r
+        ev = eigenvalue(lam, n, r)
         assert_agree(
             f"eigencheck failed for {lam.render()} in {n} variables: D_{r}",
             got=apply_symmetric("macdonald_r", r, J),
@@ -153,26 +146,32 @@ def conjugate_columns(lam: Partition) -> tuple[int, ...]:
     return tuple(reversed(lam.conjugate().parts))
 
 
-def macdonald_J_raising(lam: Partition, n: int, kind: str = "kplus") -> MacdonaldResult:
-    """The integral form by repeated column adders, shortest column first.
+def column_recursion(adder: str, lam: Partition, n: int) -> SymPoly:
+    """The adder applied to 1 once per column of lam, shortest column first.
 
     Each step is legal: the shape built so far has at most as many rows
-    as the next column is high.
+    as the next column is high.  A step that leaves a negative exponent
+    in any coefficient raises NegativeExponent.
     """
-    if kind not in ("kplus", "kminus"):
-        raise OutOfRange(f"unknown raising kind {kind!r}")
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
-    adder = "raise_minus" if kind == "kminus" else "raise_plus"
-    f = SymPoly(n, {Partition(()): QT.one})
+    f = SymPoly(n, {Partition(()): _FORMS[adder][2].one})
     for m in conjugate_columns(lam):
         f = apply_symmetric(adder, m, f)
         for mu, c in f.coeffs.items():
-            if c.var_min("q") < 0 or c.var_min("t") < 0:
+            if min(map(min, c.terms)) < 0:
                 raise NegativeExponent(
                     f"column {m} of {lam.render()} left m_{mu.render()} = {c.render()}"
                 )
-    return MacdonaldResult(lam, n, f, f"raising_{kind}")
+    return f
+
+
+def macdonald_J_raising(lam: Partition, n: int, kind: str = "kplus") -> MacdonaldResult:
+    """The integral form by the column recursion of the plus or minus adder."""
+    if kind not in ("kplus", "kminus"):
+        raise OutOfRange(f"unknown raising kind {kind!r}")
+    adder = "raise_minus" if kind == "kminus" else "raise_plus"
+    return MacdonaldResult(lam, n, column_recursion(adder, lam, n), f"raising_{kind}")
 
 
 def macdonald_J(lam: Partition, n: int, via: str = "kplus") -> MacdonaldResult:

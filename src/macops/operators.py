@@ -200,8 +200,8 @@ class QDiffOp:
         self.terms = {s: p for s, p in terms.items() if p}
         self.divisor = divisor
 
-    def apply(self, f: Poly, raw: bool = False):
-        """Apply to f; with raw=True return (numerator, divisor) instead.
+    def apply(self, f: Poly) -> Poly:
+        """Apply to f: the numerator sum_s c_s f(q-shifted by s), divided.
 
         The numerator is divided by the monomial and then by the C(n,2)
         linear factors x_i - x_j of Delta (:func:`rings.poly_exact_div`),
@@ -210,8 +210,7 @@ class QDiffOp:
         acc: dict = {}
         for shift, num in self.terms.items():
             acc = _add_into(acc, (num * vector_shift(f, shift, "q")).terms)
-        acc = Poly(self.ring, acc)
-        return (acc, self.divisor) if raw else poly_exact_div(acc, self.divisor)
+        return poly_exact_div(Poly(self.ring, acc), self.divisor)
 
     def __repr__(self):
         return f"<QDiffOp n={self.nvars} shifts={sorted(self.terms)}>"
@@ -275,12 +274,12 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
     return QDiffOp(ring, n, terms, src.divisor._replace(low=tuple(low)))
 
 
-def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
-    """Apply a named operator to an x-polynomial, exactly.
+def apply_operator(spec: OperatorSpec, f: Poly, n: int) -> Poly:
+    """Apply a named operator to an x-polynomial, exactly, through its plan.
 
-    raw=True skips the final division and returns (numerator, divisor),
-    since a symbolic-parameter lowering kind can land outside the
-    polynomial ring.
+    The numerator is divided by the plan's +-Delta x^low.  A remover's low
+    holds x1...xn and a specialized kind's a power of t, so the image can
+    be a Laurent polynomial.
     """
     kind = spec.kind
     if kind in _NEEDS_INDEX:
@@ -290,7 +289,7 @@ def apply_operator(spec: OperatorSpec, f: Poly, n: int, raw: bool = False):
             f.ring.pos(nm)
         elif nm not in f.ring.names:
             raise SpecializationRequired(f"{kind} needs a ring with {nm}")
-    return _plan(kind, spec.index, n, f.ring.names).apply(f, raw)
+    return _plan(kind, spec.index, n, f.ring.names).apply(f)
 
 
 # -- factorized route at q = t ------------------------------------------
@@ -305,12 +304,12 @@ _DET_KINDS = (
 )
 
 
-def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
+def apply_factorized_qt(kind: str, n: int, f: Poly) -> Poly:
     """Apply the q = t specialization through its commuting product form.
 
     The ring of f must use t for the shift variable (no q present); each
-    factor is a single-variable two-term operator acting on Delta * f.
-    raw=True returns (numerator, divisor) as :func:`apply_operator` does.
+    factor is a single-variable two-term operator acting on Delta * f, and
+    the product is divided as :func:`apply_operator` divides.
     """
     if kind not in _DET_KINDS:
         raise OutOfRange(f"no factorized form for {kind!r}")
@@ -334,8 +333,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly, raw: bool = False):
         else:
             g = xj * sh + v * (g - u * sh)
     low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
-    divisor = SignedDelta(n, 1, low)
-    return (g, divisor) if raw else poly_exact_div(g, divisor)
+    return poly_exact_div(g, SignedDelta(n, 1, low))
 
 
 # -- symmetric operators on monomial coefficients -------------------------

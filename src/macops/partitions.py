@@ -8,12 +8,12 @@ for matrix rows and JSON output puts (d) first and (1^d) last.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import LengthExceedsVars, NegativeExponent, OutOfRange
 from .rings import ALPHA, QT, Poly, Ring, pochhammer_t, poly_exact_div
 
-QTU = Ring(("q", "t", "u"))
 X = Ring(("x",))
 
 
@@ -152,7 +152,6 @@ def cyclotomic(d: int) -> Poly:
     return res
 
 
-@lru_cache(maxsize=None)
 def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
     """Irreducible factors of c_integral(lam) in Z[q,t], with multiplicities.
 
@@ -174,28 +173,15 @@ def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
     )
 
 
-def eigen_poly(lam: Partition, n: int) -> Poly:
-    """Generating eigenvalue: product over i<=n of (1 - u t^(n-i) q^(lam_i)).
-
-    Lives in the (q,t,u) ring; a polynomial of degree n in u.
-    """
+def eigenvalue(lam: Partition, n: int, r: int) -> Poly:
+    """The eigenvalue of D_r on J_lam in n variables: e_r of the q^(lam_i) t^(n-i), i <= n."""
     if lam.length > n:
         raise LengthExceedsVars("partition longer than the variable count")
-    res = QTU.one
-    u = QTU.var("u")
-    for i in range(1, n + 1):
-        res = res * (1 - u * QTU.var("t", n - i) * QTU.var("q", lam.part(i)))
-    return res
-
-
-def eigenvalue_first(lam: Partition, n: int) -> Poly:
-    """Eigenvalue of the first-order operator: sum of t^(n-i) q^(lam_i)."""
-    if lam.length > n:
-        raise LengthExceedsVars("partition longer than the variable count")
-    res = QT.zero
-    for i in range(1, n + 1):
-        res = res + QT.var("t", n - i) * QT.var("q", lam.part(i))
-    return res
+    terms: dict = {}
+    for S in combinations(range(1, n + 1), r):
+        e = (sum(lam.part(i) for i in S), sum(n - i for i in S))
+        terms[e] = terms.get(e, 0) + 1
+    return Poly(QT, terms)
 
 
 def lowering_coeff(lam: Partition, m: int, n: int) -> Poly:

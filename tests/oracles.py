@@ -6,7 +6,8 @@ Kostka numbers instead), the operator-entry determinant route of the
 generating operators, the printed subset sums of the named operators
 assembled literally (``build``) with the operator algebra that compares
 them (``dualize``, ``equals`` and friends), the expansion and factoring
-of a divisor +-Delta x^low (``expand``, ``_delta_factor``), the comparison
+of a divisor +-Delta x^low (``expand``, ``_delta_factor``), an operator's
+image before that division (``numerator``, ``raw_image``), the comparison
 of two raw images over it (``same_image``), the duality and commutation
 laws checked by applying the x-level operators (``duality_by_application``,
 ``commute_by_application``), adding a column to a partition, and the
@@ -29,13 +30,14 @@ from macops.operators import (
     _check_index,
     _comp,
     _subsets,
+    _plan,
     _xmono,
     apply_operator,
     cross_cleared,
     operator_ring,
 )
 from macops.partitions import Partition
-from macops.rings import Poly, SignedDelta, _mono_div, poly_exact_div, vector_shift
+from macops.rings import Poly, SignedDelta, _add_into, _mono_div, poly_exact_div, vector_shift
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +98,8 @@ def apply_determinantal(kind: str, n: int, f: Poly):
     Entries in one Leibniz product act on distinct variables and commute;
     each permutation term is an n-fold composition applied to f.  The
     lower kinds use entries pre-cleared by one power of x_j so everything
-    stays polynomial.  Returns (numerator, divisor), as
-    ``apply_operator(..., raw=True)`` does.
+    stays polynomial.  Returns (numerator, divisor), as :func:`raw_image`
+    does.
     """
     if kind not in _DET_KINDS:
         raise OutOfRange(f"no determinant form for {kind!r}")
@@ -204,6 +206,20 @@ def normalized(op: QDiffOp) -> QDiffOp:
     mono = ring.monomial(scale)
     terms = {s: p * mono for s, p in op.terms.items()}
     return QDiffOp(ring, n, terms, SignedDelta(n, sign, tuple(a + b for a, b in zip(low, scale))))
+
+
+def numerator(op: QDiffOp, f: Poly) -> Poly:
+    """op applied to f before its division: sum_s c_s times f q-shifted by s."""
+    acc: dict = {}
+    for shift, c in op.terms.items():
+        acc = _add_into(acc, (c * vector_shift(f, shift, "q")).terms)
+    return Poly(f.ring, acc)
+
+
+def raw_image(kind: str, m, n: int, f: Poly) -> tuple[Poly, SignedDelta]:
+    """(numerator, divisor) of the plan ``apply_operator`` divides, for f's ring."""
+    op = _plan(kind, m, n, f.ring.names)
+    return numerator(op, f), op.divisor
 
 
 def same_image(a: Poly, da: SignedDelta, b: Poly, db: SignedDelta) -> bool:
@@ -355,8 +371,8 @@ def duality_by_application(lam: Partition, m: int, n: int) -> bool:
     """
     ring = operator_ring(n, "raise_plus")
     f = expand_monomial(lam, n, ring=ring)
-    ln, ld = apply_operator(OperatorSpec("raise_minus", m), f, n, raw=True)
-    pn, pd = apply_operator(OperatorSpec("raise_plus", m), f, n, raw=True)
+    ln, ld = raw_image("raise_minus", m, n, f)
+    pn, pd = raw_image("raise_plus", m, n, f)
     inv_scale = ring.var("q", -lam.weight) * ring.var("t", -m - _binom2(m), -1 if m % 2 else 1)
     bar = {"q": ring.var("q", -1), "t": ring.var("t", -1)}
     [(low, sign)] = (ring.monomial(pd.low, pd.sign).subs(bar) * inv_scale).terms.items()

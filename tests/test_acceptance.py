@@ -18,20 +18,14 @@ from macops.macdonald import (
     macdonald_J,
     macdonald_P_eigen,
 )
-from macops.operators import (
-    _DET_KINDS,
-    OperatorSpec,
-    apply_factorized_qt,
-    apply_operator,
-    operator_ring,
-)
+from macops.operators import _DET_KINDS, apply_factorized_qt, operator_ring
 from macops.partitions import Partition, partitions_of
-from macops.rings import Poly, QT, xring
+from macops.rings import Poly, QT, poly_exact_div, xring
 from oracles import (
     apply_determinantal,
     commute_by_application,
-    divisor_subs,
     duality_by_application,
+    raw_image,
     same_image,
 )
 
@@ -125,15 +119,12 @@ def test_criterion_06_determinantal_and_factorized_routes():
             for d in range(0, 5):
                 for lam in partitions_of(d, max_len=n):
                     f = expand_monomial(lam, n, ring=ring)
-                    pn, pd = apply_operator(OperatorSpec(kind), f, n, raw=True)
+                    pn, pd = raw_image(kind, None, n, f)
                     dn, dd = apply_determinantal(kind, n, f)
                     assert same_image(dn, dd, pn, pd), (kind, n, lam.render())
-                    at_qt = {"q": ring.var("t")}
-                    qn, qd = pn.subs(at_qt), divisor_subs(pd, ring, at_qt, ring)
+                    at_qt = poly_exact_div(pn, pd).subs({"q": ring.var("t")})
                     ft = expand_monomial(lam, n, ring=tring)
-                    fn, fd = apply_factorized_qt(kind, n, ft, raw=True)
-                    fn, fd = fn.subs({}, ring), divisor_subs(fd, tring, {}, ring)
-                    assert same_image(qn, qd, fn, fd), (kind, n, lam.render())
+                    assert apply_factorized_qt(kind, n, ft).subs({}, ring) == at_qt, (kind, n, lam.render())
                     cases += 1
     # 5 kinds times the 37 (n, lam) with |lam| <= 4 and n = 1..4
     assert cases == 185

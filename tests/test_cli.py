@@ -216,6 +216,21 @@ PINNED_STDOUT = {
         "8aee2bdbdd3c955b9a4a2be8bda7f9630963cd75977d458798f5fcd64bb3e4d3",
     ("verify", "--suite", "jack", "--max-weight", "2", "--format", "json"):
         "79944dd8dda5886d2950e14a8c9efbad2737ed0018016937222c3373d6f13a07",
+    # from before one column recursion, one eigenvalue formula, one kernel term and one suite record
+    ("verify", "--suite", "e-identities", "--n", "4", "--format", "json"):
+        "e42718c301714939d34e4a4e5ab300951e88839afa88698ea0a7f1ab4ca58617",
+    ("verify", "--suite", "kernel", "--n", "3", "--format", "json"):
+        "b6186c5e17a3422a29b46812011591cafd4a3195e282cbec4ba3992908b65dc2",
+    ("verify", "--suite", "kernel", "--n", "3"):
+        "7188bf25ec726c973b63f9b3b3adebae2e8af2f366d087b177700fea02ccef2c",
+    ("verify", "--suite", "eigen", "--max-weight", "6", "--format", "json"):
+        "76868f3a33ef525cfa27e11c3e08970a92264abb6588dc101052c02e81724fc3",
+    ("jack", "--lambda", "4,2", "--check", "--format", "json"):
+        "5aa12bc91ff20ab86073a17d0d733cde2ea2d84e95276d762b272193cec008b3",
+    ("ppoly", "--lambda", "3,2", "--via", "eigen", "--format", "json"):
+        "1c2ef3511ff4b18d3e33e56b46a49131d6f5cd49e5afdbc7d01b727c5ea7da56",
+    ("jpoly", "--lambda", "3,2,1", "--via", "eigen", "--check", "--format", "json"):
+        "d1444c15e9e705e6fb688d43ebc11f46d421fcdad18014edb1a37142f30dcc22",
 }
 
 

@@ -114,8 +114,8 @@ def test_generator_on_one_checks_only_the_chosen_slice(monkeypatch):
     # a planted error in the v^1 slice of the plus adder's image on 1
     real = ids.apply_operator
 
-    def crooked(spec, f, n, raw=False):
-        out = real(spec, f, n, raw)
+    def crooked(spec, f, n):
+        out = real(spec, f, n)
         return out + out.ring.var("v") if spec.kind == "raise_gen_plus" else out
 
     monkeypatch.setattr(ids, "apply_operator", crooked)

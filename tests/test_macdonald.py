@@ -198,6 +198,23 @@ def test_raising_refuses_a_negative_exponent(monkeypatch):
         mac.macdonald_J_raising(P(1), 2)
 
 
+@pytest.mark.parametrize("var", ["q", "a"])
+def test_column_recursion_refuses_a_negative_exponent_in_every_variable(monkeypatch, var):
+    # J's coefficients are in Z[q,t], the Jack limit's in Z[a]: one check covers both
+    import macops.macdonald as mac
+    from macops.jack import jack_J
+
+    real = mac.apply_symmetric
+
+    def laurent(kind, m, f):
+        out = real(kind, m, f)
+        return SymPoly(out.nvars, {mu: c * c.ring.var(var, -1) for mu, c in out.coeffs.items()})
+
+    monkeypatch.setattr(mac, "apply_symmetric", laurent)
+    with pytest.raises(NegativeExponent, match=rf"^column 1 of 2 left m_1 = .*{var}\^-1"):
+        jack_J(P(2), 2) if var == "a" else mac.macdonald_J_raising(P(2), 2)
+
+
 def test_first_operator_matrix_against_the_expansion():
     import macops.macdonald as mac
 
@@ -416,13 +433,13 @@ def test_lowering_rejects_bad_arguments():
 def test_integral_form_guard(monkeypatch):
     import macops.macdonald as mac
 
-    real = mac.eigenvalue_first
+    real = mac.eigenvalue
 
-    def crooked(lam, n):
+    def crooked(lam, n, r):
         # one wrong eigenvalue: the gap below m_(1,1) no longer divides
-        return real(lam, n) + (QT.var("q") if lam == P(1, 1) else QT.zero)
+        return real(lam, n, r) + (QT.var("q") if lam == P(1, 1) else QT.zero)
 
-    monkeypatch.setattr(mac, "eigenvalue_first", crooked)
+    monkeypatch.setattr(mac, "eigenvalue", crooked)
     with pytest.raises(
         NonIntegralEntry, match=r"^coefficient of m_1,1 in the integral form: \(.*\)/\(.*\)$"
     ):

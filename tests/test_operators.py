@@ -22,10 +22,11 @@ from macops.operators import (
     operator_ring,
 )
 from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
-from macops.partitions import QTU, Partition, column_unit_scale, partitions_of
+from macops.partitions import Partition, column_unit_scale, partitions_of
 from macops.rings import (
     QT,
     Poly,
+    Ring,
     SignedDelta,
     _positive_trail,
     poly_exact_div,
@@ -41,11 +42,14 @@ from oracles import (
     equals,
     expand,
     normalized,
+    numerator,
     permute_x,
-    same_image,
+    raw_image,
     scaled,
     with_global_qshift,
 )
+
+QTU = Ring(("q", "t", "u"))
 
 
 def P(*parts):
@@ -133,9 +137,8 @@ def test_production_matches_built_form():
                     if lam.length > n:
                         continue
                     f = expand_monomial(lam, n, ring=ring)
-                    num, den = apply_operator(spec, f, n, raw=True)
-                    bnum, bden = op.apply(f, raw=True)
-                    assert same_image(num, den, bnum, bden), (kind, m, n, lam.render())
+                    want = poly_exact_div(numerator(op, f), op.divisor)
+                    assert apply_operator(spec, f, n) == want, (kind, m, n, lam.render())
 
 
 def test_plan_equals_the_literal_build():
@@ -503,17 +506,22 @@ def test_division_by_delta_never_enters_the_heap_or_packed_loop(monkeypatch):
 
 
 def test_dx_u_on_constants_and_m1():
-    from macops.partitions import eigen_poly
+    # D(u) J_lam = prod_i (1 - u t^(n-i) q^lam_i) J_lam, here on J_() = 1 and J_(1) = m_(1)
+    def series(lam, n, ring):
+        u, q, t = ring.var("u"), ring.var("q"), ring.var("t")
+        out = ring.one
+        for i in range(1, n + 1):
+            out = out * (1 - u * t ** (n - i) * q ** lam.part(i))
+        return out
 
     for n in (1, 2, 3):
         ring = operator_ring(n, "macdonald_u")
         got = apply_operator(OperatorSpec("macdonald_u"), ring.one, n)
-        want = eigen_poly(P(), n).subs({}, ring)
-        assert got == want
+        assert got == series(P(), n, ring)
     ring = operator_ring(2, "macdonald_u")
     m1 = expand_monomial(P(1), 2, ring=ring)
     got = apply_operator(OperatorSpec("macdonald_u"), m1, 2)
-    assert got == eigen_poly(P(1), 2).subs({}, ring) * m1
+    assert got == series(P(1), 2, ring) * m1
 
 
 def _fold_u_op(op, value_tpow, target_ring):
@@ -560,7 +568,7 @@ def test_w_invariance_on_asymmetric_input():
                 len(ring.names) - n
             )
             f = f + ring.monomial(exps, rng.randrange(1, 5))
-        num, den = apply_operator(OperatorSpec(kind, m), f, n, raw=True)
+        num, den = raw_image(kind, m, n, f)
         for perm in perms:
             inv = sum(
                 1
@@ -568,9 +576,7 @@ def test_w_invariance_on_asymmetric_input():
                 for b in range(a + 1, n)
                 if perm[a] > perm[b]
             )
-            pnum, pden = apply_operator(
-                OperatorSpec(kind, m), permute_x(f, n, perm), n, raw=True
-            )
+            pnum, pden = raw_image(kind, m, n, permute_x(f, n, perm))
             # denominators carry one sign-flipping Vandermonde factor
             lhs = permute_x(num, n, perm)
             assert lhs == (-pnum if inv & 1 else pnum), (kind, perm)

@@ -9,14 +9,14 @@ from macops.partitions import (
     c_integral_factors,
     column_unit_scale,
     cyclotomic,
-    eigen_poly,
-    eigenvalue_first,
+    eigenvalue,
     lowering_coeff,
     parse_partition,
     partitions_of,
+    partitions_up_to,
     revlex_key,
 )
-from macops.rings import ALPHA, QT, Frac, Ring, frac_by_factors
+from macops.rings import ALPHA, QT, Frac, Ring, coeff_of_power, frac_by_factors
 from oracles import dominance_leq, plus_ones
 
 
@@ -130,13 +130,37 @@ def test_reduction_needs_the_cyclotomic_split():
     assert whole.den == c
 
 
-def test_eigen_poly():
-    p = eigen_poly(P(1), 2)
+def test_eigenvalue():
+    q, t = QT.var("q"), QT.var("t")
+    assert eigenvalue(P(1), 2, 0) == QT.one
+    assert eigenvalue(P(1), 2, 1) == t * q + 1
+    assert eigenvalue(P(1), 2, 2) == t * q
+    assert eigenvalue(P(2, 1), 3, 2) == t**3 * q**3 + t**2 * q**2 + t * q
+    with pytest.raises(LengthExceedsVars):
+        eigenvalue(P(1, 1, 1), 2, 1)
+
+
+def _eigen_series(lam, n):
+    """prod_{i<=n} (1 - u t^(n-i) q^lam_i), whose u^r coefficient is (-1)^r e_r."""
     QTU = Ring(("q", "t", "u"))
     u, q, t = QTU.var("u"), QTU.var("q"), QTU.var("t")
-    assert p == (1 - u * t * q) * (1 - u)
-    with pytest.raises(LengthExceedsVars):
-        eigen_poly(P(1, 1, 1), 2)
+    out = QTU.one
+    for i in range(1, n + 1):
+        out = out * (1 - u * t ** (n - i) * q ** lam.part(i))
+    return out
+
+
+def test_eigenvalue_is_the_generating_series_coefficient():
+    cases = 0
+    for n in range(0, 6):
+        for lam in partitions_up_to(5, max_len=n):
+            series = _eigen_series(lam, n)
+            for r in range(n + 1):
+                want = coeff_of_power(series, "u", r).subs({}, QT) * (-1) ** r
+                assert eigenvalue(lam, n, r) == want, (lam.render(), n, r)
+                cases += 1
+    # sum over n of (shapes of weight <= 5 in n parts) * (n + 1) orders
+    assert cases == 1 * 1 + 6 * 2 + 12 * 3 + 16 * 4 + 18 * 5 + 19 * 6
 
 
 def test_eigenvalue_first_distinct():
@@ -145,7 +169,7 @@ def test_eigenvalue_first_distinct():
         for n in (2, 3):
             vals = []
             for lam in partitions_of(d, max_len=n):
-                vals.append(tuple(sorted(eigenvalue_first(lam, n).terms)))
+                vals.append(tuple(sorted(eigenvalue(lam, n, 1).terms)))
             assert len(vals) == len(set(vals))
 
 

@@ -465,6 +465,16 @@ def test_packed_division_falls_back_past_the_injectivity_bound(k, power, n, sign
     assert poly_exact_div(f, g) == h
 
 
+def test_packed_division_falls_back_at_the_smallest_case_past_the_bound():
+    # the property above at k = 1, power = 8, n = 20, r = 1, without a search
+    ring = Ring(("y",))
+    y = ring.var("y")
+    geometric = sum((y**i for i in range(20)), ring.zero)
+    f, g = (1 - y**20) ** 8 * geometric, (1 - y) ** 8
+    assert _packed_div(f.terms, g.terms) is None
+    assert poly_exact_div(f, g) == geometric**9
+
+
 def test_packed_paths_are_taken_on_dense_operands():
     q, t = QT.var("q"), QT.var("t")
     a = sum((q**i * t**j * (i - 2 * j + 1) for i in range(6) for j in range(5)), QT.zero)
