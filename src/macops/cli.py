@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailed,
 )
 from .identities import run_suite
-from .jack import jack_check_limits, jack_J, jack_lowering_verify
+from .jack import LIMIT_ALPHAS, jack_check_limits, jack_J, jack_lowering_verify
 from .macdonald import (
     commute_verify,
     default_nvars,
@@ -280,6 +280,10 @@ def cmd_apply_op(args) -> int:
 
 
 def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
+    """Check the suite's flags, then run its checks and yield one record per check that passed.
+
+    Every verify record is written here; a failing check raises and ends the run.
+    """
     row = VERIFY[suite]
     first, top = row.weights or (None, None)
     top = top if maxw is None else maxw
@@ -300,12 +304,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
         for lam in partitions_up_to(top, n, 1):
             nv = n if n is not None else default_nvars(lam)
             triple_agreement(lam, nv)
-            yield {
-                "check": "raising",
-                "shape": lam.render(),
-                "nvars": nv,
-                "status": "pass",
-            }
+            yield {"check": "raising", "shape": lam.render(), "nvars": nv}
     elif suite == "lowering":
         for lam in partitions_up_to(top, n):
             nv = n if n is not None else max(lam.length + 1, 2)
@@ -315,42 +314,40 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
                 if not lam.length <= mm <= nv:
                     continue
                 for kind in ("mplus", "mminus"):
-                    yield lowering_verify(lam, mm, nv, kind=kind)
+                    scale = lowering_verify(lam, mm, nv, kind=kind)
+                    yield {"check": "lowering", "kind": kind, "shape": lam.render(), "m": mm,
+                           "nvars": nv, "scale": scale.render()}
     elif suite == "eigen":
         for lam in partitions_up_to(top, n, 1):
             nv = n if n is not None else default_nvars(lam)
             full_eigencheck(lam, nv, macdonald_P_eigen(lam, nv).J)
-            yield {
-                "check": "eigencheck",
-                "shape": lam.render(),
-                "nvars": nv,
-                "status": "pass",
-            }
+            yield {"check": "eigencheck", "shape": lam.render(), "nvars": nv}
     elif suite == "kostka":
         for d in range(1, top + 1):
             mat = kostka_matrix(d, nvars=n, check_duality=True)
-            yield {
-                "check": "kostka",
-                "degree": d,
-                "nvars": mat.nvars,
-                "status": "pass",
-            }
+            yield {"check": "kostka", "degree": d, "nvars": mat.nvars}
     elif suite == "duality":
         for lam in partitions_up_to(top, nv):
             for mm in range(0, nv + 1) if m is None else [m]:
-                yield duality_verify(lam, mm, nv)
+                duality_verify(lam, mm, nv)
+                yield {"check": "duality", "shape": lam.render(), "m": mm, "nvars": nv}
     elif suite == "commute":
         for lam in partitions_up_to(top, nv):
-            yield from commute_verify(lam, nv)
+            for r, s in commute_verify(lam, nv):
+                yield {"check": "commute", "shape": lam.render(), "r": r, "s": s, "nvars": nv}
     elif suite == "jack":
         for lam in partitions_up_to(top, n):
             nv = n if n is not None else default_nvars(lam)
-            yield jack_check_limits(lam, nv)
+            jack_check_limits(lam, nv)
+            yield {"check": "jack_limit", "shape": lam.render(), "nvars": nv, "alphas": LIMIT_ALPHAS}
             for mm in range(lam.length, min(nv, lam.length + 1) + 1):
-                yield jack_lowering_verify(lam, mm, nv)
+                scale = jack_lowering_verify(lam, mm, nv)
+                yield {"check": "jack_lowering", "shape": lam.render(), "m": mm, "nvars": nv,
+                       "scale": scale.render()}
     else:
         for name in row.checks:
-            yield run_suite(name, nv, m)
+            run_suite(name, nv, m)
+            yield {"suite": name, "nvars": nv}
 
 
 def cmd_verify(args) -> int:
@@ -360,7 +357,7 @@ def cmd_verify(args) -> int:
     witness = None
     try:
         for rec in _verify_iter(args.suite, args.nvars, args.m, args.max_weight):
-            records.append(rec)
+            records.append({**rec, "status": "pass"})
     except VerificationFailed as exc:
         witness = str(exc)
     status = "pass" if witness is None else "fail"

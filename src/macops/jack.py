@@ -66,8 +66,12 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
     return SymPoly(n, out)
 
 
-def jack_check_limits(lam: Partition, n: int) -> dict:
-    """Differential recursion versus substitution limit at the integer values LIMIT_ALPHAS."""
+def jack_check_limits(lam: Partition, n: int) -> None:
+    """Differential recursion versus substitution limit at the integer values LIMIT_ALPHAS.
+
+    A mismatch, or a leading coefficient other than the hook product,
+    raises VerificationFailed.
+    """
     sym = jack_J(lam, n)
     for alpha in LIMIT_ALPHAS:
         got = {mu: c.subs({"a": ALPHA.const(alpha)}).const_value() for mu, c in sym.coeffs.items()}
@@ -81,17 +85,14 @@ def jack_check_limits(lam: Partition, n: int) -> dict:
         raise VerificationFailed(
             f"leading coefficient of {lam.render()} is not the hook product"
         )
-    return {
-        "check": "jack_limit",
-        "shape": lam.render(),
-        "nvars": n,
-        "alphas": LIMIT_ALPHAS,
-        "status": "pass",
-    }
 
 
-def jack_lowering_verify(lam: Partition, m: int, n: int) -> dict:
-    """Column-removal law for the differential remover."""
+def jack_lowering_verify(lam: Partition, m: int, n: int) -> Poly:
+    """Column-removal law for the differential remover; return its scalar in Z[a].
+
+    For a shape shorter than m the scalar is zero and the image must
+    vanish.  A failure raises VerificationFailed.
+    """
     got = apply_symmetric("jack_lower", m, jack_J(lam, n))
     scale = jack_lowering_coeff(lam, m, n)
     if lam.length == m:
@@ -101,11 +102,4 @@ def jack_lowering_verify(lam: Partition, m: int, n: int) -> dict:
         if not scale.is_zero:
             raise VerificationFailed("short-shape scalar failed to vanish")
     assert_agree(f"lowering m={m} on {lam.render()} (n={n})", got=got, want=want)
-    return {
-        "check": "jack_lowering",
-        "shape": lam.render(),
-        "m": m,
-        "nvars": n,
-        "scale": scale.render(),
-        "status": "pass",
-    }
+    return scale

@@ -41,24 +41,15 @@ class MacdonaldResult:
 
     @property
     def P(self) -> SymPoly:
-        """The monic form J / c_integral(shape), fraction coefficients.
+        """The monic form J / c_integral(shape), each coefficient in lowest terms.
 
-        Reduced by trial division with c_integral's irreducible factors;
-        each reduced denominator is computed once per shape.
+        Each cell's 1 - q^a t^b is minus a product of its cyclotomic
+        factors, so c_integral_factors multiply to (-1)^|shape| c_integral
+        and P's coefficient of m_mu is (-1)^|shape| J_mu over that product.
         """
-        c, factors, dens = _p_denominators(self.shape)
-        return self.J.map_coeffs(lambda p: frac_by_factors(p, c, factors, dens))
-
-
-@lru_cache(maxsize=None)
-def _p_denominators(lam: Partition):
-    """c_integral(lam), its factors, and a memo for frac_by_factors.
-
-    The memo maps how often each factor was removed to the reduced
-    denominator, a function of lam and those counts only, so it is
-    filled on demand and shared by every P of the shape.
-    """
-    return c_integral(lam), c_integral_factors(lam), {}
+        sign = -1 if self.shape.weight % 2 else 1
+        factors = c_integral_factors(self.shape)
+        return self.J.map_coeffs(lambda p: frac_by_factors(sign * p, factors))
 
 
 @lru_cache(maxsize=None)
@@ -255,12 +246,13 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
 # -- lowering verification ----------------------------------------------
 
 
-def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict:
-    """Check the column-removal law on the integral form.
+def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> Poly:
+    """Check the column-removal law on the integral form; return its scalar.
 
     For a shape of length exactly m the image is the predicted scalar
     times the shape with its first column removed; for shorter shapes the
-    image must vanish identically.
+    scalar is zero and the image must vanish identically.  A failure
+    raises VerificationFailed.
     """
     if kind not in ("mplus", "mminus"):
         raise OutOfRange(f"unknown lowering kind {kind!r}")
@@ -271,23 +263,14 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> dict
     if lam.length == m:
         scale = lowering_coeff(lam, m, n)
         want = macdonald_J_raising(lam.minus_ones(m), n).J.map_coeffs(lambda c: scale * c)
-        scale_str = scale.render()
     else:
+        scale = QT.zero
         want = SymPoly(n, {})
-        scale_str = "0"
     assert_agree(f"lowering {kind} m={m} on {lam.render()} (n={n})", got=got, want=want)
-    return {
-        "check": "lowering",
-        "kind": kind,
-        "shape": lam.render(),
-        "m": m,
-        "nvars": n,
-        "scale": scale_str,
-        "status": "pass",
-    }
+    return scale
 
 
-def duality_verify(lam: Partition, m: int, n: int) -> dict:
+def duality_verify(lam: Partition, m: int, n: int) -> None:
     """The minus adder against the bar-dual of the plus adder, on m_lam.
 
     The bar involution inverts q and t.  The minus adder is the plus adder
@@ -297,8 +280,8 @@ def duality_verify(lam: Partition, m: int, n: int) -> dict:
 
         raise_minus(m_lam) = (-1)^m t^(m + m(m-1)/2) q^|lam| bar(raise_plus(m_lam)),
 
-    compared on monomial coefficients; a failure names the first m_mu
-    that differs, with both values.
+    compared on monomial coefficients; a failure raises VerificationFailed
+    naming the first m_mu that differs, with both values.
     """
     f = SymPoly(n, {lam: QT.one})
     scale = QT.monomial((lam.weight, m + _binom2(m)), -1 if m % 2 else 1)
@@ -308,19 +291,13 @@ def duality_verify(lam: Partition, m: int, n: int) -> dict:
         minus=apply_symmetric("raise_minus", m, f),
         dual_plus=apply_symmetric("raise_plus", m, f).map_coeffs(lambda c: scale * c.subs(bar)),
     )
-    return {
-        "check": "duality",
-        "shape": lam.render(),
-        "m": m,
-        "nvars": n,
-        "status": "pass",
-    }
 
 
 def commute_verify(lam: Partition, n: int):
-    """The operators of every order r < s commute on m_lam; one record per pair.
+    """The operators of every order r < s commute on m_lam; yields each pair (r, s) that passed.
 
-    D_r D_s m_lam and D_s D_r m_lam are compared on monomial coefficients.
+    D_r D_s m_lam and D_s D_r m_lam are compared on monomial coefficients;
+    the first pair that differs raises VerificationFailed.
     """
     f = SymPoly(n, {lam: QT.one})
     images = [apply_symmetric("macdonald_r", r, f) for r in range(n + 1)]
@@ -330,11 +307,4 @@ def commute_verify(lam: Partition, n: int):
             rs=apply_symmetric("macdonald_r", r, images[s]),
             sr=apply_symmetric("macdonald_r", s, images[r]),
         )
-        yield {
-            "check": "commute",
-            "shape": lam.render(),
-            "r": r,
-            "s": s,
-            "nvars": n,
-            "status": "pass",
-        }
+        yield r, s

@@ -152,13 +152,15 @@ def cyclotomic(d: int) -> Poly:
     return res
 
 
+@lru_cache(maxsize=None)
 def c_integral_factors(lam: Partition) -> tuple[tuple[Poly, int], ...]:
     """Irreducible factors of c_integral(lam) in Z[q,t], with multiplicities.
 
     A cell's 1 - q^a t^b (b = leg + 1) is, with g = gcd(a, b), minus the
     product over d | g of Phi_d(q^(a/g) t^(b/g)); each Phi_d(q^a' t^b') with
     coprime a', b' is irreducible, since a unimodular change of exponents
-    takes it to Phi_d(u).  The factors multiply back to +-c_integral(lam).
+    takes it to Phi_d(u).  Each cell contributes a factor -1, so the
+    factors multiply back to (-1)^|lam| c_integral(lam).
     """
     mult: dict[tuple[int, int, int], int] = {}
     for arm, leg in _arms_legs(lam):

@@ -29,9 +29,12 @@ u = 1, the bar involution q -> 1/q, t -> 1/t, the Kostka mirror q <-> t,
 the Jack limit's q = t^alpha and t = 1, the factors Phi_d(q^a t^b) of
 c_lambda, and the move of a polynomial into another ring by variable name.
 
-A :class:`Frac` is a reduced fraction num/den of polynomials, a value
-with no arithmetic: the monic P coefficients and the fraction a
-NonIntegralEntry message shows.
+A :class:`Frac` is a fraction num/den of polynomials, a plain value with
+no arithmetic: the monic P coefficients, which :func:`frac_by_factors`
+puts in lowest terms by trial division with c_lambda's known irreducible
+factors, and the failed division that a NonIntegralEntry message shows.
+:func:`poly_gcd`, the gcd over Z[vars], runs in no production path; the
+tests keep it as the oracle of those lowest terms.
 """
 
 from __future__ import annotations
@@ -690,7 +693,9 @@ def _positive_trail(f: Poly) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over the integers in every ring variable (subresultant PRS).
 
-    Sign-normalized via :func:`_positive_trail`.
+    Sign-normalized via :func:`_positive_trail`.  No production path calls
+    it: the tests reduce fractions with it as the oracle of
+    :func:`frac_by_factors`.
     """
     if a.ring is not b.ring:
         raise OutOfRange("mixed rings in gcd")
@@ -749,68 +754,32 @@ def _content(f: Poly, v: int) -> Poly:
 # -- rational functions --------------------------------------------------
 
 
-class Frac:
-    """Reduced fraction of integer-coefficient polynomials, a value without arithmetic.
+class Frac(NamedTuple):
+    """A fraction num/den of polynomials, a value without arithmetic or reduction.
 
-    Construction reduces eagerly by :func:`poly_gcd` and normalizes the
-    denominator sign, so equal values have identical num/den pairs.
+    Lowest terms come from :func:`frac_by_factors`; a fraction built
+    directly is shown as given.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly, _canonical=False):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            if num.is_zero:
-                den = num.ring.one
-            else:
-                g = poly_gcd(num, den)
-                if not (g.is_const() and g.const_value() == 1):
-                    num = poly_exact_div(num, g)
-                    den = poly_exact_div(den, g)
-                if den.terms[min(den.terms, key=_grlex)] < 0:
-                    num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    @property
-    def ring(self) -> Ring:
-        return self.num.ring
-
-    def __eq__(self, other):
-        if not isinstance(other, Frac):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_const() and self.den.const_value() == 1
+    num: Poly
+    den: Poly
 
     def render(self) -> str:
-        if self.is_polynomial():
+        if self.den == 1:
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
 
-    def __repr__(self):
-        return f"<Frac {self.render()}>"
 
+def frac_by_factors(num: Poly, factors) -> Frac:
+    """num / prod f^k in lowest terms, for the pairs (f, k) of ``factors``, each f irreducible.
 
-def frac_by_factors(num: Poly, den: Poly, factors, dens: dict | None = None) -> Frac:
-    """num/den in lowest terms when den's irreducible factors are known.
-
-    ``factors`` lists pairs (f, k) with den = +-prod f^k and each f
-    irreducible, so every common factor of num and den is one of them.
-    Dividing both by each f while it divides num, at most k times, gives
-    the same num/den pair as ``Frac(num, den)`` without computing a gcd.
-    The reduced denominator depends only on how often each f was removed;
-    ``dens``, shared between calls with the same den, keeps it per count.
+    Every common factor of num and the product is one of the f, so num is
+    divided by each f while f divides it, at most k times, and the
+    denominator is prod f^(k - r), r the number of those divisions.  The
+    sign makes the denominator's trailing coefficient positive
+    (:func:`_positive_trail`), so equal values give identical pairs.
     """
-    removed = []
+    den = num.ring.one
     for f, k in factors:
         r = 0
         while r < k:
@@ -819,19 +788,10 @@ def frac_by_factors(num: Poly, den: Poly, factors, dens: dict | None = None) -> 
             except NonExactDivision:
                 break
             r += 1
-        removed.append(r)
-    dens = {} if dens is None else dens
-    key = tuple(removed)
-    if key not in dens:
-        reduced = den
-        for (f, _), r in zip(factors, removed):
-            for _ in range(r):
-                reduced = poly_exact_div(reduced, f)
-        dens[key] = reduced
-    den = dens[key]
+        den = den * f ** (k - r)
     if _positive_trail(den) is not den:
         num, den = -num, -den
-    return Frac(num, den, _canonical=True)
+    return Frac(num, den)
 
 
 # -- standard rings ------------------------------------------------------

@@ -73,12 +73,21 @@ MUTANTS = (
          "tests/test_identities.py::test_two_alphabet_suites[3-kernel_reduction_minus]"),
     ),
     Mutant(
-        "suite_record_nvars_off_by_one", "identities.py",
-        '"nvars": n, "status": "pass"}',
-        '"nvars": n + 1, "status": "pass"}',
+        "suite_record_nvars_off_by_one", "cli.py",
+        'yield {"suite": name, "nvars": nv}',
+        'yield {"suite": name, "nvars": nv + 1}',
         (PIN + "[verify --suite schur-action --n 3 --format json]",
          PIN + "[verify --suite schur-action --n 4 --format json]",
-         PIN + "[verify --suite e-identities --n 4 --format json]"),
+         PIN + "[verify --suite e-identities --n 4 --format json]",
+         PIN + "[verify --suite kernel --n 3]"),
+    ),
+    Mutant(
+        "verify_status_text", "cli.py",
+        'records.append({**rec, "status": "pass"})',
+        'records.append({**rec, "status": "passed"})',
+        (PIN + "[verify --suite jack --max-weight 2]",
+         PIN + "[verify --suite lowering --max-weight 2]",
+         PIN + "[verify --suite kernel --n 3 --format json]"),
     ),
     Mutant(
         "raise_minus_t_power", "operators.py",
@@ -119,6 +128,32 @@ MUTANTS = (
          PIN + "[verify --suite duality --n 4 --format json]"),
     ),
     Mutant(
+        "lowering_zero_clause_scalar_one", "macdonald.py",
+        "        scale = QT.zero\n",
+        "        scale = QT.one\n",
+        ("tests/test_macdonald.py::test_lowering_zero_clause",
+         PIN + "[verify --suite lowering --max-weight 2]",
+         PIN + "[verify --suite lowering --max-weight 4 --format json]"),
+    ),
+    Mutant(
+        "p_without_the_cell_sign", "macdonald.py",
+        "sign = -1 if self.shape.weight % 2 else 1",
+        "sign = 1",
+        ("tests/test_macdonald.py::test_P_reduction_matches_gcd_oracle",
+         PIN + "[ppoly --lambda 3,3,1 --via kminus --format json]",
+         PIN + "[ppoly --lambda 5,2,1,1 --nvars 5 --format json]"),
+    ),
+    Mutant(
+        # K_(2,1),(2,1) = 1 + q t becomes 1 + 2 q t, which keeps the q <-> t duality
+        "kostka_entry_one_coefficient_off", "macdonald.py",
+        "entries.update(((lam, mu), c) for lam, c in column.items())",
+        "entries.update(((lam, mu), c + QT.monomial((1, 1)) * (lam == mu == Partition((2, 1))))"
+        " for lam, c in column.items())",
+        ("tests/test_kostka_oracles.py::test_haglund_haiman_loehr_fillings[3]",
+         "tests/test_kostka_oracles.py::test_standard_tableaux_at_q1_t1[3]",
+         "tests/test_macdonald.py::test_kostka_degree_three_duality_and_expansion"),
+    ),
+    Mutant(
         "bar_fixes_t", "macdonald.py",
         'bar = {"q": QT.var("q", -1), "t": QT.var("t", -1)}',
         'bar = {"q": QT.var("q", -1), "t": QT.var("t")}',
@@ -130,6 +165,23 @@ MUTANTS = (
         '    if acc:\n        raise NonExactDivision(f"nonzero remainder by',
         '    if False:\n        raise NonExactDivision(f"nonzero remainder by',
         ("tests/test_rings.py::test_delta_division_matches_the_heap_loop",),
+    ),
+    Mutant(
+        # without it the heap loop never ends on a dividend that g does not
+        # divide; the harness's memory cap turns that into a MemoryError
+        "heap_div_without_the_leading_term_test", "rings.py",
+        '        if any(x < 0 for x in qe):\n            raise NonExactDivision("leading term not divisible")',
+        '        if False:\n            raise NonExactDivision("leading term not divisible")',
+        ("tests/test_rings.py::test_exact_div_failure",),
+    ),
+    Mutant(
+        "frac_by_factors_keeps_every_factor", "rings.py",
+        "den = den * f ** (k - r)",
+        "den = den * f ** k",
+        ("tests/test_rings.py::test_frac_by_factors_matches_gcd_reduction",
+         "tests/test_partitions.py::test_reduction_needs_the_cyclotomic_split",
+         "tests/test_macdonald.py::test_P_reduction_matches_gcd_oracle",
+         "tests/test_cli.py::test_ppoly_fraction_rendering"),
     ),
     Mutant(
         "packed_div_without_the_injectivity_bound", "rings.py",

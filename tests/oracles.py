@@ -10,8 +10,10 @@ of a divisor +-Delta x^low (``expand``, ``_delta_factor``), an operator's
 image before that division (``numerator``, ``raw_image``), the comparison
 of two raw images over it (``same_image``), the duality and commutation
 laws checked by applying the x-level operators (``duality_by_application``,
-``commute_by_application``), adding a column to a partition, and the
-dominance order on partitions.
+``commute_by_application``), adding a column to a partition, the
+dominance order on partitions, and a fraction in lowest terms by the
+multivariate gcd (``lowest_terms``), which the package gets by trial
+division with known factors instead.
 """
 
 from functools import lru_cache
@@ -36,8 +38,10 @@ from macops.operators import (
     cross_cleared,
     operator_ring,
 )
+from macops import rings
 from macops.partitions import Partition
-from macops.rings import Poly, SignedDelta, _add_into, _mono_div, poly_exact_div, vector_shift
+from macops.rings import (Frac, Poly, SignedDelta, _add_into, _grlex, _mono_div, poly_exact_div,
+                          vector_shift)
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +134,23 @@ def apply_determinantal(kind: str, n: int, f: Poly):
             g = entry(perm[j - 1], j, g)
         acc = acc + (g if sign > 0 else -g)
     return acc, SignedDelta(n, 1, unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring)))
+
+
+def lowest_terms(num: Poly, den: Poly) -> Frac:
+    """num/den divided through by their gcd, the denominator's trailing coefficient positive.
+
+    The gcd is looked up on ``rings`` at call time, so a test that counts
+    ``rings.poly_gcd`` calls sees this one.
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
+        return Frac(num, den.ring.one)
+    g = rings.poly_gcd(num, den)
+    num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    if den.terms[min(den.terms, key=_grlex)] < 0:
+        num, den = -num, -den
+    return Frac(num, den)
 
 
 def plus_ones(lam: Partition, m: int) -> Partition:

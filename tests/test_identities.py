@@ -28,25 +28,25 @@ SCHUR = (
 @pytest.mark.parametrize("name", SINGLE)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_single_alphabet_suites(name, n):
-    assert run_suite(name, n)["status"] == "pass"
+    run_suite(name, n)
 
 
 @pytest.mark.parametrize("name", TWO_ALPHABET)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_two_alphabet_suites(name, n):
-    assert run_suite(name, n)["status"] == "pass"
+    run_suite(name, n)
 
 
 @pytest.mark.parametrize("name", SCHUR)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_schur_action_suites(name, n):
-    assert run_suite(name, n)["status"] == "pass"
+    run_suite(name, n)
 
 
 def test_single_column_choice():
     # fixing m runs just that slice of the loop
-    assert run_suite("kernel_swap", 3, m=2)["status"] == "pass"
-    assert run_suite("elementary_product", 4, m=3)["status"] == "pass"
+    run_suite("kernel_swap", 3, m=2)
+    run_suite("elementary_product", 4, m=3)
 
 
 def test_registry_is_complete():
@@ -121,7 +121,7 @@ def test_generator_on_one_checks_only_the_chosen_slice(monkeypatch):
     monkeypatch.setattr(ids, "apply_operator", crooked)
     with pytest.raises(IdentityFailed, match="^generator_on_one: plus m=1 n=3$"):
         run_suite("generator_on_one", 3, m=1)
-    assert run_suite("generator_on_one", 3, m=2)["status"] == "pass"
+    run_suite("generator_on_one", 3, m=2)
     with pytest.raises(IdentityFailed, match="^generator_on_one: plus n=3$"):
         run_suite("generator_on_one", 3)
 

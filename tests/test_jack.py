@@ -83,8 +83,7 @@ def test_limits_agree_up_to_weight_four():
     for d in range(1, 5):
         for lam in partitions_of(d):
             n = max(lam.length, 2)
-            rep = jack_check_limits(lam, n)
-            assert rep["status"] == "pass"
+            jack_check_limits(lam, n)
 
 
 def test_integral_coefficients():
@@ -102,8 +101,7 @@ def test_lowering_scales():
     assert jack_lowering_coeff(P(1), 1, 2) == 2 * a
     assert jack_lowering_coeff(P(1, 1), 2, 2) == 2 * a * (1 + a)
     assert jack_lowering_coeff(P(1), 2, 2).is_zero
-    rep = jack_lowering_verify(P(2, 1), 2, 3)
-    assert rep["scale"] == "6*a + 14*a^2 + 4*a^3"
+    assert jack_lowering_verify(P(2, 1), 2, 3).render() == "6*a + 14*a^2 + 4*a^3"
 
 
 def test_lowering_law_including_zero_clause():
@@ -116,7 +114,7 @@ def test_lowering_law_including_zero_clause():
         (P(2, 2), 2, 2),
     ]
     for lam, m, n in cases:
-        assert jack_lowering_verify(lam, m, n)["status"] == "pass"
+        jack_lowering_verify(lam, m, n)
 
 
 def test_argument_validation():

@@ -2,12 +2,15 @@
 
 The slow tests copy ``src/`` once per entry, plant the entry in the copy
 and run the entry's tests against it in a subprocess, one at a time; a
-control run of every named test on an unplanted copy must pass.  The
-fast tests check that every entry still plants and that a stale one is
-refused.
+control run of every named test on an unplanted copy must pass.  Each
+run is capped at MEMORY_CAP bytes of address space, so a planted bug that
+loops while its memory grows ends in a MemoryError, which the report
+records as a failure.  The fast tests check that every entry still plants
+and that a stale one is refused.
 """
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -21,6 +24,14 @@ from mutants import MUTANTS, Mutant
 
 SRC = Path(macops.__file__).resolve().parent.parent
 ROOT = Path(__file__).resolve().parent.parent
+# The control run of every named test peaks at about 80 MB resident and
+# passes under a 128 MB cap (Python 3.11, x86-64 Linux); twice that
+# leaves room, and ends the unbounded heap loop in about 5 s.
+MEMORY_CAP = 256 << 20
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def copy_src(tmp: Path) -> Path:
@@ -44,7 +55,7 @@ def failures(src: Path, ids, tmp: Path) -> dict:
     report = tmp / "report.xml"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *ids]
-    subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=300)
+    subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=300, preexec_fn=_cap_memory)
     return {
         case.get("classname").replace(".", "/") + ".py::" + case.get("name"):
             case.find("failure") is not None or case.find("error") is not None
