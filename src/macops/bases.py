@@ -10,7 +10,12 @@ functions s_lam under the Hall-Littlewood scalar product <,>_t
 (Macdonald, SFHP III.4 and VI.8), so each coefficient is <f, s_lam>_t,
 read off from the Schur coefficients of f through the character table.
 The x-level determinant ``expand_big_schur`` stays as the independent
-oracle the tests rebuild S_lam with.
+oracle the tests rebuild S_lam with.  The x-level building blocks of the
+operators live here too: ``unit_vector``, ``elementary`` and one builder,
+``cross_named`` (cached by index as ``cross_cleared``), of the Vandermonde
+Delta times a crossing product; the t-shifted T_I(Delta) is t^C(|I|,2)
+times the product with I chosen, and ``vandermonde`` is the one with
+nothing chosen.
 """
 
 from __future__ import annotations
@@ -121,19 +126,39 @@ def elementary(k: int, n: int, ring: Ring | None = None, skip: frozenset = froze
     return Poly(ring, {unit_vector(c, len(ring.names)): 1 for c in combinations(avail, k)})
 
 
-@lru_cache(maxsize=None)
-def _delta(n: int, names_key: tuple[str, ...]) -> Poly:
-    ring = Ring(names_key)
+def cross_named(ring: Ring, vnames, chosen) -> Poly:
+    """The Vandermonde of vnames times the crossing product of the chosen names.
+
+    The variables are named in vnames, in Vandermonde order.  The crossing
+    product is prod (t x_i - x_j)/(x_i - x_j) over i in chosen, j outside;
+    the result is an exact polynomial with all orientation signs folded
+    in, T_chosen(Delta) / t^C(|chosen|,2) with T the t-shift of the chosen
+    variables.  With nothing chosen it is Delta, and needs no t.
+    """
     res = ring.one
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            res = res * (ring.var(f"x{i}") - ring.var(f"x{j}"))
+    t = ring.var("t") if chosen else None
+    for ia, a in enumerate(vnames):
+        xa = ring.var(a)
+        for b in vnames[ia + 1 :]:
+            xb = ring.var(b)
+            a_in = a in chosen
+            if a_in == (b in chosen):
+                res = res * (xa - xb)
+            else:
+                res = res * ((t * xa - xb) if a_in else (xa - t * xb))
     return res
 
 
+@lru_cache(maxsize=None)
+def cross_cleared(n: int, I: tuple[int, ...], names: tuple[str, ...]) -> Poly:
+    """:func:`cross_named` over x1..xn with the (1-based) indices I chosen."""
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    return cross_named(Ring(names), xs, frozenset(f"x{i}" for i in I))
+
+
 def vandermonde(n: int, ring: Ring | None = None) -> Poly:
-    ring = ring or xring(n)
-    return _delta(n, ring.names)
+    """Delta = prod_{i<j} (x_i - x_j): the crossing product with nothing chosen."""
+    return cross_cleared(n, (), (ring or xring(n)).names)
 
 
 def signed_arrangements(vals: tuple[int, ...], fits):

@@ -63,8 +63,7 @@ class Suite(NamedTuple):
     """What one verify suite accepts; None in weights or m refuses that flag."""
     weights: tuple[int, int] | None = (0, 3)  # first weight checked, default top weight
     n: int | None = None  # default n; None takes one n per shape
-    m: int | None = None  # least --m
-    m_to_n: bool = False  # --m must also be at most n
+    m: int | None = None  # least --m; --m is also at most the suite's n, when it has one
     max_n: int | None = None  # largest --n: under a minute at every admitted weight, 2 cores
     n_covers_top: bool = False  # --n must be at least the top weight
     checks: tuple[str, ...] = ()  # the identity suites of a group
@@ -72,15 +71,15 @@ class Suite(NamedTuple):
 
 VERIFY = {
     "raising": Suite(weights=(1, 4)),
-    "lowering": Suite(m=0, m_to_n=True),
+    "lowering": Suite(m=0),
     "eigen": Suite(weights=(1, 3)),
     "kostka": Suite(weights=(1, 3), n_covers_top=True),
-    "duality": Suite(n=3, m=0, m_to_n=True, max_n=5),
+    "duality": Suite(n=3, m=0, max_n=5),
     "commute": Suite(n=3, max_n=5),
     "jack": Suite(),
-    "e-identities": Suite(weights=None, n=3, m=0, m_to_n=True, max_n=6, checks=(
+    "e-identities": Suite(weights=None, n=3, m=0, max_n=6, checks=(
         "elementary_product", "elementary_u_product", "elementary_u_slice", "generator_on_one")),
-    "kernel": Suite(weights=None, n=2, m=1, m_to_n=True, max_n=3, checks=(
+    "kernel": Suite(weights=None, n=2, m=1, max_n=3, checks=(
         "kernel_swap", "kernel_reduction_plus", "kernel_reduction_minus")),
     "schur-action": Suite(weights=None, n=2, max_n=5, checks=(
         "schur_action_raise", "schur_action_raise_comp", "schur_action_lower")),
@@ -291,7 +290,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     for flag, value, lo, hi in (
         ("--max-weight", maxw, first, None),
         ("--n", n, top if row.n_covers_top else 1, row.max_n),
-        ("--m", m, row.m, nv if row.m_to_n else None),
+        ("--m", m, row.m, nv),
     ):
         if value is None:
             continue

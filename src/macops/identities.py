@@ -3,29 +3,25 @@
 Every suite assembles both sides from scratch (no shared code path with
 the production engine where that would make the check circular), clears
 the divided-difference and kernel denominators, and compares polynomials
-term by term.  Two-alphabet suites work in a combined ring with the x
-and y alphabets side by side, and build every kernel term, on either
-side, through one helper (``_kernel_term``).  A suite raises
+term by term.  Every crossing product and Vandermonde comes from
+``bases.cross_named``; a minus adder's term is that of the complement of
+its subset.  Two-alphabet suites work in a combined ring with the x and
+y alphabets side by side, and build every kernel term, on either side,
+through one helper (``_kernel_term``).  ``SUITES`` maps each suite name
+to a function of (n, m), binding the shared kernel-reduction and
+Schur-action bodies with ``functools.partial``.  A suite raises
 IdentityFailed at its first failing case and returns nothing, and so
 does :func:`run_suite`; the verify command writes the records.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
-from .bases import elementary, expand_schur, vandermonde
+from .bases import cross_cleared, cross_named, elementary, expand_schur, vandermonde
 from .errors import IdentityFailed, OutOfRange
-from .operators import (
-    OperatorSpec,
-    _binom2,
-    _subsets,
-    _xmono,
-    apply_factorized_qt,
-    apply_operator,
-    cross_cleared,
-    cross_named,
-)
+from .operators import OperatorSpec, _binom2, _comp, _subsets, _xmono, apply_factorized_qt, apply_operator
 from .partitions import column_unit_scale, partitions_up_to
 from .rings import Ring, coeff_of_power, gauss_binomial, pochhammer_t, xring
 
@@ -43,7 +39,7 @@ def _kernel_term(ring: Ring, scale, first, second, shifted):
     outside it, over every a in first and b in second.
     """
     t = ring.var("t")
-    term = scale * cross_named(ring, first, shifted, "plus")
+    term = scale * cross_named(ring, first, shifted)
     for a in first:
         fa = ring.var(a)
         for b in second:
@@ -77,7 +73,7 @@ def kernel_F(n: int, m: int, swapped: bool = False, u_tpow: int = 0):
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
     first, second = (ys, xs) if swapped else (xs, ys)
-    den = cross_named(ring, first, frozenset(), "plus")
+    den = cross_named(ring, first, frozenset())
     num = _kernel_sum(
         ring, first, second,
         lambda k: ring.var("u", k) * ring.var("t", u_tpow * k + _binom2(k)),
@@ -128,16 +124,11 @@ def suite_elementary_u_product(n: int, m: int | None = None) -> None:
         # definition-consistent variant, assembled literally
         acc = ring.zero
         for J in _subsets(n, mm):
-            xj = _xmono(ring, J)
             for k in range(mm + 1):
                 for I in combinations(J, k):
                     a = mm - k
-                    c = (
-                        ring.var("u", a)
-                        * ring.var("t", _binom2(a))
-                        * cross_cleared(n, I, "minus", ring.names)
-                    )
-                    acc = acc + (-xj * c if a % 2 else xj * c)
+                    c = (-u) ** a * ring.var("t", _binom2(a)) * cross_cleared(n, _comp(I, n), ring.names)
+                    acc = acc + _xmono(ring, J) * c
         if acc != e_m * pochhammer_t(u, mm) * delta:
             _fail("elementary_u_product", f"minus variant m={mm} n={n}")
 
@@ -154,9 +145,9 @@ def suite_elementary_u_slice(n: int, m: int | None = None) -> None:
             for pattern, tpow in (("plus", (n - mm) * r), ("minus", 0)):
                 acc = ring.zero
                 for J in _subsets(n, mm):
-                    xj = _xmono(ring, J)
                     for I in combinations(J, r):
-                        acc = acc + xj * cross_cleared(n, I, pattern, ring.names)
+                        S = _comp(I, n) if pattern == "minus" else I
+                        acc = acc + _xmono(ring, J) * cross_cleared(n, S, ring.names)
                 if acc != ring.var("t", tpow) * gauss * e_m * delta:
                     _fail(
                         "elementary_u_slice",
@@ -180,8 +171,9 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> None:
     """The m-column adder acting on the kernel equals a pure y-side sum.
 
     The plus adder shifts the chosen x variables and the minus adder their
-    complement, so a minus term is the kernel term of the complement (the
-    "minus" crossing pattern of a set is the "plus" one of its complement).
+    complement; each term's kernel factors follow the shifted set.  Neither side
+    involves q; this is the pivot that lets every raising statement be
+    checked at q = t only.
     """
     ms = range(1, n + 1) if m is None else [m]
     for mm in ms:
@@ -190,49 +182,27 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> None:
         ys = [f"y{k}" for k in range(1, mm + 1)]
         lhs = ring.zero
         for J in _subsets(n, mm):
-            xj = _xmono(ring, J)
             for k in range(mm + 1):
                 for I in combinations(J, k):
-                    chosen = frozenset(f"x{i}" for i in I)
-                    if minus:
-                        sgn = mm - k
-                        tpow = sgn + _binom2(sgn)
-                    else:
-                        sgn = k
-                        tpow = (mm - n + 1) * k + _binom2(k)
-                    shifted = frozenset(xs) - chosen if minus else chosen
-                    term = _kernel_term(ring, ring.var("t", tpow), xs, ys, shifted)
-                    lhs = lhs + (-xj * term if sgn % 2 else xj * term)
+                    a, S = (mm - k, _comp(I, n)) if minus else (k, I)
+                    tpow = a + _binom2(a) if minus else (mm - n + 1) * a + _binom2(a)
+                    scale = ring.var("t", tpow, -1 if a % 2 else 1)
+                    term = _kernel_term(ring, scale, xs, ys, frozenset(f"x{i}" for i in S))
+                    lhs = lhs + _xmono(ring, J) * term
         rhs = _kernel_sum(ring, ys, xs, lambda k: ring.var("t", _binom2(k)))
         yall = _xmono(ring, range(n + 1, n + mm + 1))
-        dy = cross_named(ring, ys, frozenset(), "plus")
-        dx = cross_named(ring, xs, frozenset(), "plus")
-        if lhs * yall * dy != rhs * dx:
+        if lhs * yall * cross_named(ring, ys, frozenset()) != rhs * cross_named(ring, xs, frozenset()):
             _fail(name, f"n={n} m={mm}")
 
 
-def suite_kernel_reduction_plus(n: int, m: int | None = None) -> None:
-    """The plus adder on the kernel.
-
-    Neither side involves q; this is the pivot that lets every raising
-    statement be checked at q = t only.
-    """
-    _kernel_reduction("kernel_reduction_plus", n, m, minus=False)
-
-
-def suite_kernel_reduction_minus(n: int, m: int | None = None) -> None:
-    """Minus-adder version; the kernel factors ride on the complement."""
-    _kernel_reduction("kernel_reduction_minus", n, m, minus=True)
-
-
-def _schur_action(name: str, n: int, kinds) -> None:
+def _schur_action(name: str, kinds, n: int, m: int | None) -> None:
     """(u,v) generators on Schur polynomials at q = t.
 
     Raising kinds add a box to each selected row and lowering kinds remove
     one.  A removed box can push an exponent to -1, where the bialternant
     lives in the Laurent ring, and so does the quotient by Delta x1...xn.
     The minus kinds give each unselected row a staircase power of t; each
-    selected row still carries v.
+    selected row still carries v.  m is not used.
     """
     ring = xring(n, ("t", "u", "v"))
     u, v = ring.var("u"), ring.var("v")
@@ -257,21 +227,6 @@ def _schur_action(name: str, n: int, kinds) -> None:
             if got != want:
                 where = f"kind={kind} " if len(kinds) > 1 else ""
                 _fail(name, f"{where}shape={lam.render()} n={n}")
-
-
-def suite_schur_action_raise(n: int, m: int | None = None) -> None:
-    """Action of the (u,v) adder on Schur polynomials at q = t."""
-    _schur_action("schur_action_raise", n, ("raise_gen_plus",))
-
-
-def suite_schur_action_raise_comp(n: int, m: int | None = None) -> None:
-    """Same for the complement-shift adder."""
-    _schur_action("schur_action_raise_comp", n, ("raise_gen_minus",))
-
-
-def suite_schur_action_lower(n: int, m: int | None = None) -> None:
-    """Both lowering generators on Schur polynomials at q = t."""
-    _schur_action("schur_action_lower", n, ("lower_gen_plus", "lower_gen_minus"))
 
 
 def suite_generator_on_one(n: int, m: int | None = None) -> None:
@@ -302,11 +257,11 @@ SUITES = {
     "elementary_u_product": suite_elementary_u_product,
     "elementary_u_slice": suite_elementary_u_slice,
     "kernel_swap": suite_kernel_swap,
-    "kernel_reduction_plus": suite_kernel_reduction_plus,
-    "kernel_reduction_minus": suite_kernel_reduction_minus,
-    "schur_action_raise": suite_schur_action_raise,
-    "schur_action_raise_comp": suite_schur_action_raise_comp,
-    "schur_action_lower": suite_schur_action_lower,
+    "kernel_reduction_plus": partial(_kernel_reduction, "kernel_reduction_plus", minus=False),
+    "kernel_reduction_minus": partial(_kernel_reduction, "kernel_reduction_minus", minus=True),
+    "schur_action_raise": partial(_schur_action, "schur_action_raise", ("raise_gen_plus",)),
+    "schur_action_raise_comp": partial(_schur_action, "schur_action_raise_comp", ("raise_gen_minus",)),
+    "schur_action_lower": partial(_schur_action, "schur_action_lower", ("lower_gen_plus", "lower_gen_minus")),
     "generator_on_one": suite_generator_on_one,
 }
 

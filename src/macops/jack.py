@@ -5,17 +5,17 @@ q-shift operators into first-order differential operators, the jack
 kinds of the coefficient engine in ``operators`` (exact coefficients in
 Z[a], with a the limit parameter).  This module builds the one-parameter
 polynomials by the column recursion of the two-parameter family
-(:func:`macdonald.column_recursion` with the jack_raise adder) and
-cross-checks them against the substitution limit of the two-parameter
-integral forms.
+(:func:`macdonald.column_recursion` with the jack_raise adder), checks
+the jack_lower remover by the same column-removal law
+(:func:`macdonald.column_removal_law`), and cross-checks the polynomials
+against the substitution limit of the two-parameter integral forms.
 """
 
 from __future__ import annotations
 
-from .bases import SymPoly, assert_agree
+from .bases import SymPoly
 from .errors import NonExactDivision, NotDivisible, OutOfRange, VerificationFailed
-from .macdonald import column_recursion, macdonald_J_raising
-from .operators import apply_symmetric
+from .macdonald import column_recursion, column_removal_law, macdonald_J_raising
 from .partitions import Partition, c_alpha
 from .rings import ALPHA, QT, Poly, poly_exact_div
 
@@ -88,18 +88,8 @@ def jack_check_limits(lam: Partition, n: int) -> None:
 
 
 def jack_lowering_verify(lam: Partition, m: int, n: int) -> Poly:
-    """Column-removal law for the differential remover; return its scalar in Z[a].
+    """The column-removal law (:func:`macdonald.column_removal_law`) for the differential remover.
 
-    For a shape shorter than m the scalar is zero and the image must
-    vanish.  A failure raises VerificationFailed.
+    Returns its scalar in Z[a].
     """
-    got = apply_symmetric("jack_lower", m, jack_J(lam, n))
-    scale = jack_lowering_coeff(lam, m, n)
-    if lam.length == m:
-        want = jack_J(lam.minus_ones(m), n).map_coeffs(lambda c: scale * c)
-    else:
-        want = SymPoly(n, {})
-        if not scale.is_zero:
-            raise VerificationFailed("short-shape scalar failed to vanish")
-    assert_agree(f"lowering m={m} on {lam.render()} (n={n})", got=got, want=want)
-    return scale
+    return column_removal_law("lowering", "jack_lower", lambda mu: jack_J(mu, n), jack_lowering_coeff, lam, m, n)

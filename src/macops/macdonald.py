@@ -246,28 +246,36 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
 # -- lowering verification ----------------------------------------------
 
 
-def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> Poly:
-    """Check the column-removal law on the integral form; return its scalar.
+def column_removal_law(what: str, remover: str, build, coeff, lam: Partition, m: int, n: int) -> Poly:
+    """The column-removal law of one family's remover on its J = build(shape); return the scalar.
 
-    For a shape of length exactly m the image is the predicted scalar
-    times the shape with its first column removed; for shorter shapes the
-    scalar is zero and the image must vanish identically.  A failure
-    raises VerificationFailed.
+    The scalar is coeff(lam, m, n).  For a shape of length exactly m the
+    image of J(lam) is the scalar times J of the shape with its first
+    column removed; for a shorter shape the scalar must be zero and the
+    image must vanish.  A failure raises VerificationFailed, named by what.
     """
+    got = apply_symmetric(remover, m, build(lam))
+    scale = coeff(lam, m, n)
+    if lam.length == m:
+        want = build(lam.minus_ones(m)).map_coeffs(lambda c: scale * c)
+    elif scale.is_zero:
+        want = SymPoly(n, {})
+    else:
+        raise VerificationFailed("short-shape scalar failed to vanish")
+    assert_agree(f"{what} m={m} on {lam.render()} (n={n})", got=got, want=want)
+    return scale
+
+
+def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> Poly:
+    """Check the column-removal law (:func:`column_removal_law`) on the integral form; return its scalar."""
     if kind not in ("mplus", "mminus"):
         raise OutOfRange(f"unknown lowering kind {kind!r}")
     if not lam.length <= m <= n:
         raise OutOfRange("need length of shape <= m <= n")
-    opkind = "lower_plus" if kind == "mplus" else "lower_minus"
-    got = apply_symmetric(opkind, m, macdonald_J_raising(lam, n).J)
-    if lam.length == m:
-        scale = lowering_coeff(lam, m, n)
-        want = macdonald_J_raising(lam.minus_ones(m), n).J.map_coeffs(lambda c: scale * c)
-    else:
-        scale = QT.zero
-        want = SymPoly(n, {})
-    assert_agree(f"lowering {kind} m={m} on {lam.render()} (n={n})", got=got, want=want)
-    return scale
+    remover = "lower_plus" if kind == "mplus" else "lower_minus"
+    return column_removal_law(
+        f"lowering {kind}", remover, lambda mu: macdonald_J_raising(mu, n).J, lowering_coeff, lam, m, n
+    )
 
 
 def duality_verify(lam: Partition, m: int, n: int) -> None:

@@ -16,8 +16,9 @@ the chosen subset, "minus" variants shift its complement:
 Every named operator has one form, a :class:`QDiffOp` (polynomial
 coefficients times 0/1 q-shifts over one denominator +-Delta x^low, kept
 factored) that ``_plan`` builds collapsed.  Three formulas are built
-directly, with T_I, Q_I the t- and q-shift of the x_i, i in I, and
-e_k^I = e_k without those x_i:
+directly, with T_I, Q_I the t- and q-shift of the x_i, i in I,
+e_k^I = e_k without those x_i, and T_I(Delta) = t^C(|I|,2) times the
+crossing product ``bases.cross_cleared`` with I chosen:
 
     D_r          = Delta^-1 sum_{|I|=r} T_I(Delta) Q_I
     raise_u_+[m] = Delta^-1 sum_{|I|<=m} (-u)^|I| T_I(Delta) x_I e_{m-|I|}^I Q_I
@@ -66,7 +67,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import SymPoly, elementary, schur_to_monomial, signed_arrangements, unit_vector, vandermonde
+from .bases import (SymPoly, cross_cleared, elementary, schur_to_monomial, signed_arrangements, unit_vector,
+                    vandermonde)
 from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
@@ -142,45 +144,6 @@ def _xmono(ring: Ring, idxs) -> Poly:
     return ring.monomial(unit_vector(idxs, len(ring.names)))
 
 
-@lru_cache(maxsize=None)
-def _tshift_delta(n: int, S: tuple[int, ...], names: tuple[str, ...]) -> Poly:
-    ring = Ring(names)
-    return vector_shift(vandermonde(n, ring), unit_vector(S, n), "t")
-
-
-def cross_named(ring: Ring, vnames, chosen, pattern: str) -> Poly:
-    """Vandermonde times the divided-difference product over crossing pairs.
-
-    The variables are named in vnames, in Vandermonde order.  pattern
-    "plus" clears prod (t x_i - x_j)/(x_i - x_j), "minus" clears
-    prod (x_i - t x_j)/(x_i - x_j), both over i in chosen, j outside; the
-    result is an exact polynomial with all orientation signs folded in.
-    """
-    res = ring.one
-    t = ring.var("t")
-    for ia, a in enumerate(vnames):
-        xa = ring.var(a)
-        for b in vnames[ia + 1 :]:
-            xb = ring.var(b)
-            a_in, b_in = a in chosen, b in chosen
-            if a_in == b_in:
-                res = res * (xa - xb)
-            elif pattern == "plus":
-                res = res * ((t * xa - xb) if a_in else (xa - t * xb))
-            elif pattern == "minus":
-                res = res * ((xa - t * xb) if a_in else (t * xa - xb))
-            else:
-                raise OutOfRange(f"unknown pattern {pattern!r}")
-    return res
-
-
-@lru_cache(maxsize=None)
-def cross_cleared(n: int, I: tuple[int, ...], pattern: str, names: tuple[str, ...]) -> Poly:
-    """:func:`cross_named` over x1..xn with the indices I chosen."""
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    return cross_named(Ring(names), xs, frozenset(f"x{i}" for i in I), pattern)
-
-
 # -- explicit normal form ------------------------------------------------
 
 
@@ -235,7 +198,7 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
 
     if kind == "macdonald_r":
         for I in _subsets(n, m):
-            add(unit_vector(I, n), _tshift_delta(n, I, names))
+            add(unit_vector(I, n), ring.var("t", _binom2(m)) * cross_cleared(n, I, names))
         return QDiffOp(ring, n, terms, SignedDelta(n, 1, (0,) * len(ring)))
     if kind in RAISE_KINDS + LOWER_KINDS and "_u_" in kind:
         # plus shifts I, minus its complement; a is the sign count
@@ -245,7 +208,8 @@ def _plan(kind: str, m: int | None, n: int, names: tuple[str, ...]) -> QDiffOp:
                 a = m - ksz if minus else ksz
                 S = _comp(I, n) if minus else I
                 e = elementary(n - m if lower else m - ksz, n, ring, frozenset(I))
-                c = ring.var("u", a) * _tshift_delta(n, S, names) * (e if lower else _xmono(ring, I) * e)
+                tshift = ring.var("t", _binom2(len(S))) * cross_cleared(n, S, names)  # T_S(Delta)
+                c = ring.var("u", a) * tshift * (e if lower else _xmono(ring, I) * e)
                 add(unit_vector(S, n), c if a % 2 == 0 else -c)
         low = unit_vector(range(1, n + 1) if lower else (), len(ring))
         return QDiffOp(ring, n, terms, SignedDelta(n, 1, low))

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .errors import LengthExceedsVars, NegativeExponent, OutOfRange
+from .errors import LengthExceedsVars, OutOfRange
 from .rings import ALPHA, QT, Poly, Ring, pochhammer_t, poly_exact_div
 
 X = Ring(("x",))
@@ -190,7 +190,8 @@ def lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
     """Scalar produced when a full column of height m is removed.
 
     Product over i<=m of (1 - t^(m-i) q^(lam_i)) (1 - t^(n-i+1) q^(lam_i - 1)).
-    Every one of the first m parts must be positive.
+    The i = m factor 1 - t^0 q^0 vanishes when the shape is shorter than
+    m, so the formula covers the zero clause on its own.
     """
     if m < 0 or m > n:
         raise OutOfRange("column height outside [0, nvars]")
@@ -198,8 +199,6 @@ def lowering_coeff(lam: Partition, m: int, n: int) -> Poly:
         raise LengthExceedsVars("partition longer than the variable count")
     res = QT.one
     for i in range(1, m + 1):
-        if lam.part(i) < 1:
-            raise NegativeExponent(f"part {i} of {lam!r} is zero")
         res = res * (1 - QT.var("t", m - i) * QT.var("q", lam.part(i)))
         res = res * (1 - QT.var("t", n - i + 1) * QT.var("q", lam.part(i) - 1))
     return res

@@ -8,10 +8,9 @@ the bialternant engine of :mod:`macops.operators`.
 
 from itertools import combinations
 
-from macops.bases import vandermonde
 from macops.errors import OutOfRange
 from macops.rings import Poly, Ring, poly_exact_div, xring
-from oracles import antisymmetrize
+from oracles import antisymmetrize, delta_by_pairs
 
 
 def axring(n: int) -> Ring:
@@ -76,4 +75,4 @@ def apply_jack(kind: str, m: int, n: int, f: Poly) -> Poly:
     stair = ring.monomial(
         tuple(n - i for i in range(1, n + 1)) + (0,) * (len(ring.names) - n)
     )
-    return poly_exact_div(antisymmetrize(stair * g, n), vandermonde(n, ring))
+    return poly_exact_div(antisymmetrize(stair * g, n), delta_by_pairs(n, ring))

@@ -9,6 +9,14 @@ copy of ``src/`` and runs its tests against the copy:
 
 A refactor that moves or rewrites a planted line makes its entry stale,
 and the harness fails until the entry is updated.
+
+Choose an entry's tests by planting it and running each test file on its
+own under the harness's memory cap (``failures`` in ``test_mutants.py``
+with one file as the id), not by one run of the whole suite: a planted
+loop that grows memory ends that run at its first MemoryError, and the
+report then holds no outcome for any later test.  List tests that fail
+for the bug itself, and for a shared builder at least one whose other
+side is built without it.
 """
 
 from typing import NamedTuple
@@ -66,11 +74,31 @@ MUTANTS = (
     ),
     Mutant(
         "kernel_reduction_minus_without_complement", "identities.py",
-        "shifted = frozenset(xs) - chosen if minus else chosen",
-        "shifted = chosen",
+        "a, S = (mm - k, _comp(I, n)) if minus else (k, I)",
+        "a, S = (mm - k, I) if minus else (k, I)",
         (ACC + "05_identity_suites",
          "tests/test_identities.py::test_two_alphabet_suites[2-kernel_reduction_minus]",
-         "tests/test_identities.py::test_two_alphabet_suites[3-kernel_reduction_minus]"),
+         "tests/test_identities.py::test_two_alphabet_suites[3-kernel_reduction_minus]",
+         "tests/test_identities.py::test_kernel_reduction_minus_shifts_the_complement"),
+    ),
+    Mutant(
+        # the suite runs, and passes, as the plus suite under the minus name
+        "kernel_reduction_minus_bound_as_plus", "identities.py",
+        '"kernel_reduction_minus", minus=True)',
+        '"kernel_reduction_minus", minus=False)',
+        ("tests/test_identities.py::test_kernel_reduction_minus_shifts_the_complement",),
+    ),
+    Mutant(
+        # the chosen-first crossing factor t x_i - x_j becomes x_i - t x_j;
+        # the oracle's build and tshift_delta do not use the builder
+        "cross_product_t_on_the_other_variable", "bases.py",
+        "((t * xa - xb) if a_in else (xa - t * xb))",
+        "((xa - t * xb) if a_in else (xa - t * xb))",
+        (ACC + "06_determinantal_and_factorized_routes",
+         "tests/test_operators.py::test_cross_cleared_bridge",
+         "tests/test_operators.py::test_plan_equals_the_literal_build",
+         "tests/test_operators.py::test_production_matches_built_form",
+         "tests/test_identities.py::test_single_alphabet_suites[2-elementary_u_slice]"),
     ),
     Mutant(
         "suite_record_nvars_off_by_one", "cli.py",
@@ -128,10 +156,14 @@ MUTANTS = (
          PIN + "[verify --suite duality --n 4 --format json]"),
     ),
     Mutant(
-        "lowering_zero_clause_scalar_one", "macdonald.py",
-        "        scale = QT.zero\n",
-        "        scale = QT.one\n",
-        ("tests/test_macdonald.py::test_lowering_zero_clause",
+        # the product skips the zero parts, so a short shape's scalar is not
+        # zero (one for the empty shape) and the law refuses it
+        "lowering_zero_clause_scalar_one", "partitions.py",
+        "for i in range(1, m + 1):",
+        "for i in range(1, min(m, lam.length) + 1):",
+        ("tests/test_partitions.py::test_lowering_coeff_golden",
+         "tests/test_macdonald.py::test_lowering_zero_clause",
+         ACC + "07_lowering_theorem",
          PIN + "[verify --suite lowering --max-weight 2]",
          PIN + "[verify --suite lowering --max-weight 4 --format json]"),
     ),

@@ -4,7 +4,9 @@ Nothing in the package calls these: the antisymmetrizer over all n!
 permutations (the bialternant numerator, which the package reads off
 Kostka numbers instead), the operator-entry determinant route of the
 generating operators, the printed subset sums of the named operators
-assembled literally (``build``) with the operator algebra that compares
+assembled literally (``build``) on a Vandermonde multiplied out here and
+its t-shifts (``delta_by_pairs``, ``tshift_delta``; the package builds
+both as crossing products), with the operator algebra that compares
 them (``dualize``, ``equals`` and friends), the expansion and factoring
 of a divisor +-Delta x^low (``expand``, ``_delta_factor``), an operator's
 image before that division (``numerator``, ``raw_image``), the comparison
@@ -20,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from operator import sub
 
-from macops.bases import expand_monomial, unit_vector, vandermonde
+from macops.bases import expand_monomial, unit_vector
 from macops.errors import LengthExceedsVars, OutOfRange
 from macops.operators import (
     _DET_KINDS,
@@ -35,7 +37,6 @@ from macops.operators import (
     _plan,
     _xmono,
     apply_operator,
-    cross_cleared,
     operator_ring,
 )
 from macops import rings
@@ -92,7 +93,7 @@ def bialternant(vec, n: int, ring) -> Poly:
     shift = min(min(exps), 0)
     pad = (0,) * (len(ring.names) - n)
     num = antisymmetrize(ring.monomial(tuple(e - shift for e in exps) + pad), n)
-    quo = poly_exact_div(num, vandermonde(n, ring))
+    quo = poly_exact_div(num, delta_by_pairs(n, ring))
     return Poly(ring, {tuple(x + shift if i < n else x for i, x in enumerate(e)): c for e, c in quo.terms.items()})
 
 
@@ -177,9 +178,28 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
 # -- the operators as printed, and their algebra ---------------------------
 
 
+@lru_cache(maxsize=None)
+def delta_by_pairs(n: int, ring) -> Poly:
+    """The Vandermonde prod_{i<j} (x_i - x_j) in x1..xn, multiplied out pair by pair."""
+    out = ring.one
+    for i, j in combinations(range(1, n + 1), 2):
+        out = out * (ring.var(f"x{i}") - ring.var(f"x{j}"))
+    return out
+
+
+def tshift_delta(n: int, I, ring) -> Poly:
+    """T_I(Delta) / t^C(|I|,2), T_I the t-shift of the x_i, i in I, on :func:`delta_by_pairs`.
+
+    Every pair inside I gives T_I(Delta) one factor t, so the quotient is
+    a polynomial; ``bases.cross_cleared(n, I, names)`` must equal it.
+    """
+    shifted = vector_shift(delta_by_pairs(n, ring), unit_vector(I, n), "t")
+    return shifted * ring.var("t", -_binom2(len(I)))
+
+
 def expand(d: SignedDelta, ring) -> Poly:
     """The divisor sign * Delta * x^low as a polynomial of the ring."""
-    return vandermonde(d.n, ring) * ring.monomial(d.low) * d.sign
+    return delta_by_pairs(d.n, ring) * ring.monomial(d.low) * d.sign
 
 
 def _delta_factor(den: Poly, n: int) -> SignedDelta:
@@ -188,7 +208,7 @@ def _delta_factor(den: Poly, n: int) -> SignedDelta:
         # Delta has a term free of each x_i, so x^low is den's lowest monomial
         low = tuple(min(col) for col in zip(*den.terms))
         rest = Poly(den.ring, _mono_div(den.terms, low))
-        delta = vandermonde(n, den.ring)
+        delta = delta_by_pairs(n, den.ring)
         if rest == delta:
             return SignedDelta(n, 1, low)
         if rest == -delta:
@@ -285,8 +305,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
     """
     kind = spec.kind
     ring = operator_ring(n, kind)
-    names = ring.names
-    delta = vandermonde(n, ring)
+    delta = delta_by_pairs(n, ring)
     xall = _xmono(ring, range(1, n + 1))
     terms: dict = {}
 
@@ -304,13 +323,13 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
         r = spec.index
         _check_index(r, n)
         for I in _subsets(n, r):
-            add(I, tpow(_binom2(r)) * cross_cleared(n, I, "plus", names))
+            add(I, tpow(_binom2(r)) * tshift_delta(n, I, ring))
         return QDiffOp(ring, n, terms, _delta_factor(delta, n))
 
     if kind == "macdonald_u":
         for I in _subsets(n):
             k = len(I)
-            c = tpow(_binom2(k)) * cross_cleared(n, I, "plus", names) * upow(k)
+            c = tpow(_binom2(k)) * tshift_delta(n, I, ring) * upow(k)
             add(I, c if k % 2 == 0 else -c)
         return QDiffOp(ring, n, terms, _delta_factor(delta, n))
 
@@ -326,7 +345,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
                 for I in combinations(J, ksz):
                     k = len(I)
                     if not minus:
-                        cross = cross_cleared(n, I, "plus", names)
+                        cross = tshift_delta(n, I, ring)
                         if symbolic:
                             c = upow(k) * tpow(_binom2(k)) * cross
                         elif lower:
@@ -339,7 +358,7 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
                             c = -c
                         add(I, xfac * c)
                     else:
-                        cross = cross_cleared(n, I, "minus", names)
+                        cross = tshift_delta(n, _comp(I, n), ring)
                         a = m - k
                         if symbolic:
                             c = upow(a) * tpow(_binom2(n - k)) * cross
@@ -363,17 +382,13 @@ def build(spec: OperatorSpec, n: int) -> QDiffOp:
             for I in combinations(J, ksz):
                 k = len(I)
                 if not minus:
-                    c = ring.var("u", k) * tpow(_binom2(k)) * cross_cleared(
-                        n, I, "plus", names
-                    )
+                    c = ring.var("u", k) * tpow(_binom2(k)) * tshift_delta(n, I, ring)
                     if k % 2:
                         c = -c
                     add(I, xfac * vfac * c)
                 else:
                     a = len(J) - k
-                    c = ring.var("u", a) * tpow(_binom2(n - k)) * cross_cleared(
-                        n, I, "minus", names
-                    )
+                    c = ring.var("u", a) * tpow(_binom2(n - k)) * tshift_delta(n, _comp(I, n), ring)
                     if a % 2:
                         c = -c
                     add(_comp(I, n), xfac * vfac * c)

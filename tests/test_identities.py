@@ -4,6 +4,7 @@ import pytest
 
 import macops.identities as ids
 from macops.errors import IdentityFailed, OutOfRange
+from macops.cli import VERIFY
 from macops.identities import SUITES, kernel_F, run_suite, xyring
 
 
@@ -53,6 +54,25 @@ def test_registry_is_complete():
     assert set(SUITES) == set(SINGLE) | set(TWO_ALPHABET) | set(SCHUR)
     with pytest.raises(OutOfRange):
         run_suite("kernel_gossip", 2)
+
+
+def test_verify_groups_hold_every_suite_once():
+    # the verify rows' checks and the suite registry name the same suites,
+    # and no suite runs in two groups
+    grouped = [name for row in VERIFY.values() for name in row.checks]
+    assert len(grouped) == len(set(grouped)), grouped
+    assert set(grouped) == set(SUITES)
+
+
+def test_kernel_reduction_minus_shifts_the_complement(monkeypatch):
+    # at n = 2, m = 1 only the minus adder's I = {} term shifts both x's
+    real, seen = ids._kernel_term, []
+    monkeypatch.setattr(ids, "_kernel_term", lambda ring, scale, first, second, chosen: (
+        seen.append(chosen), real(ring, scale, first, second, chosen))[1])
+    for name, both in (("kernel_reduction_plus", False), ("kernel_reduction_minus", True)):
+        seen.clear()
+        run_suite(name, 2, m=1)
+        assert (frozenset({"x1", "x2"}) in seen) == both, name
 
 
 def test_kernel_smallest_case():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macops.bases import SymPoly, elementary, expand_monomial, to_monomial_basis, vandermonde
+from macops.bases import SymPoly, cross_cleared, elementary, expand_monomial, to_monomial_basis, vandermonde
 from macops.errors import (
     IndexOutOfRange,
     NonExactDivision,
@@ -18,10 +18,9 @@ from macops.operators import (
     apply_factorized_qt,
     apply_operator,
     apply_symmetric,
-    cross_cleared,
     operator_ring,
 )
-from macops.operators import QDiffOp, _binom2, _plan, _subsets, _tshift_delta
+from macops.operators import QDiffOp, _binom2, _plan, _subsets
 from macops.partitions import Partition, column_unit_scale, partitions_of
 from macops.rings import (
     QT,
@@ -37,6 +36,7 @@ from macops.rings import (
 from oracles import (
     _delta_factor,
     build,
+    delta_by_pairs,
     divisor_subs,
     dualize,
     equals,
@@ -46,6 +46,7 @@ from oracles import (
     permute_x,
     raw_image,
     scaled,
+    tshift_delta,
     with_global_qshift,
 )
 
@@ -113,16 +114,14 @@ def test_first_operator_on_small_monomials():
 
 
 def test_cross_cleared_bridge():
-    # the two cleared cross products are shifted Vandermondes in disguise
-    for n in (2, 3, 4):
+    # the production crossing product is the oracle's t-shifted Vandermonde
+    # over t^C(|I|,2); with nothing chosen it is Delta, in a ring without t
+    for n in (1, 2, 3, 4):
         ring = xring(n, ("q", "t"))
-        names = ring.names
         for I in _subsets(n):
-            comp = tuple(j for j in range(1, n + 1) if j not in I)
-            t_pow = ring.var("t", _binom2(len(I)))
-            assert cross_cleared(n, I, "plus", names) * t_pow == _tshift_delta(n, I, names)
-            t_pow = ring.var("t", _binom2(n - len(I)))
-            assert cross_cleared(n, I, "minus", names) * t_pow == _tshift_delta(n, comp, names)
+            assert cross_cleared(n, I, ring.names) == tshift_delta(n, I, ring)
+        bare = xring(n, ())
+        assert vandermonde(n, bare) == delta_by_pairs(n, bare)
 
 
 def test_production_matches_built_form():
