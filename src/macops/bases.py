@@ -1,17 +1,18 @@
-"""Symmetric polynomials: expansions, the monomial basis, big-Schur solves.
+"""Symmetric polynomials: expansions, the Schur and monomial bases, big-Schur solves.
 
 Expansion targets are honest polynomials in x1..xn over whatever scalar
-variables the chosen ring carries.  A Schur polynomial, for any integer
-vector, is straightened to a partition and expanded by the integer
-Kostka numbers (SFHP I.3); nothing is antisymmetrized over the n!
-permutations.  The one basis change, monomial to t-deformed Schur
-S_lam(x;t), needs no x-polynomials: S_lam is the basis dual to the Schur
-functions s_lam under the Hall-Littlewood scalar product <,>_t
-(Macdonald, SFHP III.4 and VI.8), so each coefficient is <f, s_lam>_t,
-read off from the Schur coefficients of f through the character table.
-The x-level determinant ``expand_big_schur`` stays as the independent
-oracle the tests rebuild S_lam with.  The x-level building blocks of the
-operators live here too: ``unit_vector``, ``elementary`` and one builder,
+variables the chosen ring carries.  The package computes in Schur
+coefficients; ``schur_to_monomial`` makes monomial ones for output by the
+integer Kostka numbers (SFHP I.3), and so expands a Schur polynomial for
+any integer vector, once straightened to a partition; nothing is
+antisymmetrized over the n! permutations.  The change to the t-deformed
+Schur basis S_lam(x;t) needs no x-polynomials: S_lam is the basis dual
+to the s_lam under the Hall-Littlewood scalar product <,>_t (Macdonald,
+SFHP III.4 and VI.8), so each coefficient is <f, s_lam>_t, read off from
+the Schur coefficients of f through the character table.  The x-level
+determinant ``expand_big_schur`` stays as the independent oracle the
+tests rebuild S_lam with.  The x-level building blocks of the operators
+live here too: ``unit_vector``, ``elementary`` and one builder,
 ``cross_named`` (cached by index as ``cross_cleared``), of the Vandermonde
 Delta times a crossing product; the t-shifted T_I(Delta) is t^C(|I|,2)
 times the product with I chosen, and ``vandermonde`` is the one with
@@ -50,7 +51,7 @@ def label_key(lam: Partition):
 
 
 class SymPoly:
-    """A finite monomial-basis coefficient dict in n variables."""
+    """A finite dict of coefficients indexed by partitions, in n variables; the caller knows the basis."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -75,18 +76,18 @@ class SymPoly:
 
     def __repr__(self):
         inner = ", ".join(f"({k.render()}): {render_coeff(v)}" for k, v in self.items())
-        return f"<SymPoly monomial[{self.nvars}] {{{inner}}}>"
+        return f"<SymPoly[{self.nvars}] {{{inner}}}>"
 
 
 def assert_agree(what: str, **syms: SymPoly) -> None:
-    """Raise VerificationFailed naming the first m_mu (listing order) where syms differ, with every value."""
+    """Raise VerificationFailed naming the first s_mu (listing order) where syms differ, with every value."""
     ring = next((c.ring for s in syms.values() for c in s.coeffs.values()), QT)
     for mu in sorted({mu for s in syms.values() for mu in s.coeffs}, key=label_key):
         vals = {name: s.coeffs.get(mu, ring.zero) for name, s in syms.items()}
         first = next(iter(vals.values()))
         if any(v != first for v in vals.values()):
             shown = ", ".join(f"{name} {v.render()}" for name, v in vals.items())
-            raise VerificationFailed(f"{what} at m[{mu.render()}]: {shown}")
+            raise VerificationFailed(f"{what} at s[{mu.render()}]: {shown}")
 
 
 def render_coeff(c) -> str:
@@ -468,17 +469,15 @@ def _class_weights(d: int):
 
 
 def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
-    """Big-Schur coefficients of a weight-homogeneous monomial-basis SymPoly.
+    """Big-Schur coefficients of a weight-homogeneous SymPoly of Schur coefficients.
 
     S_lam(x;t) is the basis dual to s_lam under the Hall-Littlewood scalar
     product (SFHP III.4, VI.8), so the coefficient of S_lam is <f, s_lam>_t.
-    The Schur coefficients [s_nu]f come from the monomial ones by
-    back-substitution with the unitriangular integer Kostka numbers.
     Through the character table, <f, s_lam>_t = sum over rho of
     chi^lam_rho P_rho / (d! (t;t)_d) with P_rho = w_rho sum over nu of
     chi^nu_rho [s_nu]f (:func:`_class_weights`): one product per class.
     Each coefficient is one exact division by d! (t;t)_d; a remainder
-    raises NonIntegralEntry with the reduced fraction.
+    raises NonIntegralEntry with the unreduced fraction.
     """
     weights = {lam.weight for lam in sym.coeffs}
     if len(weights) > 1:
@@ -490,19 +489,9 @@ def change_basis(sym: SymPoly) -> dict[Partition, Poly]:
         raise OutOfRange("need at least as many variables as the degree")
     labels, class_weights, norm = _class_weights(d)
     chars = _characters(d)
-    kostka = kostka_numbers(d, d)
-    rest = dict(sym.coeffs)
-    schur = {}
-    for mu in labels:  # (d) first: s_mu = m_mu + m_nu's with nu after mu
-        c = rest.pop(mu, None)
-        if not c:
-            continue
-        schur[mu] = c
-        for nu, k in kostka[mu][1:]:  # kostka[mu] opens with (mu, 1)
-            rest[nu] = rest.get(nu, QT.zero) - c * k
     power = {}
     for rho, w in class_weights.items():
-        p = _int_combination((chars[nu, rho], c) for nu, c in schur.items())
+        p = _int_combination((chars[nu, rho], c) for nu, c in sym.coeffs.items())
         if p:
             power[rho] = w * p
     out = {}

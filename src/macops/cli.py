@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .bases import expand_monomial, render_coeff, to_monomial_basis
+from .bases import expand_monomial, render_coeff, schur_to_monomial, to_monomial_basis
 from .errors import (
     LengthExceedsVars,
     MacopsError,
@@ -212,7 +212,7 @@ def cmd_jack(args) -> int:
         check = "pass"
     else:
         check = None
-    sym = jack_J(lam, n)
+    sym = schur_to_monomial(jack_J(lam, n).coeffs, n)
     if val is not None:
         sym = sym.map_coeffs(lambda c: c.subs({"a": ALPHA.const(val)}))
     params = {"lambda": list(lam.parts), "nvars": n, "alpha": args.alpha}
@@ -319,7 +319,7 @@ def _verify_iter(suite: str, n: int | None, m: int | None, maxw: int | None):
     elif suite == "eigen":
         for lam in partitions_up_to(top, n, 1):
             nv = n if n is not None else default_nvars(lam)
-            full_eigencheck(lam, nv, macdonald_P_eigen(lam, nv).J)
+            full_eigencheck(lam, nv, macdonald_P_eigen(lam, nv).schur)
             yield {"check": "eigencheck", "shape": lam.render(), "nvars": nv}
     elif suite == "kostka":
         for d in range(1, top + 1):

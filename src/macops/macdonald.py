@@ -6,10 +6,10 @@ operator on a single weight space; the raising recursion builds the
 integral form column by column (:func:`column_recursion`, which also
 builds the Jack limit from its own adder).  Exact agreement of the two
 (and of the plus and minus column adders with each other) is the core
-correctness gate of the whole package.  Every check here, duality and
-commutation included, runs on monomial coefficients through the engine
-that builds J (:func:`operators.apply_symmetric`); the x-level operator
-forms check it from the tests (``tests/oracles.py``).
+correctness gate of the whole package.  J is built and checked in Schur
+coefficients through one engine (:func:`operators.apply_symmetric`);
+monomials are made only for output (``MacdonaldResult.J``), and the
+x-level forms check the engine from the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,13 @@ def default_nvars(lam: Partition) -> int:
 class MacdonaldResult:
     shape: Partition
     nvars: int
-    J: SymPoly  # monomial basis, coefficients in ZZ[q,t]
+    schur: SymPoly  # J's Schur coefficients, in ZZ[q,t]
     provenance: str
+
+    @property
+    def J(self) -> SymPoly:
+        """The integral form in the monomial basis."""
+        return schur_to_monomial(self.schur.coeffs, self.nvars)
 
     @property
     def P(self) -> SymPoly:
@@ -54,10 +59,10 @@ class MacdonaldResult:
 
 @lru_cache(maxsize=None)
 def _d1_action(d: int, n: int):
-    """Matrix of the first difference operator on the weight-d monomial basis.
+    """Matrix of the first difference operator on the weight-d Schur basis.
 
     Returns (shapes, entries) with entries[(nu, mu)] the coefficient of
-    m_nu in the image of m_mu; only nonzero entries are stored.  The Schur
+    s_nu in the image of s_mu; only nonzero entries are stored.  The
     columns are those :func:`operators.apply_symmetric` reads for
     ("macdonald_r", 1, n), cached for the life of the process: whichever
     caller comes first runs the engine's pass for the columns still missing.
@@ -66,18 +71,17 @@ def _d1_action(d: int, n: int):
     targets = _targets(0, 1, n, d)
     entries = {}
     for mu, col in zip(shapes, _columns("macdonald_r", 1, n, d, shapes)):
-        image = schur_to_monomial({lam: col[v] for lam, v in targets if v in col}, n)
-        entries.update(((nu, mu), c) for nu, c in image.coeffs.items())
+        entries.update(((nu, mu), col[v]) for nu, v in targets if v in col)
     return shapes, entries
 
 
 def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
     """The integral form through the triangular eigenvector, fraction-free.
 
-    Starts from the top coefficient c_integral(lam) and solves the
-    one-operator eigenproblem downwards; each coefficient is an exact
-    division in Z[q,t], so a remainder is a NonIntegralEntry naming the
-    monomial.  :func:`full_eigencheck` certifies the result separately.
+    D_1 is triangular on the s_nu, with its diagonal on the m_nu.  From the
+    top Schur coefficient c_integral(lam) the eigenproblem is solved
+    downwards, each coefficient an exact division in Z[q,t], so a remainder
+    is a NonIntegralEntry naming the s_nu.  :func:`full_eigencheck` checks J.
     """
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
@@ -109,18 +113,17 @@ def macdonald_P_eigen(lam: Partition, n: int) -> MacdonaldResult:
             coeffs[nu] = poly_exact_div(rhs, gap)
         except NonExactDivision:
             raise NonIntegralEntry(
-                f"coefficient of m_{nu.render()} in the integral form: "
+                f"coefficient of s_{nu.render()} in the integral form: "
                 f"{Frac(rhs, gap).render()}"
             ) from None
     return MacdonaldResult(lam, n, SymPoly(n, coeffs), "eigen_oracle")
 
 
 def full_eigencheck(lam: Partition, n: int, J: SymPoly) -> bool:
-    """Assert D_r J = e_r(q^lam_i t^(n-i)) J for every order r = 0..n.
+    """Assert D_r J = e_r(q^lam_i t^(n-i)) J for every order r = 0..n, J in Schur coefficients.
 
-    The eigenvalue is :func:`partitions.eigenvalue` and the operators run
-    on monomial coefficients; a failure names the order and the first m_mu
-    that differs.
+    The eigenvalue is :func:`partitions.eigenvalue`; a failure names the
+    order and the first s_mu that differs.
     """
     for r in range(n + 1):
         ev = eigenvalue(lam, n, r)
@@ -141,8 +144,9 @@ def column_recursion(adder: str, lam: Partition, n: int) -> SymPoly:
     """The adder applied to 1 once per column of lam, shortest column first.
 
     Each step is legal: the shape built so far has at most as many rows
-    as the next column is high.  A step that leaves a negative exponent
-    in any coefficient raises NegativeExponent.
+    as the next column is high.  Returns Schur coefficients; one with a
+    negative exponent, present exactly when a monomial coefficient has one
+    (Kostka is unitriangular over Z), raises NegativeExponent.
     """
     if lam.length > n:
         raise LengthExceedsVars(f"{lam.render()} needs more than {n} variables")
@@ -152,7 +156,7 @@ def column_recursion(adder: str, lam: Partition, n: int) -> SymPoly:
         for mu, c in f.coeffs.items():
             if min(map(min, c.terms)) < 0:
                 raise NegativeExponent(
-                    f"column {m} of {lam.render()} left m_{mu.render()} = {c.render()}"
+                    f"column {m} of {lam.render()} left s_{mu.render()} = {c.render()}"
                 )
     return f
 
@@ -175,14 +179,14 @@ def macdonald_J(lam: Partition, n: int, via: str = "kplus") -> MacdonaldResult:
 def triple_agreement(lam: Partition, n: int) -> MacdonaldResult:
     """Both raising routes and the eigen oracle must coincide exactly.
 
-    A disagreement names the first differing m_mu with all three values.
+    A disagreement names the first differing s_mu with all three values.
     """
     plus = macdonald_J_raising(lam, n, "kplus")
     assert_agree(
         f"construction routes disagree for {lam.render()} in {n} variables",
-        kplus=plus.J,
-        kminus=macdonald_J_raising(lam, n, "kminus").J,
-        eigen=macdonald_P_eigen(lam, n).J,
+        kplus=plus.schur,
+        kminus=macdonald_J_raising(lam, n, "kminus").schur,
+        eigen=macdonald_P_eigen(lam, n).schur,
     )
     return plus
 
@@ -220,9 +224,9 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
 
     Columns are the integral forms J_mu; the entry at lam is K_lam,mu(q,t)
     = <J_mu, s_lam>_t, the Hall-Littlewood scalar product with a Schur
-    function (SFHP III.4, VI.8), computed by ``change_basis`` as one exact
-    division by (t;t)_d.  That division certifies every entry to be a
-    polynomial in q and t with integer coefficients.
+    function (SFHP III.4, VI.8), by ``change_basis`` on J's Schur
+    coefficients as one exact division by d! (t;t)_d, which certifies every
+    entry to be a polynomial in q and t with integer coefficients.
     """
     if d < 0:
         raise OutOfRange("negative degree")
@@ -233,7 +237,7 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
     entries: dict = {}
     for mu in shapes:
         try:
-            column = change_basis(macdonald_J_raising(mu, n).J)
+            column = change_basis(macdonald_J_raising(mu, n).schur)
         except NonIntegralEntry as exc:
             raise NonIntegralEntry(f"column J[{mu.render()}]: {exc}") from None
         entries.update(((lam, mu), c) for lam, c in column.items())
@@ -249,10 +253,10 @@ def kostka_matrix(d: int, nvars: int | None = None, check_duality: bool = False)
 def column_removal_law(what: str, remover: str, build, coeff, lam: Partition, m: int, n: int) -> Poly:
     """The column-removal law of one family's remover on its J = build(shape); return the scalar.
 
-    The scalar is coeff(lam, m, n).  For a shape of length exactly m the
-    image of J(lam) is the scalar times J of the shape with its first
-    column removed; for a shorter shape the scalar must be zero and the
-    image must vanish.  A failure raises VerificationFailed, named by what.
+    build gives Schur coefficients, the scalar is coeff(lam, m, n).  For a
+    shape of length exactly m the image of J(lam) is the scalar times J of
+    the shape with its first column removed; for a shorter shape both the
+    scalar and the image must vanish.  A VerificationFailed names what.
     """
     got = apply_symmetric(remover, m, build(lam))
     scale = coeff(lam, m, n)
@@ -274,44 +278,45 @@ def lowering_verify(lam: Partition, m: int, n: int, kind: str = "mplus") -> Poly
         raise OutOfRange("need length of shape <= m <= n")
     remover = "lower_plus" if kind == "mplus" else "lower_minus"
     return column_removal_law(
-        f"lowering {kind}", remover, lambda mu: macdonald_J_raising(mu, n).J, lowering_coeff, lam, m, n
+        f"lowering {kind}", remover, lambda mu: macdonald_J_raising(mu, n).schur, lowering_coeff, lam, m, n
     )
 
 
 def duality_verify(lam: Partition, m: int, n: int) -> None:
-    """The minus adder against the bar-dual of the plus adder, on m_lam.
+    """The minus adder against the bar-dual of the plus adder, on s_lam.
 
     The bar involution inverts q and t.  The minus adder is the plus adder
     conjugated by it, composed with the global q-shift and scaled by
-    (-1)^m t^(m + m(m-1)/2).  The global shift multiplies m_lam by q^|lam|,
-    and m_lam has no q or t, so the law on m_lam reads
+    (-1)^m t^(m + m(m-1)/2).  The global shift multiplies s_lam by q^|lam|,
+    and s_lam has no q or t, so the law on s_lam reads
 
-        raise_minus(m_lam) = (-1)^m t^(m + m(m-1)/2) q^|lam| bar(raise_plus(m_lam)),
+        raise_minus(s_lam) = (-1)^m t^(m + m(m-1)/2) q^|lam| bar(raise_plus(s_lam)),
 
-    compared on monomial coefficients; a failure raises VerificationFailed
-    naming the first m_mu that differs, with both values.
+    compared on Schur coefficients (per weight, the s_lam with at most n
+    parts span what the m_lam span); a failure raises VerificationFailed
+    naming the first s_mu that differs, with both values.
     """
     f = SymPoly(n, {lam: QT.one})
     scale = QT.monomial((lam.weight, m + _binom2(m)), -1 if m % 2 else 1)
     bar = {"q": QT.var("q", -1), "t": QT.var("t", -1)}
     assert_agree(
-        f"duality m={m} on m[{lam.render()}] (n={n})",
+        f"duality m={m} on s[{lam.render()}] (n={n})",
         minus=apply_symmetric("raise_minus", m, f),
         dual_plus=apply_symmetric("raise_plus", m, f).map_coeffs(lambda c: scale * c.subs(bar)),
     )
 
 
 def commute_verify(lam: Partition, n: int):
-    """The operators of every order r < s commute on m_lam; yields each pair (r, s) that passed.
+    """The operators of every order r < s commute on s_lam; yields each pair (r, s) that passed.
 
-    D_r D_s m_lam and D_s D_r m_lam are compared on monomial coefficients;
+    D_r D_s s_lam and D_s D_r s_lam are compared on Schur coefficients;
     the first pair that differs raises VerificationFailed.
     """
     f = SymPoly(n, {lam: QT.one})
     images = [apply_symmetric("macdonald_r", r, f) for r in range(n + 1)]
     for r, s in combinations(range(n + 1), 2):
         assert_agree(
-            f"commutator [{r},{s}] on m[{lam.render()}] (n={n})",
+            f"commutator [{r},{s}] on s[{lam.render()}] (n={n})",
             rs=apply_symmetric("macdonald_r", r, images[s]),
             sr=apply_symmetric("macdonald_r", s, images[r]),
         )

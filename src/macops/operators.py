@@ -38,10 +38,10 @@ test oracle ``build`` in ``tests/oracles.py``.
 Every operator the package applies to symmetric polynomials has the form
 Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
 and psi_i: x^b -> x^(b + s e_i) phi_i(b_i) acting on x_i alone (i 1-based,
-b_i the exponent of x_i in F).  ``apply_symmetric`` reads the Schur
-coefficients of the image off the bialternant formula (SFHP I.3) on the
-monomial coefficients of F, with no x-expansion and no division by the
-Vandermonde:
+b_i the exponent of x_i in F).  ``apply_symmetric`` takes the Schur
+coefficients of F and returns those of the image, read off the
+bialternant formula (SFHP I.3) with no x-expansion and no division by
+the Vandermonde:
 
     kind          s    phi_i(b)                   ring     extra factor
     macdonald_r   0    t^(n-i) q^b                Z[q,t]   -
@@ -56,9 +56,9 @@ They build J and check duality (the adders), the column-removal law (the
 removers), the eigen-equations and commutation (D_r), and run the Jack limit.
 ``apply_operator`` and the x-level Jack operators in the tests are their
 references.  What the pass reads depends on (kind, m, n) and the input
-m_nu only, never on F's coefficients, so ``_packed_factor`` keeps one
+s_lam only, never on F's coefficients, so ``_packed_factor`` keeps one
 entry per (kind, m, n) for the life of the process: the phi table and
-the Schur column of each m_nu read so far.
+the Schur column of each s_lam met so far.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bases import (SymPoly, cross_cleared, elementary, schur_to_monomial, signed_arrangements, unit_vector,
-                    vandermonde)
+from .bases import (SymPoly, _int_combination, cross_cleared, elementary, kostka_numbers, signed_arrangements,
+                    unit_vector, vandermonde)
 from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
@@ -300,7 +300,7 @@ def apply_factorized_qt(kind: str, n: int, f: Poly) -> Poly:
     return poly_exact_div(g, SignedDelta(n, 1, low))
 
 
-# -- symmetric operators on monomial coefficients -------------------------
+# -- symmetric operators on Schur coefficients ----------------------------
 
 # kind -> (s, phi(m, n, i, b), ring), the table in the module docstring; the
 # jack kinds are x_i^s (a x_i d/dx_i + c), the limits q = t^a, t -> 1.
@@ -330,7 +330,7 @@ def _unpacker(k: int):
 
 @lru_cache(maxsize=None)
 def _packed_factor(kind: str, m: int, n: int):
-    """(kind, m, n)'s cache entry: the phi table and {nu: Schur column of m_nu}."""
+    """(kind, m, n)'s cache entry: the phi table and {lam: Schur column of s_lam}."""
     phi = _FORMS[kind][1]
     table = lru_cache(maxsize=None)(
         lambda i, b: tuple((_pack(e), c) for e, c in phi(m, n, i + 1, b).terms.items())
@@ -404,22 +404,34 @@ def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> dict:
     return cols
 
 
-def _columns(kind: str, m: int, n: int, d: int, nus) -> list:
-    """The cached Schur column of each m_nu in nus, all of weight d; one pass reads those missing."""
+def _columns(kind: str, m: int, n: int, d: int, lams) -> list:
+    """The cached Schur column of each s_lam in lams, all of weight d.
+
+    A missing one is sum_nu K_lam,nu col(m_nu), from one pass of
+    :func:`_schur_rows` over the m_nu in the missing s_lam's Kostka rows;
+    the m_nu columns are not kept.
+    """
     cols = _packed_factor(kind, m, n)[1]
-    missing = {nu.parts + (0,) * (n - nu.length): nu for nu in nus if nu not in cols}
+    missing = {lam: kostka_numbers(d, n).get(lam, ()) for lam in lams if lam not in cols}
     if missing:
-        cols.update(_schur_rows(kind, m, n, d, missing))
-    return [cols[nu] for nu in nus]
+        nus = {nu.parts + (0,) * (n - nu.length): nu for row in missing.values() for nu, _ in row}
+        mono = _schur_rows(kind, m, n, d, nus)
+        for lam, row in missing.items():
+            col: dict = {}
+            for nu, k in row:
+                for v, c in mono[nu].items():
+                    col.setdefault(v, []).append((k, c))
+            cols[lam] = {v: c for v, pairs in col.items() if (c := _int_combination(pairs))}
+    return [cols[lam] for lam in lams]
 
 
 def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
-    """The kind's e_m(psi) operator (module docstring) on F, exactly.
+    """The kind's e_m(psi) operator (module docstring) on F, in Schur coefficients both ways.
 
-    The Schur coefficient of the image at mu is the sum over the inputs nu
-    of F_nu times that of m_nu's image, one product per (mu, nu).  The
+    The coefficient of the image at s_mu is the sum over the s_lam of F of
+    F_lam times that of s_lam's image, one product per (mu, lam).  The
     columns come from the (kind, m, n) cache entry; per weight, one pass
-    of :func:`_schur_rows` reads only the m_nu of F not yet cached.  For
+    of :func:`_schur_rows` serves the s_lam of F not yet cached.  For
     s = -1 a nonzero coefficient at a v with v_n = -1 is a pole at
     x_i = 0 and raises NonExactDivision.
     """
@@ -432,11 +444,11 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
         raise OutOfRange(f"{kind} needs coefficients in {ring!r}")
     schur = {}
     for d in sorted({lam.weight for lam in F.coeffs}):
-        coeffs = [(nu, c) for nu, c in F.coeffs.items() if nu.weight == d]
-        cols = _columns(kind, m, n, d, [nu for nu, _ in coeffs])
+        coeffs = [(lam, c) for lam, c in F.coeffs.items() if lam.weight == d]
+        cols = _columns(kind, m, n, d, [lam for lam, _ in coeffs])
         for mu, v in _targets(shift, m, n, d):
             acc: dict = {}
-            for (nu, f), col in zip(coeffs, cols):
+            for (_, f), col in zip(coeffs, cols):
                 c = col.get(v)
                 if c is not None:
                     for e, x in (f * c).terms.items():
@@ -450,5 +462,5 @@ def apply_symmetric(kind: str, m: int, F: SymPoly) -> SymPoly:
         # |F| = |mu| - shift m on the part of F that reaches s_mu
         t_exp = _binom2(n) - _binom2(n - m)
         schur = {mu: c * QT.monomial((mu.weight - shift * m, t_exp)) for mu, c in schur.items()}
-    return schur_to_monomial(schur, n)
+    return SymPoly(n, schur)
 

@@ -841,19 +841,13 @@ def vector_shift(f: Poly, svec, var: str) -> Poly:
     """Substitute x_i -> var**svec[i-1] * x_i; entries may be negative.
 
     x_i is the ring's i-th variable.  A 0/1 vector gives the q- or t-shift
-    operator on a subset of the x variables.
+    operator on a subset of the x variables.  Each term's exponent of var
+    grows by sum svec_i e_i, which leaves distinct terms distinct.
     """
-    return f.subs(_shift_images(f.ring, tuple(svec), var))
-
-
-@lru_cache(maxsize=None)
-def _shift_images(ring: Ring, svec: Expt, var: str) -> dict:
-    """vector_shift's images x_i -> var**svec[i-1] * x_i, shared: subs only reads them."""
-    v = ring.pos(var)
-    return {
-        ring.names[i]: ring.monomial([(j == i) + s * (j == v) for j in range(len(ring))])
-        for i, s in enumerate(svec) if s
-    }
+    if not any(svec):
+        return f
+    v = f.ring.pos(var)
+    return Poly(f.ring, {e[:v] + (e[v] + sum(map(mul, svec, e)),) + e[v + 1 :]: c for e, c in f.terms.items()})
 
 
 def split_x(f: Poly, n: int) -> dict[Expt, Poly]:

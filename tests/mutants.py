@@ -226,6 +226,8 @@ MUTANTS = (
         "for x in range(max(low, shape[i] - left), shape[i] + 1):",
         "for x in range(max(low, shape[i] - left), shape[i]):",
         ("tests/test_bases.py::test_kostka_numbers_by_hand",
+         "tests/test_bases.py::test_schur_to_monomial_matches_the_bialternant[2]",
+         "tests/test_operators.py::test_column_adder_matches_operator_on_every_monomial[2]",
          ACC + "01_raising_recursions_match_oracle"),
     ),
     Mutant(
@@ -235,6 +237,25 @@ MUTANTS = (
         (ACC + "03_kostka_integrality_duality_and_gate",
          "tests/test_bases.py::test_change_basis_roundtrip",
          "tests/test_kostka_oracles.py::test_standard_tableaux_at_q1_t1[4]"),
+    ),
+    Mutant(
+        # every s_lam column counts each m_nu of its Kostka row once; the
+        # routes all share the columns, the x-level references do not
+        "schur_column_kostka_multiplicity_one", "operators.py",
+        "col.setdefault(v, []).append((k, c))",
+        "col.setdefault(v, []).append((1, c))",
+        (ACC + "01_raising_recursions_match_oracle",
+         "tests/test_operators.py::test_column_adder_matches_operator_on_every_monomial[3]",
+         "tests/test_jack.py::test_engine_matches_the_x_level_oracle_on_every_monomial[3]",
+         "tests/test_macdonald.py::test_first_operator_matrix_against_the_expansion"),
+    ),
+    Mutant(
+        "eigen_top_schur_coefficient_negated", "macdonald.py",
+        "coeffs: dict[Partition, Poly] = {lam: c_integral(lam)}",
+        "coeffs: dict[Partition, Poly] = {lam: -c_integral(lam)}",
+        (ACC + "01_raising_recursions_match_oracle",
+         "tests/test_macdonald.py::test_row_two_eigen_oracle",
+         "tests/test_macdonald.py::test_triple_agreement_small_shapes"),
     ),
     Mutant(
         "cli_package_error_exits_two", "cli.py",

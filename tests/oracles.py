@@ -13,16 +13,19 @@ image before that division (``numerator``, ``raw_image``), the comparison
 of two raw images over it (``same_image``), the duality and commutation
 laws checked by applying the x-level operators (``duality_by_application``,
 ``commute_by_application``), adding a column to a partition, the
-dominance order on partitions, and a fraction in lowest terms by the
+dominance order on partitions, a fraction in lowest terms by the
 multivariate gcd (``lowest_terms``), which the package gets by trial
-division with known factors instead.
+division with known factors instead, and the Schur coefficients of
+monomial ones by back-substitution with Kostka numbers counted by
+brute-force fillings (``schur_coefficients``), which the package never
+needs: it computes in the Schur basis and makes monomials only for output.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import sub
 
-from macops.bases import expand_monomial, unit_vector
+from macops.bases import SymPoly, expand_monomial, unit_vector
 from macops.errors import LengthExceedsVars, OutOfRange
 from macops.operators import (
     _DET_KINDS,
@@ -40,7 +43,7 @@ from macops.operators import (
     operator_ring,
 )
 from macops import rings
-from macops.partitions import Partition
+from macops.partitions import Partition, partitions_of
 from macops.rings import (Frac, Poly, SignedDelta, _add_into, _grlex, _mono_div, poly_exact_div,
                           vector_shift)
 
@@ -152,6 +155,47 @@ def lowest_terms(num: Poly, den: Poly) -> Frac:
     if den.terms[min(den.terms, key=_grlex)] < 0:
         num, den = -num, -den
     return Frac(num, den)
+
+
+@lru_cache(maxsize=None)
+def ssyt_count(shape: tuple, content: tuple) -> int:
+    """The number of semistandard tableaux of the shape and content, filled cell by cell."""
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    left, fill = list(content), {}
+
+    def rec(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        total = 0
+        for v in range(len(content)):
+            if left[v] and not (j and fill[i, j - 1] > v) and not (i and fill[i - 1, j] >= v):
+                left[v] -= 1
+                fill[i, j] = v
+                total += rec(k + 1)
+                left[v] += 1
+        return total
+
+    return rec(0)
+
+
+def schur_coefficients(sym: SymPoly) -> SymPoly:
+    """The Schur coefficients of a SymPoly of monomial ones, by back-substitution.
+
+    s_mu = m_mu + sum over nu below mu in dominance of K_mu,nu m_nu, so the
+    lexicographically largest m_mu left carries the coefficient of s_mu.
+    """
+    rest, out = dict(sym.coeffs), {}
+    while rest:
+        mu = max(rest, key=lambda lam: lam.parts)
+        c = out[mu] = rest.pop(mu)
+        for nu in partitions_of(mu.weight, max_len=sym.nvars):
+            k = ssyt_count(mu.parts, nu.parts) if nu != mu else 0
+            if k:
+                rest[nu] = rest[nu] - k * c if nu in rest else -k * c
+                if not rest[nu]:
+                    del rest[nu]
+    return SymPoly(sym.nvars, out)
 
 
 def plus_ones(lam: Partition, m: int) -> Partition:

@@ -23,7 +23,7 @@ from macops.bases import (
 from macops.errors import LengthExceedsVars, NonIntegralEntry, NotSymmetric, OutOfRange
 from macops.partitions import Partition, partitions_of
 from macops.rings import QT, poly_exact_div, xring
-from oracles import antisymmetrize, bialternant, dominance_leq, signed_permutations
+from oracles import antisymmetrize, bialternant, dominance_leq, schur_coefficients, signed_permutations
 
 
 def P(*parts):
@@ -147,9 +147,10 @@ def test_sym_to_xpoly_roundtrip():
         }
 
 
-def test_sympoly_repr_names_the_monomial_basis():
+def test_sympoly_repr_names_no_basis():
+    # the same SymPoly type holds monomial and Schur coefficients
     sym = to_monomial_basis(mono((1, 1), 2), 2)
-    assert repr(sym) == "<SymPoly monomial[2] {(1,1): 1}>"
+    assert repr(sym) == "<SymPoly[2] {(1,1): 1}>"
 
 
 def test_antisymmetrize():
@@ -212,7 +213,7 @@ def test_change_basis_inverts_big_schur(d):
     # the x-level determinant S_lam comes back as the unit vector at lam
     for n in (d, d + 1):
         for lam in partitions_of(d):
-            sym = to_monomial_basis(expand_big_schur(lam, n), n)
+            sym = schur_coefficients(to_monomial_basis(expand_big_schur(lam, n), n))
             assert change_basis(sym) == {lam: QT.one}, (lam, n)
 
 
@@ -265,7 +266,7 @@ def test_poly_det_matches_leibniz():
 
 
 def test_change_basis_roundtrip():
-    # an integral big-Schur combination, sent to the monomial basis and back
+    # an integral big-Schur combination, sent to the Schur basis and back
     rng = random.Random(13)
     for d in (2, 3, 4):
         n = d
@@ -277,12 +278,12 @@ def test_change_basis_roundtrip():
         f = xring(n).zero
         for lam, c in want.items():
             f = f + c.subs({}, xring(n)) * expand_big_schur(lam, n)
-        assert change_basis(to_monomial_basis(f, n)) == want
+        assert change_basis(schur_coefficients(to_monomial_basis(f, n))) == want
 
 
 def test_change_basis_unit_vector():
     n = 2
-    sym = to_monomial_basis(expand_big_schur(P(2), n), n)
+    sym = schur_coefficients(to_monomial_basis(expand_big_schur(P(2), n), n))
     assert change_basis(sym) == {P(2): QT.one}
     assert change_basis(SymPoly(n, {})) == {}
 
@@ -293,6 +294,6 @@ def test_change_basis_errors():
         change_basis(sym)  # needs n >= degree
     with pytest.raises(OutOfRange):
         change_basis(SymPoly(2, {P(2): QT.one, P(1): QT.one}))  # mixed weights
-    # m_(2) alone is no integral big-Schur combination
+    # m_(2) = s_(2) - s_(1,1) alone is no integral big-Schur combination
     with pytest.raises(NonIntegralEntry, match=r"^coefficient of S\[2\] = .*/\("):
-        change_basis(SymPoly(2, {P(2): QT.one}))
+        change_basis(schur_coefficients(SymPoly(2, {P(2): QT.one})))

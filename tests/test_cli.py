@@ -550,12 +550,12 @@ def test_duality_mismatch_exits_one(capsys, monkeypatch):
 
     monkeypatch.setattr(mac, "apply_symmetric", crooked)
     with pytest.raises(
-        VerificationFailed, match=r"^duality m=0 on m\[0\] \(n=1\) at m\[0\]: minus 1, dual_plus 2$"
+        VerificationFailed, match=r"^duality m=0 on s\[0\] \(n=1\) at s\[0\]: minus 1, dual_plus 2$"
     ):
         mac.duality_verify(Partition(()), 0, 1)
     code, out, _ = run(capsys, "verify", "--suite", "duality", "--max-weight", "0")
     assert code == 1
-    assert out.endswith("FAIL: duality m=0 on m[0] (n=3) at m[0]: minus 1, dual_plus 2\n")
+    assert out.endswith("FAIL: duality m=0 on s[0] (n=3) at s[0]: minus 1, dual_plus 2\n")
 
 
 def test_commute_mismatch_exits_one(capsys, monkeypatch):
@@ -568,7 +568,7 @@ def test_commute_mismatch_exits_one(capsys, monkeypatch):
     real, one = mac.apply_symmetric, Partition((1,))
 
     def crooked(kind, m, F):
-        # adds m[1] to every image of the order-0 operator, the identity
+        # adds s[1] to every image of the order-0 operator, the identity
         out = real(kind, m, F)
         if m == 0:
             out = SymPoly(F.nvars, {**out.coeffs, one: out.coeffs.get(one, QT.zero) + 1})
@@ -576,12 +576,12 @@ def test_commute_mismatch_exits_one(capsys, monkeypatch):
 
     monkeypatch.setattr(mac, "apply_symmetric", crooked)
     with pytest.raises(
-        VerificationFailed, match=r"^commutator \[0,1\] on m\[0\] \(n=1\) at m\[1\]: rs 1, sr q$"
+        VerificationFailed, match=r"^commutator \[0,1\] on s\[0\] \(n=1\) at s\[1\]: rs 1, sr q$"
     ):
         list(mac.commute_verify(Partition(()), 1))
     code, out, _ = run(capsys, "verify", "--suite", "commute", "--max-weight", "0")
     assert code == 1
-    assert out.endswith("FAIL: commutator [0,1] on m[0] (n=3) at m[1]: rs 1, sr 1 + t + q*t^2\n")
+    assert out.endswith("FAIL: commutator [0,1] on s[0] (n=3) at s[1]: rs 1, sr 1 + t + q*t^2\n")
 
 
 def test_invalid_inputs_exit_two(capsys):

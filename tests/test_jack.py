@@ -3,7 +3,7 @@
 import pytest
 
 from jack_oracle import apply_jack, axring
-from macops.bases import SymPoly, expand_monomial, to_monomial_basis
+from macops.bases import SymPoly, schur_to_monomial, to_monomial_basis
 from macops.errors import IndexOutOfRange, LengthExceedsVars, NotDivisible, OutOfRange, VerificationFailed
 from macops.jack import (
     c_alpha,
@@ -17,6 +17,7 @@ from macops.macdonald import conjugate_columns
 from macops.operators import apply_symmetric
 from macops.partitions import Partition, partitions_of
 from macops.rings import ALPHA
+from oracles import bialternant, schur_coefficients
 
 
 def P(*parts):
@@ -24,7 +25,8 @@ def P(*parts):
 
 
 def coeff_map(sym):
-    return {k.parts: v.render() for k, v in sym.items()}
+    """The monomial coefficients, rendered, of a SymPoly of Schur ones."""
+    return {k.parts: v.render() for k, v in schur_to_monomial(sym.coeffs, sym.nvars).items()}
 
 
 def test_raising_on_one():
@@ -36,12 +38,13 @@ def test_raising_on_one():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_engine_matches_the_x_level_oracle_on_every_monomial(n):
+    # on every s_lam, compared in Schur coefficients
     for d in range(0, 5):
         for lam in partitions_of(d, max_len=n):
             for m in range(0, n + 1):
-                x = expand_monomial(lam, n, ring=axring(n))
+                x = bialternant(lam.parts, n, axring(n))
                 for kind in ("raise", "lower"):
-                    want = to_monomial_basis(apply_jack(kind, m, n, x), n)
+                    want = schur_coefficients(to_monomial_basis(apply_jack(kind, m, n, x), n))
                     got = apply_symmetric(f"jack_{kind}", m, SymPoly(n, {lam: ALPHA.one}))
                     assert got == want, (kind, m, lam.render())
 
@@ -53,7 +56,7 @@ def test_jack_J_matches_the_x_level_recursion():
             f = axring(n).one
             for m in conjugate_columns(lam):
                 f = apply_jack("raise", m, n, f)
-            assert jack_J(lam, n) == to_monomial_basis(f, n), lam.render()
+            assert jack_J(lam, n) == schur_coefficients(to_monomial_basis(f, n)), lam.render()
 
 
 def test_small_shapes_match_hand_values():
@@ -75,8 +78,9 @@ def test_leading_coefficient_is_hook_product():
 
 
 def test_limit_oracle_small_case():
+    # at parameter 1 the limit is the hook product times s_lam: 2 m_(2) + 2 m_(1,1)
     sym = jack_limit_oracle(P(2), 2, alpha=1)
-    assert dict((k.parts, v) for k, v in sym.coeffs.items()) == {(2,): 2, (1, 1): 2}
+    assert dict((k.parts, v) for k, v in sym.coeffs.items()) == {(2,): 2}
 
 
 def test_limits_agree_up_to_weight_four():
@@ -152,7 +156,7 @@ def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch):
     with pytest.raises(VerificationFailed) as exc:
         jk.jack_lowering_verify(P(3, 2), 2, 3)
     assert str(exc.value) == (
-        f"lowering m=2 on 3,2 (n=3) at m[1,1,1]: "
+        f"lowering m=2 on 3,2 (n=3) at s[1,1,1]: "
         f"got {(scale * right).render()}, want {(scale * (right + 1)).render()}"
     )
 
@@ -181,7 +185,7 @@ def test_limit_oracle_refuses_a_nondivisible_coefficient(monkeypatch):
 
     class Crooked:
         # 1 - t is not divisible by (1-t)^2, the weight of (2)
-        J = SymPoly(2, {P(2): 1 - QT.var("t")})
+        schur = SymPoly(2, {P(2): 1 - QT.var("t")})
 
     monkeypatch.setattr(jk, "macdonald_J_raising", lambda lam, n: Crooked)
     with pytest.raises(NotDivisible):

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from macops.bases import SymPoly, expand_big_schur, expand_monomial, sym_to_xpoly, to_monomial_basis
+from macops.bases import SymPoly, expand_big_schur, schur_to_monomial, sym_to_xpoly, to_monomial_basis
 from macops.errors import (
     LengthExceedsVars,
     NegativeExponent,
@@ -32,7 +32,7 @@ from macops.macdonald import (
 from macops.partitions import Partition, c_integral, column_unit_scale, lowering_coeff, partitions_of
 from macops.operators import OperatorSpec, apply_operator, operator_ring
 from macops.rings import QT, xring
-from oracles import lowest_terms, plus_ones
+from oracles import bialternant, lowest_terms, plus_ones, schur_coefficients
 
 
 def P(*parts):
@@ -61,8 +61,8 @@ def test_default_nvars():
 def test_row_two_eigen_oracle():
     res = macdonald_P_eigen(P(2), 2)
     assert res.provenance == "eigen_oracle"
-    # only the integral form is stored; P is derived from it on access
-    assert [f.name for f in fields(res)] == ["shape", "nvars", "J", "provenance"]
+    # only the integral form's Schur coefficients are stored; J and P are derived on access
+    assert [f.name for f in fields(res)] == ["shape", "nvars", "schur", "provenance"]
     assert coeff_map(res.P) == {
         (2,): "1",
         (1, 1): "(1 + q - t - q*t)/(1 - q*t)",
@@ -124,14 +124,14 @@ def test_triple_agreement_reports_mismatch(monkeypatch):
 
     def crooked(lam, n):
         res = real(lam, n)
-        bad = dict(res.J.coeffs)
+        bad = dict(res.schur.coeffs)
         first = next(iter(bad))
         bad[first] = bad[first] + QT.one
         return mac.MacdonaldResult(lam, n, SymPoly(n, bad), res.provenance)
 
     monkeypatch.setattr(mac, "macdonald_P_eigen", crooked)
     want = (
-        r"^construction routes disagree for 2 in 2 variables at m\[2\]: "
+        r"^construction routes disagree for 2 in 2 variables at s\[2\]: "
         r"kplus 1 - t - q\*t \+ q\*t\^2, kminus 1 - t - q\*t \+ q\*t\^2, "
         r"eigen 2 - t - q\*t \+ q\*t\^2$"
     )
@@ -155,6 +155,22 @@ def test_column_sequences_agree():
         assert shape == lam
 
 
+def test_stored_schur_coefficients_are_those_of_J():
+    # the Schur coefficients every route stores, against the back-substitution
+    # of its monomial output by Kostka numbers counted by brute-force fillings
+    from macops.jack import jack_J
+
+    for d in range(0, 6):
+        for lam in partitions_of(d):
+            for n in (lam.length, lam.length + 1):
+                for res in (macdonald_J_raising(lam, n, "kplus"), macdonald_J_raising(lam, n, "kminus"),
+                            macdonald_P_eigen(lam, n)):
+                    assert res.schur == schur_coefficients(res.J), (res.provenance, lam.render(), n)
+                if d <= 4:
+                    jack = jack_J(lam, n)
+                    assert jack == schur_coefficients(schur_to_monomial(jack.coeffs, n)), lam.render()
+
+
 def test_default_column_order_matches_the_reference():
     for kind in ("kplus", "kminus"):
         got = macdonald_J_raising(P(2, 1), 3, kind).J
@@ -167,7 +183,7 @@ def test_raising_in_zero_and_one_variables():
     for kind in ("kplus", "kminus"):
         empty = macdonald_J_raising(P(), 0, kind)
         assert empty.J == SymPoly(0, {P(): QT.one})
-        assert repr(empty.J) == "<SymPoly monomial[0] {(0): 1}>"
+        assert repr(empty.J) == "<SymPoly[0] {(0): 1}>"
         for lam in (P(), P(1), P(3)):
             got = macdonald_J_raising(lam, 1, kind).J
             assert got == raising_reference(1, conjugate_columns(lam), kind), lam.render()
@@ -192,7 +208,7 @@ def test_raising_refuses_a_negative_exponent(monkeypatch):
         return SymPoly(out.nvars, {mu: c * QT.var("t", -1) for mu, c in out.coeffs.items()})
 
     monkeypatch.setattr(mac, "apply_symmetric", laurent)
-    with pytest.raises(NegativeExponent, match=r"^column 1 of 1 left m_1 = t\^-1 - 1$"):
+    with pytest.raises(NegativeExponent, match=r"^column 1 of 1 left s_1 = t\^-1 - 1$"):
         mac.macdonald_J_raising(P(1), 2)
 
 
@@ -209,7 +225,7 @@ def test_column_recursion_refuses_a_negative_exponent_in_every_variable(monkeypa
         return SymPoly(out.nvars, {mu: c * c.ring.var(var, -1) for mu, c in out.coeffs.items()})
 
     monkeypatch.setattr(mac, "apply_symmetric", laurent)
-    with pytest.raises(NegativeExponent, match=rf"^column 1 of 2 left m_1 = .*{var}\^-1"):
+    with pytest.raises(NegativeExponent, match=rf"^column 1 of 2 left s_1 = .*{var}\^-1"):
         jack_J(P(2), 2) if var == "a" else mac.macdonald_J_raising(P(2), 2)
 
 
@@ -223,9 +239,9 @@ def test_first_operator_matrix_against_the_expansion():
             assert shapes == tuple(partitions_of(d, max_len=n))
             want = {}
             for mu in shapes:
-                f = expand_monomial(mu, n, ring=ring)
+                f = bialternant(mu.parts, n, ring)
                 out = apply_operator(OperatorSpec("macdonald_r", 1), f, n)
-                for nu, c in to_monomial_basis(out, n).coeffs.items():
+                for nu, c in schur_coefficients(to_monomial_basis(out, n)).coeffs.items():
                     want[(nu, mu)] = c
             assert entries == want, (d, n)
 
@@ -246,8 +262,8 @@ def test_unknown_routes_rejected():
 
 def test_eigencheck_passes_and_detects_tampering():
     res = macdonald_P_eigen(P(2, 1), 3)
-    assert full_eigencheck(P(2, 1), 3, res.J)
-    bad = dict(res.J.coeffs)
+    assert full_eigencheck(P(2, 1), 3, res.schur)
+    bad = dict(res.schur.coeffs)
     key = next(iter(bad))
     bad[key] = bad[key] + QT.one
     with pytest.raises(VerificationFailed):
@@ -255,9 +271,9 @@ def test_eigencheck_passes_and_detects_tampering():
 
 
 def test_eigencheck_failure_names_the_order_and_the_monomial():
-    J = macdonald_J_raising(P(2, 1), 3).J
+    J = macdonald_J_raising(P(2, 1), 3).schur
     bad = SymPoly(3, {**J.coeffs, P(1, 1, 1): J.coeffs[P(1, 1, 1)] + 1})
-    # D_1 m_(1,1,1) = q(1 + t + t^2) m_(1,1,1) and D_1 J = (q^2 t^2 + q t + 1) J
+    # D_1 s_(1,1,1) = q(1 + t + t^2) s_(1,1,1) and D_1 J = (q^2 t^2 + q t + 1) J
     q, t = QT.var("q"), QT.var("t")
     ev = q * q * t * t + q * t + 1
     got = (J.coeffs[P(1, 1, 1)] * ev + q * (1 + t + t * t)).render()
@@ -265,7 +281,7 @@ def test_eigencheck_failure_names_the_order_and_the_monomial():
     with pytest.raises(VerificationFailed) as exc:
         full_eigencheck(P(2, 1), 3, bad)
     assert str(exc.value) == (
-        f"eigencheck failed for 2,1 in 3 variables: D_1 at m[1,1,1]: got {got}, want {want}"
+        f"eigencheck failed for 2,1 in 3 variables: D_1 at s[1,1,1]: got {got}, want {want}"
     )
 
 
@@ -308,7 +324,7 @@ def test_kostka_refuses_a_nonintegral_column(monkeypatch):
         res = real(lam, n, kind)
         if lam != P(1, 1):
             return res
-        bad = dict(res.J.coeffs)
+        bad = dict(res.schur.coeffs)
         bad[P(2)] = bad.get(P(2), QT.zero) + QT.one
         return mac.MacdonaldResult(lam, n, SymPoly(n, bad), res.provenance)
 
@@ -392,14 +408,14 @@ def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch, capsys):
         res = real(lam, n, kind)
         if lam != P(2, 1):
             return res
-        J = SymPoly(n, {**res.J.coeffs, P(1, 1, 1): res.J.coeffs[P(1, 1, 1)] + 1})
+        J = SymPoly(n, {**res.schur.coeffs, P(1, 1, 1): res.schur.coeffs[P(1, 1, 1)] + 1})
         return mac.MacdonaldResult(lam, n, J, res.provenance)
 
     monkeypatch.setattr(mac, "macdonald_J_raising", planted)
     scale = lowering_coeff(P(3, 2), 2, 3)
-    right = real(P(2, 1), 3).J.coeffs[P(1, 1, 1)]
+    right = real(P(2, 1), 3).schur.coeffs[P(1, 1, 1)]
     message = (
-        f"lowering mplus m=2 on 3,2 (n=3) at m[1,1,1]: "
+        f"lowering mplus m=2 on 3,2 (n=3) at s[1,1,1]: "
         f"got {(scale * right).render()}, want {(scale * (right + 1)).render()}"
     )
     with pytest.raises(VerificationFailed) as exc:
@@ -408,7 +424,7 @@ def test_lowering_failure_names_the_first_wrong_monomial(monkeypatch, capsys):
     # the suite meets the planted J first as the input of (2,1)
     assert main(["verify", "--suite", "lowering", "--max-weight", "3", "--m", "2", "--n", "3"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith(
-        "FAIL: lowering mplus m=2 on 2,1 (n=3) at m[1]: got "
+        "FAIL: lowering mplus m=2 on 2,1 (n=3) at s[1]: got "
     )
 
 
@@ -427,11 +443,11 @@ def test_integral_form_guard(monkeypatch):
     real = mac.eigenvalue
 
     def crooked(lam, n, r):
-        # one wrong eigenvalue: the gap below m_(1,1) no longer divides
+        # one wrong eigenvalue: the gap below s_(1,1) no longer divides
         return real(lam, n, r) + (QT.var("q") if lam == P(1, 1) else QT.zero)
 
     monkeypatch.setattr(mac, "eigenvalue", crooked)
     with pytest.raises(
-        NonIntegralEntry, match=r"^coefficient of m_1,1 in the integral form: \(.*\)/\(.*\)$"
+        NonIntegralEntry, match=r"^coefficient of s_1,1 in the integral form: \(.*\)/\(.*\)$"
     ):
         mac.macdonald_P_eigen(P(2), 2)

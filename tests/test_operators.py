@@ -35,6 +35,7 @@ from macops.rings import (
 )
 from oracles import (
     _delta_factor,
+    bialternant,
     build,
     delta_by_pairs,
     divisor_subs,
@@ -46,6 +47,8 @@ from oracles import (
     permute_x,
     raw_image,
     scaled,
+    schur_coefficients,
+    ssyt_count,
     tshift_delta,
     with_global_qshift,
 )
@@ -241,9 +244,9 @@ ADDERS = ("raise_plus", "raise_minus")
 
 
 def adder_reference(kind, m, lam, n):
-    """The column adder on m_lam through the full x-expansion."""
-    f = expand_monomial(lam, n, ring=operator_ring(n, kind))
-    return to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n)
+    """The column adder on s_lam through the full x-expansion, in Schur coefficients."""
+    f = bialternant(lam.parts, n, operator_ring(n, kind))
+    return schur_coefficients(to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n))
 
 
 def test_antisymmetrized_route_agrees():
@@ -269,10 +272,10 @@ def test_column_adder_matches_operator_on_every_monomial(n):
 
 
 def operator_reference(kind, m, lam, n):
-    """The image of m_lam through the x-expansion, or None where it is not a polynomial."""
-    f = expand_monomial(lam, n, ring=operator_ring(n, kind))
+    """The Schur coefficients of s_lam's image through the x-expansion, or None where it is not a polynomial."""
+    f = bialternant(lam.parts, n, operator_ring(n, kind))
     try:
-        return to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n)
+        return schur_coefficients(to_monomial_basis(apply_operator(OperatorSpec(kind, m), f, n), n))
     except (NonExactDivision, NotSymmetric):
         return None
 
@@ -280,7 +283,7 @@ def operator_reference(kind, m, lam, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_removers_and_difference_operators_match_operator_on_every_monomial(n):
     # every order r of macdonald_r and every height of both removers; the
-    # specialized removers keep every m_lam polynomial here
+    # specialized removers keep every s_lam polynomial here
     for d in range(0, 5):
         for lam in partitions_of(d, max_len=n):
             for kind in ("macdonald_r", "lower_plus", "lower_minus"):
@@ -367,20 +370,24 @@ def test_engine_results_do_not_depend_on_cache_history(data):
 
 
 def test_engine_reads_each_column_once_and_only_for_inputs_present(capsys, monkeypatch):
+    # a pass reads exactly the m_nu in the Kostka rows of the s_lam of F
+    # whose columns are not cached yet
     import macops.cli as cli
     import macops.macdonald as mac
     import macops.operators as ops
 
-    passes, present = [], []
+    passes, missing = [], []
     real_rows, real_apply = ops._schur_rows, ops.apply_symmetric
 
     def rows(kind, m, n, d, inputs):
         passes.append(set(inputs.values()))
-        assert set(inputs.values()) <= present[-1], (kind, m, n, d)
+        want = {nu for lam in missing[-1] if lam.weight == d
+                for nu in partitions_of(d, max_len=n) if ssyt_count(lam.parts, nu.parts)}
+        assert set(inputs.values()) == want, (kind, m, n, d)
         return real_rows(kind, m, n, d, inputs)
 
     def apply(kind, m, f):
-        present.append(set(f.coeffs))
+        missing.append(set(f.coeffs) - set(ops._packed_factor(kind, m, f.nvars)[1]))
         return real_apply(kind, m, f)
 
     monkeypatch.setattr(ops, "_schur_rows", rows)
@@ -389,12 +396,13 @@ def test_engine_reads_each_column_once_and_only_for_inputs_present(capsys, monke
     first = mac.macdonald_J_raising(P(2, 2), 4)
     assert passes and not any({P(4), P(3, 1)} & nu for nu in passes)
     passes.clear()
-    assert mac.macdonald_J_raising(P(2, 2), 4).J == first.J
+    assert mac.macdonald_J_raising(P(2, 2), 4).schur == first.schur
     assert passes == []
     for via in ("kplus", "kminus"):
         ops._packed_factor.cache_clear()
         args = ("--lambda", "3,2,1", "--nvars", "5", "--via", via)
         assert cli.main(["jpoly", *args]) == 0
+        assert passes, via
         passes.clear()
         assert cli.main(["ppoly", *args]) == 0
         assert passes == [], via
