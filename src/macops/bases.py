@@ -3,9 +3,7 @@
 Expansion targets are honest polynomials in x1..xn over whatever scalar
 variables the chosen ring carries.  The package computes in Schur
 coefficients; ``schur_to_monomial`` makes monomial ones for output by the
-integer Kostka numbers (SFHP I.3), and so expands a Schur polynomial for
-any integer vector, once straightened to a partition; nothing is
-antisymmetrized over the n! permutations.  The change to the t-deformed
+integer Kostka numbers (SFHP I.3).  The change to the t-deformed
 Schur basis S_lam(x;t) needs no x-polynomials: S_lam is the basis dual
 to the s_lam under the Hall-Littlewood scalar product <,>_t (Macdonald,
 SFHP III.4 and VI.8), so each coefficient is <f, s_lam>_t, read off from
@@ -266,33 +264,6 @@ def schur_to_monomial(coeffs: dict, n: int) -> SymPoly:
         for nu, k in kostka_numbers(mu.weight, n)[mu]:
             rows.setdefault(nu, []).append((k, c))
     return SymPoly(n, {nu: _int_combination(row) for nu, row in rows.items()})
-
-
-def expand_schur(vec, n: int, ring: Ring | None = None) -> Poly:
-    """Schur polynomial for any integer vector, straightening included.
-
-    s_v is the bialternant det(x_j^(v_i + n - i)) / Delta (SFHP I.3): a
-    repeated exponent in v + delta gives zero, and sorting v + delta into
-    mu + delta, mu a partition, only changes the sign.  Then s_mu =
-    (x1...xn)^mu_n s_(mu - mu_n), expanded by the Kostka numbers.  Entries
-    may be negative; the result is then a Laurent polynomial (used only
-    inside identity checks, never published).
-    """
-    ring = ring or xring(n)
-    vec = tuple(vec)
-    if len(vec) > n:
-        if any(vec[n:]):
-            raise LengthExceedsVars("vector longer than the variable count")
-        vec = vec[:n]
-    exps = [v + n - 1 - i for i, v in enumerate(vec + (0,) * (n - len(vec)))]
-    if len(set(exps)) < n:
-        return ring.zero
-    odd = sum(1 for i in range(n) for j in range(i + 1, n) if exps[i] < exps[j]) & 1
-    exps.sort(reverse=True)
-    low = exps[-1] if exps else 0
-    mu = Partition(tuple(e - low - (n - 1 - i) for i, e in enumerate(exps)))
-    f = sym_to_xpoly(schur_to_monomial({mu: -1 if odd else 1}, n), ring)
-    return f * ring.monomial((low,) * n + (0,) * (len(ring.names) - n)) if low else f
 
 
 @lru_cache(maxsize=None)

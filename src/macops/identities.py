@@ -3,27 +3,30 @@
 Every suite assembles both sides from scratch (no shared code path with
 the production engine where that would make the check circular), clears
 the divided-difference and kernel denominators, and compares polynomials
-term by term.  Every crossing product and Vandermonde comes from
-``bases.cross_named``; a minus adder's term is that of the complement of
-its subset.  Two-alphabet suites work in a combined ring with the x and
-y alphabets side by side, and build every kernel term, on either side,
-through one helper (``_kernel_term``).  ``SUITES`` maps each suite name
-to a function of (n, m), binding the shared kernel-reduction and
-Schur-action bodies with ``functools.partial``.  A suite raises
-IdentityFailed at its first failing case and returns nothing, and so
-does :func:`run_suite`; the verify command writes the records.
+term by term; the Schur-action suites compare alternants, with no
+Vandermonde and no division.  Every crossing product and Vandermonde
+comes from ``bases.cross_named``; a minus adder's term is that of the
+complement of its subset.  Two-alphabet suites work in a combined ring
+with the x and y alphabets side by side, and build every kernel term, on
+either side, through one helper (``_kernel_term``).  ``SUITES`` maps
+each suite name to a function of (n, m), binding the shared
+kernel-reduction and Schur-action bodies with ``functools.partial``.  A
+suite raises IdentityFailed at its first failing case and returns
+nothing, and so does :func:`run_suite`; the verify command writes the
+records.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
+from operator import add
 
-from .bases import cross_cleared, cross_named, elementary, expand_schur, vandermonde
+from .bases import cross_cleared, cross_named, elementary, signed_arrangements, vandermonde
 from .errors import IdentityFailed, OutOfRange
-from .operators import OperatorSpec, _binom2, _comp, _subsets, _xmono, apply_factorized_qt, apply_operator
+from .operators import OperatorSpec, _binom2, _comp, _subsets, _xmono, apply_operator, factorized_numerator
 from .partitions import column_unit_scale, partitions_up_to
-from .rings import Ring, coeff_of_power, gauss_binomial, pochhammer_t, xring
+from .rings import Poly, Ring, coeff_of_power, gauss_binomial, pochhammer_t, xring
 
 
 def xyring(n: int, m: int, extra: tuple[str, ...] = ("t", "u")) -> Ring:
@@ -195,36 +198,46 @@ def _kernel_reduction(name: str, n: int, m: int | None, minus: bool) -> None:
             _fail(name, f"n={n} m={mm}")
 
 
-def _schur_action(name: str, kinds, n: int, m: int | None) -> None:
-    """(u,v) generators on Schur polynomials at q = t.
+def _alternant(vec: tuple[int, ...]) -> dict:
+    """{x-exponent: c} of det(x_j^vec_i), vec strictly decreasing or with a repeat (then empty)."""
+    if len(set(vec)) < len(vec):
+        return {}
+    return dict(signed_arrangements(vec, lambda i, x: True))
 
-    Raising kinds add a box to each selected row and lowering kinds remove
-    one.  A removed box can push an exponent to -1, where the bialternant
-    lives in the Laurent ring, and so does the quotient by Delta x1...xn.
-    The minus kinds give each unselected row a staircase power of t; each
-    selected row still carries v.  m is not used.
+
+def _schur_action(name: str, kinds, n: int, m: int | None) -> None:
+    """(u,v) generators on Schur polynomials at q = t: s_lam -> sum_K scale_K s_(lam +- e_K).
+
+    Raising kinds add a box to each selected row, lowering kinds remove one
+    (to exponent -1 at worst, in the Laurent ring).  Each selected row
+    carries v, and in the minus kinds each other row a staircase power of
+    t.  Times the divisor Delta x^low, a nonzerodivisor, with s_v Delta =
+    a_(v + delta) (SFHP I.3), the numerator on a_(lam + delta) must equal
+    x^low sum_K scale_K a_(lam +- e_K + delta).  m is not used.
     """
     ring = xring(n, ("t", "u", "v"))
-    u, v = ring.var("u"), ring.var("v")
     for kind in kinds:
         step = -1 if kind.startswith("lower") else 1
         comp = kind.endswith("minus")
         for lam in partitions_up_to(3, n):
-            got = apply_factorized_qt(kind, n, expand_schur(lam.parts, n, ring))
-            want = ring.zero
+            rho = tuple(lam.part(i) + n - i for i in range(1, n + 1))
+            alt = Poly(ring, {e + (0, 0, 0): c for e, c in _alternant(rho).items()})
+            got, divisor = factorized_numerator(kind, n, alt)
+            want: dict = {}
             for K in _subsets(n):
-                vec = tuple(
-                    lam.part(i) + (step if i in K else 0) for i in range(1, n + 1)
-                )
-                term = v ** len(K) * expand_schur(vec, n, ring)
-                for k in K:
-                    term = term * (1 - u * ring.var("t", lam.part(k) + n - k))
-                if comp:
-                    for l in range(1, n + 1):
-                        if l not in K:
-                            term = term * ring.var("t", lam.part(l) + n - l)
-                want = want + term
-            if got != want:
+                # {(t, u, v): c} of scale_K, prod_K (1 - u t^rho_k) by the subsets A of K
+                rest = sum(r for i, r in enumerate(rho, 1) if i not in K) if comp else 0
+                scale: dict = {}
+                for k in range(len(K) + 1):
+                    for A in combinations(K, k):
+                        e = (rest + sum(rho[i - 1] for i in A), k, len(K))
+                        scale[e] = scale.get(e, 0) + (-1) ** k
+                vec = tuple(r + step * (i in K) for i, r in enumerate(rho, 1))
+                for xe, s in _alternant(vec).items():
+                    xe = tuple(map(add, xe, divisor.low))  # map stops at the n x exponents
+                    for e, c in scale.items():
+                        want[xe + e] = want.get(xe + e, 0) + s * c
+            if got != ring.from_terms(want):
                 where = f"kind={kind} " if len(kinds) > 1 else ""
                 _fail(name, f"{where}shape={lam.render()} n={n}")
 

@@ -43,8 +43,8 @@ def jack_J(lam: Partition, n: int) -> SymPoly:
     return column_recursion("jack_raise", lam, n)
 
 
-def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
-    """Substitution limit of the two-parameter integral form, in Schur coefficients.
+def jack_limit_oracle(J: SymPoly, alpha: int) -> SymPoly:
+    """Substitution limit of a two-parameter integral form, given and returned in Schur coefficients.
 
     Sets q to t**alpha coefficientwise, divides by (1-t)^weight exactly,
     then evaluates at t = 1.  Integer alpha only; the result has plain
@@ -53,17 +53,15 @@ def jack_limit_oracle(lam: Partition, n: int, alpha: int) -> SymPoly:
     """
     if alpha < 1:
         raise OutOfRange("need a positive integer parameter")
-    J = macdonald_J_raising(lam, n).schur
-    d = lam.weight
     out = {}
     for mu, c in J.coeffs.items():
         folded = c.subs({"q": QT.var("t", alpha)})
         try:
-            g = poly_exact_div(folded, (QT.one - QT.var("t")) ** d)
+            g = poly_exact_div(folded, (QT.one - QT.var("t")) ** mu.weight)
         except NonExactDivision as exc:
-            raise NotDivisible(f"(1-t)^{d} does not divide") from exc
+            raise NotDivisible(f"(1-t)^{mu.weight} does not divide") from exc
         out[mu] = g.subs({"t": QT.one}).const_value()
-    return SymPoly(n, out)
+    return SymPoly(J.nvars, out)
 
 
 def jack_check_limits(lam: Partition, n: int) -> None:
@@ -73,10 +71,11 @@ def jack_check_limits(lam: Partition, n: int) -> None:
     raises VerificationFailed.
     """
     sym = jack_J(lam, n)
+    J = macdonald_J_raising(lam, n).schur
     for alpha in LIMIT_ALPHAS:
         # SymPoly drops the zeros: at a = 1 only s_lam's coefficient is left
         got = sym.map_coeffs(lambda c: c.subs({"a": ALPHA.const(alpha)}).const_value())
-        if got != jack_limit_oracle(lam, n, alpha):
+        if got != jack_limit_oracle(J, alpha):
             raise VerificationFailed(
                 f"limit mismatch for {lam.render()} (n={n}) at parameter {alpha}"
             )

@@ -35,6 +35,9 @@ The other eleven kinds follow by the laws, b = max(0, (n-1-m) m):
 The printed double sum over subsets J and I, assembled literally, is the
 test oracle ``build`` in ``tests/oracles.py``.
 
+At q = t, D(u) and the generating kinds are products of commuting
+factors in one x_j each; ``factorized_numerator`` applies one term by term.
+
 Every operator the package applies to symmetric polynomials has the form
 Delta^-1 A(x^delta e_m(psi_1, ..., psi_n) F), with A the antisymmetrizer
 and psi_i: x^b -> x^(b + s e_i) phi_i(b_i) acting on x_i alone (i 1-based,
@@ -66,9 +69,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .bases import (SymPoly, _int_combination, cross_cleared, elementary, kostka_numbers, signed_arrangements,
-                    unit_vector, vandermonde)
+                    unit_vector)
 from .errors import IndexOutOfRange, NonExactDivision, OutOfRange, SpecializationRequired
 from .partitions import partitions_of
 from .rings import (
@@ -258,46 +262,50 @@ def apply_operator(spec: OperatorSpec, f: Poly, n: int) -> Poly:
 
 # -- factorized route at q = t ------------------------------------------
 
-# the kinds with an operator-entry determinant form, hence a product at q = t
-_DET_KINDS = (
-    "macdonald_u",
-    "raise_gen_plus",
-    "raise_gen_minus",
-    "lower_gen_plus",
-    "lower_gen_minus",
-)
+# the kinds with an operator-entry determinant, hence a product at q = t, to the moves
+# of factor j, one (sign, dx, dt, du, dv) per term: x^e -> sign x_j^dx t^(dt e_j) u^du v^dv x^e
+_MOVES = {
+    "macdonald_u": ((1, 0, 0, 0, 0), (-1, 0, 1, 1, 0)),
+    "raise_gen_plus": ((1, 0, 0, 0, 0), (1, 1, 0, 0, 1), (-1, 1, 1, 1, 1)),
+    "raise_gen_minus": ((1, 0, 1, 0, 0), (1, 1, 0, 0, 1), (-1, 1, 1, 1, 1)),
+    "lower_gen_plus": ((1, 1, 0, 0, 0), (1, 0, 0, 0, 1), (-1, 0, 1, 1, 1)),
+    "lower_gen_minus": ((1, 1, 1, 0, 0), (1, 0, 0, 0, 1), (-1, 0, 1, 1, 1)),
+}
+_DET_KINDS = tuple(_MOVES)
 
 
-def apply_factorized_qt(kind: str, n: int, f: Poly) -> Poly:
-    """Apply the q = t specialization through its commuting product form.
+def factorized_numerator(kind: str, n: int, g: Poly) -> tuple[Poly, SignedDelta]:
+    """The q = t product form on g, term by term by the moves of each factor, and its divisor.
 
-    The ring of f must use t for the shift variable (no q present); each
-    factor is a single-variable two-term operator acting on Delta * f, and
-    the product is divided as :func:`apply_operator` divides.
+    The ring of g has t and no q.  The image of f is the numerator on
+    g = Delta f divided by the divisor Delta x^low.
     """
-    if kind not in _DET_KINDS:
+    if kind not in _MOVES:
         raise OutOfRange(f"no factorized form for {kind!r}")
-    ring = f.ring
+    ring = g.ring
     if "q" in ring.names:
         raise OutOfRange("factorized route works in the q-specialized ring")
-    u = ring.var("u")
-    v = ring.var("v") if "v" in ring.names else None
-    g = f * vandermonde(n, ring)
-    for j in range(1, n + 1):
-        xj = ring.var(f"x{j}")
-        sh = vector_shift(g, unit_vector((j,), n), "t")
-        if kind == "macdonald_u":
-            g = g - u * sh
-        elif kind == "raise_gen_plus":
-            g = g + v * xj * g - u * v * xj * sh
-        elif kind == "raise_gen_minus":
-            g = sh + v * xj * (g - u * sh)
-        elif kind == "lower_gen_plus":
-            g = (xj + v) * g - u * v * sh
-        else:
-            g = xj * sh + v * (g - u * sh)
+    t = ring.pos("t")
+    terms = g.terms
+    for j in range(n):
+        moves = []
+        for sign, dx, dt, du, dv in _MOVES[kind]:
+            step = [0] * len(ring)
+            step[j] = dx
+            for nm, d in (("u", du), ("v", dv)):
+                if d:
+                    step[ring.pos(nm)] = d
+            moves.append((sign, dt, step))
+        new: dict = {}
+        for e, c in terms.items():
+            for sign, dt, step in moves:
+                f = list(map(add, e, step))
+                f[t] += dt * e[j]
+                f = tuple(f)
+                new[f] = new.get(f, 0) + sign * c
+        terms = {e: c for e, c in new.items() if c}
     low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
-    return poly_exact_div(g, SignedDelta(n, 1, low))
+    return Poly(ring, terms), SignedDelta(n, 1, low)
 
 
 # -- symmetric operators on Schur coefficients ----------------------------
@@ -361,7 +369,8 @@ def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> dict:
     x^(mu+delta) in A(x^delta e_m(psi) m_nu): each rearrangement u of
     mu + delta is read once, and every m-subset S of the variables, with
     exponent c = u - delta - s 1_S, adds sign(u) prod_S phi_i(c_i) to the
-    input nu that c rearranges.
+    input nu that c rearranges.  An arrangement whose b = u - delta
+    rearranges no nu + s 1_S is skipped before its subsets are listed.
     """
     shift, _, ring = _FORMS[kind]
     table, unpack = _packed_factor(kind, m, n)[0], _unpacker(len(ring.names))
@@ -369,10 +378,14 @@ def _schur_rows(kind: str, m: int, n: int, d: int, inputs: dict) -> dict:
     low, high = min(shift, 0), max(shift, 0)
     cols: dict = {nu: {} for nu in inputs.values()}
     products: dict = {}  # ((i, c_i) for i in S) -> prod_S phi_i(c_i)
+    reach = {tuple(sorted((x + shift * (i in S) for i, x in enumerate(nu)), reverse=True))
+             for nu in inputs for S in combinations(range(n), m)}
     for _, v in _targets(shift, m, n, d):
         acc: dict = {}
         for u, sign in signed_arrangements(v, lambda i, x: x - delta[i] >= low):
             b = [x - s for x, s in zip(u, delta)]
+            if tuple(sorted(b, reverse=True)) not in reach:
+                continue
             must = [i for i in range(n) if b[i] < 0]
             if len(must) > m:
                 continue

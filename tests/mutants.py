@@ -258,6 +258,36 @@ MUTANTS = (
          "tests/test_macdonald.py::test_triple_agreement_small_shapes"),
     ),
     Mutant(
+        # the t-shift of x_j in raise_gen_minus's first move becomes a t^2-shift
+        "factorized_move_t_squared", "operators.py",
+        '"raise_gen_minus": ((1, 0, 1, 0, 0),',
+        '"raise_gen_minus": ((1, 0, 2, 0, 0),',
+        ("tests/test_identities.py::test_schur_action_suites[2-schur_action_raise_comp]",
+         "tests/test_operators.py::test_factorized_numerator_on_alternants_matches_the_product_form[2]",
+         PIN + "[verify --suite schur-action --n 3 --format json]"),
+    ),
+    Mutant(
+        # every arrangement of the alternant counted with sign +1
+        "alternant_without_the_arrangement_sign", "identities.py",
+        "return dict(signed_arrangements(vec, lambda i, x: True))",
+        "return {u: 1 for u, s in signed_arrangements(vec, lambda i, x: True)}",
+        ("tests/test_identities.py::test_alternant_matches_the_antisymmetrizer[vec0]",
+         "tests/test_identities.py::test_schur_action_suites[2-schur_action_raise]",
+         PIN + "[verify --suite schur-action --n 3 --format json]"),
+    ),
+    Mutant(
+        # reach built as if every kind shifted nothing: the adders and
+        # removers skip arrangements that do reach an input
+        "schur_rows_reach_without_the_shift", "operators.py",
+        "x + shift * (i in S)",
+        "x + 0 * (i in S)",
+        (ACC + "01_raising_recursions_match_oracle",
+         ACC + "07_lowering_theorem",
+         "tests/test_operators.py::test_column_adder_matches_operator_on_every_monomial[2]",
+         "tests/test_operators.py::test_removers_and_difference_operators_match_operator_on_every_monomial[2]",
+         "tests/test_jack.py::test_engine_matches_the_x_level_oracle_on_every_monomial[2]"),
+    ),
+    Mutant(
         "cli_package_error_exits_two", "cli.py",
         '    except MacopsError as exc:\n        print(f"error: {exc}", file=sys.stderr)\n        return 3',
         '    except MacopsError as exc:\n        print(f"error: {exc}", file=sys.stderr)\n        return 2',

@@ -2,30 +2,35 @@
 
 Nothing in the package calls these: the antisymmetrizer over all n!
 permutations (the bialternant numerator, which the package reads off
-Kostka numbers instead), the operator-entry determinant route of the
-generating operators, the printed subset sums of the named operators
-assembled literally (``build``) on a Vandermonde multiplied out here and
-its t-shifts (``delta_by_pairs``, ``tshift_delta``; the package builds
-both as crossing products), with the operator algebra that compares
-them (``dualize``, ``equals`` and friends), the expansion and factoring
-of a divisor +-Delta x^low (``expand``, ``_delta_factor``), an operator's
-image before that division (``numerator``, ``raw_image``), the comparison
-of two raw images over it (``same_image``), the duality and commutation
-laws checked by applying the x-level operators (``duality_by_application``,
-``commute_by_application``), adding a column to a partition, the
-dominance order on partitions, a fraction in lowest terms by the
-multivariate gcd (``lowest_terms``), which the package gets by trial
-division with known factors instead, and the Schur coefficients of
-monomial ones by back-substitution with Kostka numbers counted by
-brute-force fillings (``schur_coefficients``), which the package never
-needs: it computes in the Schur basis and makes monomials only for output.
+Kostka numbers instead), the Schur polynomial of any integer vector
+expanded by Kostka numbers (``expand_schur``), the operator-entry
+determinant route of the generating operators, their q = t product form
+by polynomial products divided by Delta x^low (``apply_factorized_qt``;
+the package compares its numerators on alternants undivided), the
+printed subset sums of the named operators assembled literally
+(``build``) on a Vandermonde multiplied out here and its t-shifts
+(``delta_by_pairs``, ``tshift_delta``; the package builds both as
+crossing products), with the operator algebra that compares them
+(``dualize``, ``equals`` and friends), the expansion and factoring of a
+divisor +-Delta x^low (``expand``, ``_delta_factor``), an operator's
+image before that division (``numerator``, ``raw_image``), the
+comparison of two raw images over it (``same_image``), the duality and
+commutation laws checked by applying the x-level operators
+(``duality_by_application``, ``commute_by_application``), adding a
+column to a partition, the dominance order on partitions, a fraction in
+lowest terms by the multivariate gcd (``lowest_terms``), which the
+package gets by trial division with known factors instead, and the Schur
+coefficients of monomial ones by back-substitution with Kostka numbers
+counted by brute-force fillings (``schur_coefficients``), which the
+package never needs: it computes in the Schur basis and makes monomials
+only for output.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import sub
 
-from macops.bases import SymPoly, expand_monomial, unit_vector
+from macops.bases import SymPoly, expand_monomial, schur_to_monomial, sym_to_xpoly, unit_vector
 from macops.errors import LengthExceedsVars, OutOfRange
 from macops.operators import (
     _DET_KINDS,
@@ -45,7 +50,7 @@ from macops.operators import (
 from macops import rings
 from macops.partitions import Partition, partitions_of
 from macops.rings import (Frac, Poly, SignedDelta, _add_into, _grlex, _mono_div, poly_exact_div,
-                          vector_shift)
+                          vector_shift, xring)
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +103,64 @@ def bialternant(vec, n: int, ring) -> Poly:
     num = antisymmetrize(ring.monomial(tuple(e - shift for e in exps) + pad), n)
     quo = poly_exact_div(num, delta_by_pairs(n, ring))
     return Poly(ring, {tuple(x + shift if i < n else x for i, x in enumerate(e)): c for e, c in quo.terms.items()})
+
+
+def expand_schur(vec, n: int, ring=None) -> Poly:
+    """Schur polynomial for any integer vector, straightening included.
+
+    s_v is the bialternant det(x_j^(v_i + n - i)) / Delta (SFHP I.3): a
+    repeated exponent in v + delta gives zero, and sorting v + delta into
+    mu + delta, mu a partition, only changes the sign.  Then s_mu =
+    (x1...xn)^mu_n s_(mu - mu_n), expanded by the Kostka numbers.  Entries
+    may be negative; the result is then a Laurent polynomial.
+    """
+    ring = ring or xring(n)
+    vec = tuple(vec)
+    if len(vec) > n:
+        if any(vec[n:]):
+            raise LengthExceedsVars("vector longer than the variable count")
+        vec = vec[:n]
+    exps = [v + n - 1 - i for i, v in enumerate(vec + (0,) * (n - len(vec)))]
+    if len(set(exps)) < n:
+        return ring.zero
+    odd = sum(1 for i in range(n) for j in range(i + 1, n) if exps[i] < exps[j]) & 1
+    exps.sort(reverse=True)
+    low = exps[-1] if exps else 0
+    mu = Partition(tuple(e - low - (n - 1 - i) for i, e in enumerate(exps)))
+    f = sym_to_xpoly(schur_to_monomial({mu: -1 if odd else 1}, n), ring)
+    return f * ring.monomial((low,) * n + (0,) * (len(ring.names) - n)) if low else f
+
+
+def apply_factorized_qt(kind: str, n: int, f: Poly) -> Poly:
+    """Apply the q = t specialization through its commuting product form, divided.
+
+    The ring of f must use t for the shift variable (no q present).  Each
+    factor is a single-variable two-term operator acting on Delta * f,
+    applied by polynomial products, and the product is divided by Delta
+    x^low; ``operators.factorized_numerator`` applies the same factors
+    term by term and leaves the division out.
+    """
+    if kind not in _DET_KINDS:
+        raise OutOfRange(f"no factorized form for {kind!r}")
+    ring = f.ring
+    u = ring.var("u")
+    v = ring.var("v") if "v" in ring.names else None
+    g = f * delta_by_pairs(n, ring)
+    for j in range(1, n + 1):
+        xj = ring.var(f"x{j}")
+        sh = vector_shift(g, unit_vector((j,), n), "t")
+        if kind == "macdonald_u":
+            g = g - u * sh
+        elif kind == "raise_gen_plus":
+            g = g + v * xj * g - u * v * xj * sh
+        elif kind == "raise_gen_minus":
+            g = sh + v * xj * (g - u * sh)
+        elif kind == "lower_gen_plus":
+            g = (xj + v) * g - u * v * sh
+        else:
+            g = xj * sh + v * (g - u * sh)
+    low = unit_vector(range(1, n + 1) if kind.startswith("lower") else (), len(ring))
+    return poly_exact_div(g, SignedDelta(n, 1, low))
 
 
 def apply_determinantal(kind: str, n: int, f: Poly):

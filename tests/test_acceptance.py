@@ -20,11 +20,12 @@ from macops.macdonald import (
     macdonald_J,
     macdonald_P_eigen,
 )
-from macops.operators import _DET_KINDS, apply_factorized_qt, operator_ring
+from macops.operators import _DET_KINDS, operator_ring
 from macops.partitions import Partition, partitions_of
 from macops.rings import Poly, QT, poly_exact_div, xring
 from oracles import (
     apply_determinantal,
+    apply_factorized_qt,
     commute_by_application,
     duality_by_application,
     raw_image,

@@ -11,7 +11,6 @@ from macops.bases import (
     elementary,
     expand_big_schur,
     expand_monomial,
-    expand_schur,
     hl_one_row,
     kostka_numbers,
     schur_to_monomial,
@@ -23,7 +22,7 @@ from macops.bases import (
 from macops.errors import LengthExceedsVars, NonIntegralEntry, NotSymmetric, OutOfRange
 from macops.partitions import Partition, partitions_of
 from macops.rings import QT, poly_exact_div, xring
-from oracles import antisymmetrize, bialternant, dominance_leq, schur_coefficients, signed_permutations
+from oracles import antisymmetrize, bialternant, dominance_leq, expand_schur, schur_coefficients, signed_permutations
 
 
 def P(*parts):

@@ -5,7 +5,9 @@ import pytest
 import macops.identities as ids
 from macops.errors import IdentityFailed, OutOfRange
 from macops.cli import VERIFY
-from macops.identities import SUITES, kernel_F, run_suite, xyring
+from macops.identities import SUITES, _alternant, kernel_F, run_suite, xyring
+from macops.rings import xring
+from oracles import antisymmetrize
 
 
 SINGLE = (
@@ -122,10 +124,22 @@ def test_kernel_reduction_failure_names_the_suite(monkeypatch, name):
         run_suite(name, 2)
 
 
+@pytest.mark.parametrize("vec", [(2, 1, 0), (3, 1, -1), (4, 2, 1, 0), (1, 1, 0), (2, 0, 0), (0,), ()])
+def test_alternant_matches_the_antisymmetrizer(vec):
+    # decreasing vectors or repeats, the only ones rho +- e_K gives
+    n = len(vec)
+    assert _alternant(vec) == antisymmetrize(xring(n, ()).monomial(vec), n).terms
+
+
 @pytest.mark.parametrize("name", SCHUR)
 def test_schur_action_failure_names_the_suite(monkeypatch, name):
-    real = ids.apply_factorized_qt
-    monkeypatch.setattr(ids, "apply_factorized_qt", lambda kind, n, f: real(kind, n, f) + 1)
+    real = ids.factorized_numerator
+
+    def planted(kind, n, g):
+        num, divisor = real(kind, n, g)
+        return num + 1, divisor
+
+    monkeypatch.setattr(ids, "factorized_numerator", planted)
     with pytest.raises(IdentityFailed, match=f"^{name}: .*shape=0 n=2$"):
         run_suite(name, 2)
 

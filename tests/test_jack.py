@@ -13,10 +13,10 @@ from macops.jack import (
     jack_lowering_coeff,
     jack_lowering_verify,
 )
-from macops.macdonald import conjugate_columns
+from macops.macdonald import conjugate_columns, macdonald_J_raising
 from macops.operators import apply_symmetric
 from macops.partitions import Partition, partitions_of
-from macops.rings import ALPHA
+from macops.rings import ALPHA, QT
 from oracles import bialternant, schur_coefficients
 
 
@@ -79,7 +79,7 @@ def test_leading_coefficient_is_hook_product():
 
 def test_limit_oracle_small_case():
     # at parameter 1 the limit is the hook product times s_lam: 2 m_(2) + 2 m_(1,1)
-    sym = jack_limit_oracle(P(2), 2, alpha=1)
+    sym = jack_limit_oracle(macdonald_J_raising(P(2), 2).schur, alpha=1)
     assert dict((k.parts, v) for k, v in sym.coeffs.items()) == {(2,): 2}
 
 
@@ -133,7 +133,7 @@ def test_argument_validation():
     with pytest.raises(LengthExceedsVars):
         jack_J(P(1, 1, 1), 2)
     with pytest.raises(OutOfRange):
-        jack_limit_oracle(P(1), 2, alpha=0)
+        jack_limit_oracle(macdonald_J_raising(P(1), 2).schur, alpha=0)
     with pytest.raises(OutOfRange):
         jack_lowering_coeff(P(2, 1), 1, 3)
 
@@ -166,27 +166,30 @@ def test_limit_mismatch_is_loud(monkeypatch):
 
     real = jk.jack_limit_oracle
 
-    def crooked(lam, n, alpha):
-        sym = real(lam, n, alpha)
-        bad = {k: v + 1 for k, v in sym.coeffs.items()}
-        from macops.bases import SymPoly
-
-        return SymPoly(n, bad)
+    def crooked(J, alpha):
+        sym = real(J, alpha)
+        return SymPoly(J.nvars, {k: v + 1 for k, v in sym.coeffs.items()})
 
     monkeypatch.setattr(jk, "jack_limit_oracle", crooked)
     with pytest.raises(VerificationFailed):
         jk.jack_check_limits(P(2), 2)
 
 
-def test_limit_oracle_refuses_a_nondivisible_coefficient(monkeypatch):
+def test_limit_oracle_refuses_a_nondivisible_coefficient():
+    # 1 - t is not divisible by (1-t)^2, the weight of (2)
+    with pytest.raises(NotDivisible, match=r"^\(1-t\)\^2 does not divide$"):
+        jack_limit_oracle(SymPoly(2, {P(2): 1 - QT.var("t")}), alpha=1)
+
+
+def test_check_limits_builds_the_two_parameter_J_once(monkeypatch):
     import macops.jack as jk
-    from macops.bases import SymPoly
-    from macops.rings import QT
 
-    class Crooked:
-        # 1 - t is not divisible by (1-t)^2, the weight of (2)
-        schur = SymPoly(2, {P(2): 1 - QT.var("t")})
+    calls = []
 
-    monkeypatch.setattr(jk, "macdonald_J_raising", lambda lam, n: Crooked)
-    with pytest.raises(NotDivisible):
-        jk.jack_limit_oracle(P(2), 2, alpha=1)
+    def counting(lam, n):
+        calls.append(lam)
+        return macdonald_J_raising(lam, n)
+
+    monkeypatch.setattr(jk, "macdonald_J_raising", counting)
+    jk.jack_check_limits(P(3, 2), 3)
+    assert calls == [P(3, 2)]

@@ -15,13 +15,13 @@ from macops.operators import (
     _DET_KINDS,
     _NEEDS_INDEX,
     OperatorSpec,
-    apply_factorized_qt,
     apply_operator,
     apply_symmetric,
+    factorized_numerator,
     operator_ring,
 )
 from macops.operators import QDiffOp, _binom2, _plan, _subsets
-from macops.partitions import Partition, column_unit_scale, partitions_of
+from macops.partitions import Partition, column_unit_scale, partitions_of, partitions_up_to
 from macops.rings import (
     QT,
     Poly,
@@ -35,6 +35,8 @@ from macops.rings import (
 )
 from oracles import (
     _delta_factor,
+    antisymmetrize,
+    apply_factorized_qt,
     bialternant,
     build,
     delta_by_pairs,
@@ -42,6 +44,7 @@ from oracles import (
     dualize,
     equals,
     expand,
+    expand_schur,
     normalized,
     numerator,
     permute_x,
@@ -231,13 +234,27 @@ def test_duality_between_column_adders():
 
 
 def test_factorized_route_refuses_other_kinds_and_rings():
-    # its agreement with apply_operator at q = t is checked by criterion 06
+    # the next test checks it against the product form, which criterion 06 checks against apply_operator
     with pytest.raises(OutOfRange):
-        apply_factorized_qt(
+        factorized_numerator(
             "macdonald_u", 2, xring(2, ("q", "t", "u")).one
         )
     with pytest.raises(OutOfRange):
-        apply_factorized_qt("raise_plus", 2, xring(2, ("t", "u")).one)
+        factorized_numerator("raise_plus", 2, xring(2, ("t", "u")).one)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factorized_numerator_on_alternants_matches_the_product_form(n):
+    # the moves applied term by term on a_(lam + delta) against the
+    # polynomial products on s_lam, divided, times the divisor
+    for kind in _DET_KINDS:
+        ring = xring(n, tuple(nm for nm in operator_ring(n, kind).names[n:] if nm != "q"))
+        for lam in partitions_up_to(3, n):
+            rho = tuple(lam.part(i) + n - i for i in range(1, n + 1))
+            alt = antisymmetrize(ring.monomial(rho + (0,) * (len(ring) - n)), n)
+            got, divisor = factorized_numerator(kind, n, alt)
+            want = apply_factorized_qt(kind, n, expand_schur(lam.parts, n, ring))
+            assert got == want * expand(divisor, ring), (kind, lam.render())
 
 
 ADDERS = ("raise_plus", "raise_minus")
